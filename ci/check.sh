@@ -85,6 +85,26 @@ for repro in tests/corpus/*.bvfuzz.json; do
     ./target/release/bvsim fuzz --replay "$repro" >/dev/null
 done
 
+echo "== argv-rejection smoke (bad input exits nonzero with an error, no panic) =="
+cargo build --release -q -p bv-bench --bin experiments
+reject() {
+    local err
+    if err=$("$@" 2>&1 >/dev/null); then
+        echo "argv smoke: '$*' exited 0" >&2
+        exit 1
+    fi
+    if grep -q panicked <<<"$err" || ! grep -q "^error:" <<<"$err"; then
+        echo "argv smoke: '$*' did not fail with a clean error:" >&2
+        echo "$err" >&2
+        exit 1
+    fi
+}
+# An LLC geometry no set engine can build, an --inject that never fires,
+# and an unknown experiment name.
+reject ./target/release/bvsim --trace specint.mcf.07 --ways 0
+reject ./target/release/bvsim trace --audit --ops 10 --inject 100
+reject ./target/release/experiments nosuchfigure
+
 echo "== serve smoke (daemon, worker kill, dedup, metrics, restart recovery) =="
 # A live bvsim-serve-v1 daemon on an ephemeral port: arm a worker crash,
 # submit a tiny sweep, and require completion with zero lost and zero

@@ -64,17 +64,13 @@ pub struct BasicCache {
 }
 
 impl BasicCache {
-    /// Creates an empty cache with the given geometry and policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry has more than 64 ways (the per-set validity
-    /// mask is a single `u64`).
+    /// Creates an empty cache with the given geometry and policy. A
+    /// geometry never exceeds [`MAX_WAYS`](crate::MAX_WAYS), so each set's
+    /// validity fits one `u64` mask.
     #[must_use]
     pub fn new(geom: CacheGeometry, policy: PolicyKind) -> BasicCache {
         let sets = geom.sets();
         let ways = geom.ways();
-        assert!(ways <= 64, "cache validity mask covers at most 64 ways");
         BasicCache {
             geom,
             tags: vec![0; sets * ways],

@@ -24,35 +24,59 @@ pub struct CacheGeometry {
     line_bytes: usize,
 }
 
+/// The most ways one set may hold: [`SetEngine`](crate::engine::SetEngine)
+/// and [`BasicCache`](crate::BasicCache) keep each set's validity in one
+/// `u64` mask.
+pub const MAX_WAYS: usize = 64;
+
 impl CacheGeometry {
-    /// Creates a geometry.
+    /// Checks the shape [`CacheGeometry::new`] would build, so that sizes
+    /// from argv or the network are rejected instead of panicking.
     ///
     /// The associativity need not be a power of two — the paper's 3 MB and
     /// 6 MB configurations add 8 ways to a 16-way baseline, giving 24-way
-    /// caches — but the line size and the resulting set count must be, so
-    /// that indexing remains a bit-field extraction.
+    /// caches — but it must be at most [`MAX_WAYS`], and the line size and
+    /// the resulting set count must be powers of two, so that indexing
+    /// remains a bit-field extraction.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first rule the shape breaks.
+    pub fn check(size_bytes: usize, ways: usize, line_bytes: usize) -> Result<(), String> {
+        if !line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two".to_string());
+        }
+        if !(1..=MAX_WAYS).contains(&ways) {
+            return Err(format!(
+                "{ways} ways: associativity must be between 1 and {MAX_WAYS}"
+            ));
+        }
+        let way_bytes = ways * line_bytes;
+        if !size_bytes.is_multiple_of(way_bytes) {
+            return Err(format!(
+                "cache size {size_bytes} not a multiple of {ways} ways x {line_bytes} B"
+            ));
+        }
+        let sets = size_bytes / way_bytes;
+        if !sets.is_power_of_two() {
+            return Err(format!(
+                "{size_bytes} B in {ways} ways x {line_bytes} B is {sets} sets, \
+                 not a nonzero power of two"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Creates a geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two, if the size is not an
-    /// exact multiple of `ways * line_bytes`, or if the resulting set count
-    /// is zero or not a power of two.
+    /// Panics if [`CacheGeometry::check`] rejects the shape.
     #[must_use]
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> CacheGeometry {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(ways >= 1, "associativity must be at least 1");
-        assert!(
-            size_bytes.is_multiple_of(ways * line_bytes),
-            "cache size {size_bytes} not a multiple of {ways} ways x {line_bytes} B"
-        );
-        let sets = size_bytes / (ways * line_bytes);
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "set count {sets} must be a nonzero power of two"
-        );
+        if let Err(e) = CacheGeometry::check(size_bytes, ways, line_bytes) {
+            panic!("{e}");
+        }
         CacheGeometry {
             size_bytes,
             ways,
@@ -183,6 +207,31 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sets() {
         let _ = CacheGeometry::new(3 * 64 * 16, 16, 64); // 3 sets
+    }
+
+    #[test]
+    fn check_rejects_every_bad_shape() {
+        assert_eq!(CacheGeometry::check(2 * 1024 * 1024, 16, 64), Ok(()));
+        assert_eq!(CacheGeometry::check(8 * 1024 * 1024, MAX_WAYS, 64), Ok(()));
+        for (size, ways, line) in [
+            (2 * 1024 * 1024, 0, 64),            // no ways
+            (8 * 1024 * 1024, MAX_WAYS + 1, 64), // over the mask width
+            (3 * 1024 * 1024, 16, 64),           // 3072 sets
+            (1000, 4, 64),                       // not a multiple
+            (0, 16, 64),                         // zero sets
+            (4096, 4, 48),                       // odd line size
+        ] {
+            assert!(
+                CacheGeometry::check(size, ways, line).is_err(),
+                "{size} B {ways}-way {line} B lines accepted"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 64")]
+    fn rejects_more_ways_than_the_validity_mask() {
+        let _ = CacheGeometry::new(8 * 1024 * 1024, 128, 64);
     }
 
     #[test]

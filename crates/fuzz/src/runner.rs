@@ -1,10 +1,9 @@
 //! The fuzz campaign loop: generate, check, and (on failure) shrink,
-//! with progress counters suitable for telemetry sinks.
+//! counting progress as it goes.
 
 use crate::case::{Domain, FuzzCase};
 use crate::check::{observe, verdict, FuzzFailure};
 use crate::shrink::{shrink, ShrinkOutcome};
-use bv_telemetry::CounterRegistry;
 use bv_testkit::Rng;
 
 /// Campaign parameters (the `bvsim fuzz` flags).
@@ -47,14 +46,22 @@ pub struct CampaignFailure {
 }
 
 /// What a campaign did.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FuzzReport {
     /// Cases completed (stops at the first failure).
     pub cases_run: u64,
-    /// Progress counters: `fuzz.cases`, `fuzz.llc_cases`,
-    /// `fuzz.kv_cases`, `fuzz.ops_replayed`, `fuzz.failures`,
-    /// `fuzz.shrink_attempts`, `fuzz.shrink_accepted`.
-    pub counters: CounterRegistry,
+    /// LLC cases among them.
+    pub llc_cases: u64,
+    /// Kv cases among them.
+    pub kv_cases: u64,
+    /// Operations across every case run.
+    pub ops_replayed: u64,
+    /// Failing cases: 0, or 1 since the campaign stops there.
+    pub failures: u64,
+    /// Shrink candidates tried on the failure.
+    pub shrink_attempts: u64,
+    /// Shrink candidates that kept the failure and were taken.
+    pub shrink_accepted: u64,
     /// The first failure, or `None` when every case passed.
     pub failure: Option<CampaignFailure>,
 }
@@ -65,52 +72,52 @@ impl FuzzReport {
     pub fn passed(&self) -> bool {
         self.failure.is_none()
     }
+
+    /// The counters as `fuzz.*` `(name, value)` pairs, in print order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("fuzz.cases", self.cases_run),
+            ("fuzz.llc_cases", self.llc_cases),
+            ("fuzz.kv_cases", self.kv_cases),
+            ("fuzz.ops_replayed", self.ops_replayed),
+            ("fuzz.failures", self.failures),
+            ("fuzz.shrink_attempts", self.shrink_attempts),
+            ("fuzz.shrink_accepted", self.shrink_accepted),
+        ]
+    }
 }
 
 /// Runs the campaign, invoking `progress(done, total)` after each case.
 /// Stops at (and minimizes) the first failure.
 pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(u64, u64)) -> FuzzReport {
-    let mut counters = CounterRegistry::new();
-    let c_cases = counters.register("fuzz.cases");
-    let c_llc = counters.register("fuzz.llc_cases");
-    let c_kv = counters.register("fuzz.kv_cases");
-    let c_ops = counters.register("fuzz.ops_replayed");
-    let c_fail = counters.register("fuzz.failures");
-    let c_attempts = counters.register("fuzz.shrink_attempts");
-    let c_accepted = counters.register("fuzz.shrink_accepted");
-
+    let mut report = FuzzReport::default();
     let mut seeds = Rng::new(cfg.seed);
-    let mut failure = None;
-    let mut cases_run = 0;
     for i in 0..cfg.cases {
         let case_seed = seeds.next_u64();
         let case = FuzzCase::generate(case_seed, cfg.domain);
-        counters.add(c_cases, 1);
-        counters.add(
-            match case.domain() {
-                Domain::Llc => c_llc,
-                Domain::Kv => c_kv,
-            },
-            1,
-        );
-        counters.add(c_ops, case.op_count());
+        match case.domain() {
+            Domain::Llc => report.llc_cases += 1,
+            Domain::Kv => report.kv_cases += 1,
+        }
+        report.ops_replayed += case.op_count();
         let result = verdict(&case);
-        cases_run += 1;
-        progress(cases_run, cfg.cases);
+        report.cases_run += 1;
+        progress(report.cases_run, cfg.cases);
         if let Err(f) = result {
-            counters.add(c_fail, 1);
+            report.failures += 1;
             // Shrinking minimizes against the observation; an
             // `inject-undetected` failure has nothing to observe, so it
             // is reported as-is.
             let shrunk = if cfg.shrink && observe(&case).is_some() {
                 let out = shrink(&case);
-                counters.add(c_attempts, out.attempts);
-                counters.add(c_accepted, out.accepted);
+                report.shrink_attempts += out.attempts;
+                report.shrink_accepted += out.accepted;
                 Some(out)
             } else {
                 None
             };
-            failure = Some(CampaignFailure {
+            report.failure = Some(CampaignFailure {
                 case_index: i,
                 case_seed,
                 failure: f,
@@ -120,11 +127,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(u64, u64)) -> FuzzRep
             break;
         }
     }
-    FuzzReport {
-        cases_run,
-        counters,
-        failure,
-    }
+    report
 }
 
 /// One domain's `--inject` self-test result.
@@ -225,11 +228,9 @@ mod tests {
         assert!(report.passed(), "{:?}", report.failure.map(|f| f.failure));
         assert_eq!(report.cases_run, 8);
         assert_eq!(ticks, 8);
-        assert_eq!(report.counters.get("fuzz.cases"), Some(8));
-        let llc = report.counters.get("fuzz.llc_cases").unwrap();
-        let kv = report.counters.get("fuzz.kv_cases").unwrap();
-        assert_eq!(llc + kv, 8);
-        assert!(report.counters.get("fuzz.ops_replayed").unwrap() > 0);
+        assert_eq!(report.counters()[0], ("fuzz.cases", 8));
+        assert_eq!(report.llc_cases + report.kv_cases, 8);
+        assert!(report.ops_replayed > 0);
     }
 
     #[test]
@@ -240,7 +241,7 @@ mod tests {
         };
         let a = run_fuzz(&cfg, |_, _| {});
         let b = run_fuzz(&cfg, |_, _| {});
-        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counters(), b.counters());
         assert_eq!(a.cases_run, b.cases_run);
     }
 

@@ -63,6 +63,9 @@ impl KvOrgKind {
         }
     }
 
+    /// The names [`KvOrgKind::from_name`] accepts, for error messages.
+    pub const NAMES: &'static str = "uncompressed, compressed, base-victim";
+
     /// Parses [`KvOrgKind::name`] back.
     #[must_use]
     pub fn from_name(s: &str) -> Option<KvOrgKind> {

@@ -62,8 +62,9 @@ impl SweepGrid {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unknown LLC or policy name, or
-    /// of an empty dimension.
+    /// Returns a description of the first unknown LLC or policy name, of
+    /// an LLC size or associativity an organization cannot be built with,
+    /// or of an empty dimension.
     pub fn plan(&self) -> Result<Vec<JobSpec>, String> {
         if self.traces.is_empty() {
             return Err("sweep grid has no traces".to_string());
@@ -73,7 +74,8 @@ impl SweepGrid {
             let kind = LlcKind::from_name(name).ok_or_else(|| {
                 format!("unknown LLC kind '{name}' (expected {})", LlcKind::NAMES)
             })?;
-            llcs.push(kind);
+            let bytes = kind.check_llc_size(self.llc_mb, self.ways)?;
+            llcs.push((kind, bytes));
         }
         let mut policies = Vec::new();
         for name in &self.policies {
@@ -88,10 +90,10 @@ impl SweepGrid {
         let mut jobs = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for trace in &self.traces {
-            for &llc in &llcs {
+            for &(llc, bytes) in &llcs {
                 for &policy in &policies {
                     let cfg = SimConfig::single_thread(llc)
-                        .with_llc_size(self.llc_mb as usize * 1024 * 1024, self.ways as usize)
+                        .with_llc_size(bytes, self.ways as usize)
                         .with_policy(policy);
                     let job = JobSpec::new(trace.clone(), cfg, self.warmup, self.insts);
                     if seen.insert(job.stable_hash()) {
@@ -887,5 +889,20 @@ mod tests {
         let mut bad = grid();
         bad.traces.clear();
         assert!(bad.plan().is_err());
+    }
+
+    #[test]
+    fn grid_rejects_geometries_that_cannot_be_built() {
+        for (llc_mb, ways) in [(2, 0), (3, 16), (8, 128), (u64::MAX, 16), (2, u64::MAX)] {
+            let mut bad = grid();
+            (bad.llc_mb, bad.ways) = (llc_mb, ways);
+            assert!(bad.plan().is_err(), "{llc_mb} MB {ways}-way planned");
+        }
+        // Two-tag doubles the tag array: 64 ways fit base-victim, not it.
+        let mut wide = grid();
+        (wide.llc_mb, wide.ways) = (8, 64);
+        assert_eq!(wide.plan().expect("plan").len(), 4);
+        wide.llcs = vec!["two-tag".into()];
+        assert!(wide.plan().unwrap_err().contains("two-tag"));
     }
 }

@@ -309,6 +309,43 @@ fn metrics_and_trace_ids_flow_through_protocol_and_http() {
 }
 
 #[test]
+fn unbuildable_geometry_is_rejected_at_submit_without_crashing_workers() {
+    let dir = tmp_dir("geometry");
+    let daemon = start(dir.join("journal"), 1);
+    let addr = daemon.addr().to_string();
+    // 0 ways fails the geometry rules; 128 ways is a valid geometry that
+    // no set engine can hold.
+    for (llc_mb, ways) in [(2, 0), (8, 128)] {
+        let mut grid = tiny_grid(trace_names(1));
+        (grid.llc_mb, grid.ways) = (llc_mb, ways);
+        let req = Request::Submit { grid, wait: true };
+        match client::control(&addr, &req).expect("daemon answers") {
+            Response::Error { error } => assert!(error.contains("ways"), "{error}"),
+            other => panic!("{ways}-way grid accepted: {other:?}"),
+        }
+    }
+    match client::control(&addr, &Request::Status).expect("status") {
+        Response::Status(s) => {
+            assert_eq!(
+                (s.crashes, s.retries, s.tickets),
+                (0, 0, 0),
+                "status: {s:?}"
+            );
+        }
+        other => panic!("unexpected status reply: {other:?}"),
+    }
+    assert_eq!(
+        client::metrics(&addr)
+            .expect("metrics")
+            .counter("worker_crashes_total"),
+        0
+    );
+    shutdown(&addr);
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn disabled_metrics_leave_snapshots_empty_but_serve_results() {
     let dir = tmp_dir("nometrics");
     let daemon = Daemon::start(ServeConfig {

@@ -1,6 +1,6 @@
 //! Simulation configuration (Section V parameters).
 
-use bv_cache::{CacheGeometry, PolicyKind};
+use bv_cache::{CacheGeometry, PolicyKind, MAX_WAYS};
 use bv_compress::{Bdi, CPack, Compressor, Fpc, ZeroOnly};
 use bv_core::{
     BaseVictimLlc, DccLlc, InclusionMode, LlcOrganization, TwoTagEcmLlc, TwoTagLlc,
@@ -198,6 +198,34 @@ impl LlcKind {
         }
     }
 
+    /// Checks that this organization builds on a `mb` MB, `ways`-way LLC
+    /// of 64 B lines, and returns the size in bytes: the
+    /// [`CacheGeometry::check`] rules, plus the doubled tag array of
+    /// two-tag, VSC and DCC, which must also fit [`MAX_WAYS`] tags per set.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first broken rule.
+    pub fn check_llc_size(self, mb: u64, ways: u64) -> Result<usize, String> {
+        let bytes = mb
+            .checked_mul(1024 * 1024)
+            .and_then(|b| usize::try_from(b).ok())
+            .ok_or_else(|| format!("LLC size {mb} MB overflows"))?;
+        let ways = usize::try_from(ways).unwrap_or(usize::MAX);
+        CacheGeometry::check(bytes, ways, 64)?;
+        let tags = match self {
+            LlcKind::TwoTag | LlcKind::TwoTagEcm | LlcKind::Vsc | LlcKind::Dcc => ways * 2,
+            _ => ways,
+        };
+        if tags > MAX_WAYS {
+            return Err(format!(
+                "{} keeps {tags} tags per set for {ways} ways; at most {MAX_WAYS} fit",
+                self.name()
+            ));
+        }
+        Ok(bytes)
+    }
+
     /// Instantiates the organization.
     #[must_use]
     pub fn build(self, geom: CacheGeometry, policy: PolicyKind) -> Box<dyn LlcOrganization> {
@@ -377,6 +405,32 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_llc_size_matches_what_builds() {
+        assert_eq!(LlcKind::BaseVictim.check_llc_size(2, 16), Ok(2 << 20));
+        assert_eq!(LlcKind::BaseVictim.check_llc_size(8, 64), Ok(8 << 20));
+        assert_eq!(LlcKind::Dcc.check_llc_size(4, 32), Ok(4 << 20));
+        for (kind, mb, ways) in [
+            (LlcKind::BaseVictim, 2, 0),
+            (LlcKind::BaseVictim, 3, 16),
+            (LlcKind::BaseVictim, 8, 128),
+            (LlcKind::BaseVictim, u64::MAX, 16),
+            (LlcKind::TwoTag, 4, 64),
+            (LlcKind::Vsc, 4, 64),
+        ] {
+            assert!(
+                kind.check_llc_size(mb, ways).is_err(),
+                "{kind:?} {mb} MB {ways}-way accepted"
+            );
+        }
+        // Whatever passes builds without panicking.
+        for kind in [LlcKind::Uncompressed, LlcKind::TwoTag, LlcKind::Dcc] {
+            let bytes = kind.check_llc_size(1, 32).expect("valid");
+            let cfg = SimConfig::single_thread(kind).with_llc_size(bytes, 32);
+            let _ = kind.build(cfg.llc, PolicyKind::Nru);
+        }
+    }
 
     #[test]
     fn paper_defaults() {

@@ -12,8 +12,6 @@
 //!   [`DEFAULT_EPOCH_INSTS`] committed instructions unless overridden);
 //! * [`Log2Histogram`] — 65-bucket power-of-two histograms for bursty
 //!   per-epoch quantities;
-//! * [`CounterRegistry`] — named monotonic counters, O(1) on the bump
-//!   path;
 //! * [`TelemetryReport`] + [`render()`] — the `bvsim-telemetry-v1` JSONL
 //!   sink and the terminal renderer behind `bvsim report`;
 //! * [`json`] — the registry-free JSON reader/writer everything round
@@ -33,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counters;
 pub mod events_io;
 mod hist;
 pub mod json;
@@ -41,7 +38,6 @@ pub mod render;
 mod series;
 mod sink;
 
-pub use counters::{CounterId, CounterRegistry};
 pub use events_io::{read_events, write_events, EventsHeader, StreamSink, EVENTS_SCHEMA};
 pub use hist::{Log2Histogram, LOG2_BUCKETS};
 pub use render::{render, sparkline};

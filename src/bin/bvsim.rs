@@ -862,7 +862,7 @@ fn run_fuzz_campaign(args: &FuzzArgs) -> ExitCode {
             println!("  checked {done}/{total}");
         }
     });
-    for (name, v) in report.counters.iter() {
+    for (name, v) in report.counters() {
         println!("{name:<20}: {v}");
     }
     match &report.failure {

@@ -5,7 +5,10 @@
 use bv_cache::PolicyKind;
 use bv_kvcache::KvOrgKind;
 use bv_sim::LlcKind;
+use bv_trace::request::RequestProfile;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The `bvsim` usage text.
 pub const USAGE: &str = "\
@@ -230,18 +233,6 @@ pub enum Command {
     /// `top`: live refreshing daemon dashboard.
     Top(TopArgs),
 }
-
-/// The `--llc` values [`parse_llc`] accepts, for error messages.
-pub const LLC_KINDS: &str = LlcKind::NAMES;
-
-/// The `--policy` values [`parse_policy`] accepts, for error messages.
-pub const POLICY_NAMES: &str = PolicyKind::NAMES;
-
-/// The kv `--org` values [`parse_kv_org`] accepts, for error messages.
-pub const KV_ORGS: &str = "uncompressed, compressed, base-victim";
-
-/// The kv `--dist` values `kv` accepts, for error messages.
-pub const KV_DISTS: &str = "web, analytics, social";
 
 /// Arguments for a single-trace simulation.
 #[derive(Debug, PartialEq, Eq)]
@@ -638,22 +629,94 @@ impl Default for TopArgs {
     }
 }
 
-/// Parses an LLC organization name.
-#[must_use]
-pub fn parse_llc(s: &str) -> Option<LlcKind> {
-    LlcKind::from_name(s)
+/// What a flag names, how to look a name up, and the valid names.
+type Named<T> = (&'static str, fn(&str) -> Option<T>, &'static str);
+
+const LLC: Named<LlcKind> = ("LLC kind", LlcKind::from_name, LlcKind::NAMES);
+const POLICY: Named<PolicyKind> = ("policy", PolicyKind::from_name, PolicyKind::NAMES);
+const KV_ORG: Named<KvOrgKind> = ("kv org", KvOrgKind::from_name, KvOrgKind::NAMES);
+const DIST: Named<RequestProfile> = ("kv dist", RequestProfile::by_name, "web, analytics, social");
+const TRACES: Named<()> = ("trace", |t| (!t.is_empty()).then_some(()), "registry names");
+
+/// A cursor over a subcommand's flags: [`Flags::next`] steps to a flag, and
+/// the getters read its value, naming the flag in their errors.
+struct Flags<'a> {
+    /// The subcommand, for the unknown-flag error.
+    cmd: &'a str,
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
 }
 
-/// Parses a kv-tier organization name.
-#[must_use]
-pub fn parse_kv_org(s: &str) -> Option<KvOrgKind> {
-    KvOrgKind::from_name(s)
-}
+impl<'a> Flags<'a> {
+    fn new(cmd: &'a str, args: &'a [String]) -> Flags<'a> {
+        let (args, flag) = (args.iter(), "");
+        Flags { cmd, args, flag }
+    }
 
-/// Parses a replacement-policy name.
-#[must_use]
-pub fn parse_policy(s: &str) -> Option<PolicyKind> {
-    PolicyKind::from_name(s)
+    /// Steps to the next flag.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The flag's value as given.
+    fn raw(&mut self) -> Result<String, String> {
+        let (flag, v) = (self.flag, self.args.next().cloned());
+        v.ok_or_else(|| format!("missing value for {flag}"))
+    }
+
+    /// The flag's value, parsed.
+    fn value<T: FromStr<Err: Display>>(&mut self) -> Result<T, String> {
+        let flag = self.flag;
+        self.raw()?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The flag's value, parsed and at least 1.
+    fn positive<T: FromStr<Err: Display> + PartialEq + From<u8>>(&mut self) -> Result<T, String> {
+        match self.value()? {
+            v if v == T::from(0) => Err(format!("{} must be at least 1", self.flag)),
+            v => Ok(v),
+        }
+    }
+
+    /// The flag's value resolved by `from_name`; an unknown name is an
+    /// error that lists the valid `names`.
+    fn named<T>(&mut self, (what, from_name, names): Named<T>) -> Result<T, String> {
+        let v = self.raw()?;
+        from_name(&v).ok_or_else(|| format!("unknown {what} '{v}' (valid: {names})"))
+    }
+
+    /// The flag's value as a comma-separated list of names, each of which
+    /// `from_name` must know.
+    fn names<T>(&mut self, (what, from_name, names): Named<T>) -> Result<Vec<String>, String> {
+        let v = self.raw()?;
+        let items: Vec<String> = v.split(',').map(|i| i.trim().to_string()).collect();
+        match items.iter().find(|i| from_name(i).is_none()) {
+            Some(bad) => Err(format!("unknown {what} '{bad}' (valid: {names})")),
+            None => Ok(items),
+        }
+    }
+
+    /// The flag's value as an inclusive `lo:hi` range with `lo <= hi`.
+    fn range<T: FromStr + PartialOrd>(&mut self) -> Result<(T, T), String> {
+        let (flag, v) = (self.flag, self.raw()?);
+        let bound = |b: &str| b.parse().map_err(|_| format!("{flag}: bad bound '{b}'"));
+        let Some((lo, hi)) = v.split_once(':') else {
+            return Err(format!("{flag}: expected <lo>:<hi>, got '{v}'"));
+        };
+        match (bound(lo)?, bound(hi)?) {
+            (lo, hi) if lo > hi => Err(format!("{flag}: range is inverted")),
+            range => Ok(range),
+        }
+    }
+
+    /// The catch-all arm: `--help`/`-h` is [`Command::Help`], anything else an error.
+    fn other(&self) -> Result<Command, String> {
+        match self.flag {
+            "--help" | "-h" => Ok(Command::Help),
+            flag => Err(format!("unknown {} flag '{flag}' (try --help)", self.cmd)),
+        }
+    }
 }
 
 /// Parses the argument list (without the program name).
@@ -663,243 +726,104 @@ pub fn parse_policy(s: &str) -> Option<PolicyKind> {
 /// Returns a human-readable message for unknown flags, missing values,
 /// or unparsable numbers; the caller prints it alongside [`USAGE`].
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    if args.first().map(String::as_str) == Some("sweep") {
-        return parse_sweep(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return parse_bench(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return parse_report(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return parse_trace(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("kv") {
-        return parse_kv(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return parse_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return parse_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("submit") {
-        return parse_submit(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("watch") {
-        return parse_watch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("ctl") {
-        return parse_ctl(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return parse_top(&args[1..]);
-    }
-    let mut run = RunArgs::default();
-    let mut trace = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--trace" => trace = Some(value("--trace")?),
-            "--list-traces" => return Ok(Command::ListTraces),
-            "--llc" => {
-                let v = value("--llc")?;
-                run.llc = parse_llc(&v)
-                    .ok_or_else(|| format!("unknown LLC kind '{v}' (valid: {LLC_KINDS})"))?;
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                run.policy = parse_policy(&v)
-                    .ok_or_else(|| format!("unknown policy '{v}' (valid: {POLICY_NAMES})"))?;
-            }
-            "--llc-mb" => {
-                run.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                run.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                run.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--insts" => {
-                run.insts = value("--insts")?
-                    .parse()
-                    .map_err(|e| format!("--insts: {e}"))?;
-            }
-            "--compare" => run.compare = true,
-            "--telemetry" => run.telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--epoch" => run.epoch = parse_epoch(&value("--epoch")?)?,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    match trace {
-        Some(t) => {
-            run.trace = t;
-            Ok(Command::Run(run))
-        }
-        None => Err("--trace <name> or --list-traces required".into()),
+    let cmd = args.first().map_or("", String::as_str);
+    let f = Flags::new(cmd, args.get(1..).unwrap_or_default());
+    match cmd {
+        "sweep" => parse_sweep(f),
+        "bench" => parse_bench(f),
+        "report" => match &args[1..] {
+            [flag] if flag == "--help" || flag == "-h" => Ok(Command::Help),
+            [path] => Ok(Command::Report(PathBuf::from(path))),
+            [] => Err("report requires a telemetry file path".into()),
+            _ => Err("report takes exactly one telemetry file path".into()),
+        },
+        "trace" => parse_trace(f),
+        "kv" => parse_kv(f),
+        "fuzz" => parse_fuzz(f),
+        "serve" => parse_serve(f),
+        "submit" => parse_submit(f),
+        "watch" => parse_watch(f),
+        "ctl" => parse_ctl(f),
+        "top" => parse_top(f),
+        _ => parse_run(Flags::new("bvsim", args)),
     }
 }
 
-fn parse_sweep(args: &[String]) -> Result<Command, String> {
+fn parse_run(mut f: Flags) -> Result<Command, String> {
+    let mut run = RunArgs::default();
+    while let Some(flag) = f.next() {
+        match flag {
+            "--trace" => run.trace = f.raw()?,
+            "--list-traces" => return Ok(Command::ListTraces),
+            "--llc" => run.llc = f.named(LLC)?,
+            "--policy" => run.policy = f.named(POLICY)?,
+            "--llc-mb" => run.llc_mb = f.value()?,
+            "--ways" => run.ways = f.value()?,
+            "--warmup" => run.warmup = f.value()?,
+            "--insts" => run.insts = f.value()?,
+            "--compare" => run.compare = true,
+            "--telemetry" => run.telemetry = Some(f.value()?),
+            "--epoch" => run.epoch = f.positive()?,
+            _ => return f.other(),
+        }
+    }
+    if run.trace.is_empty() {
+        return Err("--trace <name> or --list-traces required".into());
+    }
+    run.llc.check_llc_size(run.llc_mb as u64, run.ways as u64)?;
+    Ok(Command::Run(run))
+}
+
+fn parse_sweep(mut f: Flags) -> Result<Command, String> {
     let mut sweep = SweepArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--jobs" => {
-                let v: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if v == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                sweep.jobs = Some(v);
-            }
+    while let Some(flag) = f.next() {
+        match flag {
+            "--jobs" => sweep.jobs = Some(f.positive()?),
             "--resume" => sweep.resume = true,
-            "--journal" => sweep.journal = PathBuf::from(value("--journal")?),
-            "--telemetry-dir" => {
-                sweep.telemetry_dir = Some(PathBuf::from(value("--telemetry-dir")?));
-            }
-            "--epoch" => sweep.epoch = parse_epoch(&value("--epoch")?)?,
-            "--spans" => sweep.spans = Some(PathBuf::from(value("--spans")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown sweep flag '{other}' (try --help)")),
+            "--journal" => sweep.journal = f.value()?,
+            "--telemetry-dir" => sweep.telemetry_dir = Some(f.value()?),
+            "--epoch" => sweep.epoch = f.positive()?,
+            "--spans" => sweep.spans = Some(f.value()?),
+            _ => return f.other(),
         }
     }
     Ok(Command::Sweep(sweep))
 }
 
-fn parse_serve(args: &[String]) -> Result<Command, String> {
+fn parse_serve(mut f: Flags) -> Result<Command, String> {
     let mut serve = ServeArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => serve.addr = value("--addr")?,
-            "--workers" => {
-                let v: usize = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if v == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                serve.workers = Some(v);
-            }
-            "--journal" => serve.journal = PathBuf::from(value("--journal")?),
-            "--timeout-secs" => {
-                serve.timeout_secs = value("--timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-secs: {e}"))?;
-            }
-            "--retries" => {
-                serve.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--port-file" => serve.port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--spans" => serve.spans = Some(PathBuf::from(value("--spans")?)),
-            "--metrics-port" => {
-                serve.metrics_port = Some(
-                    value("--metrics-port")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-port: {e}"))?,
-                );
-            }
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => serve.addr = f.raw()?,
+            "--workers" => serve.workers = Some(f.positive()?),
+            "--journal" => serve.journal = f.value()?,
+            "--timeout-secs" => serve.timeout_secs = f.value()?,
+            "--retries" => serve.retries = f.value()?,
+            "--port-file" => serve.port_file = Some(f.value()?),
+            "--spans" => serve.spans = Some(f.value()?),
+            "--metrics-port" => serve.metrics_port = Some(f.value()?),
             "--no-metrics" => serve.metrics = false,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown serve flag '{other}' (try --help)")),
+            _ => return f.other(),
         }
     }
     Ok(Command::Serve(serve))
 }
 
-/// Splits a comma-separated list, rejecting empty elements.
-fn parse_list(flag: &str, v: &str) -> Result<Vec<String>, String> {
-    let items: Vec<String> = v.split(',').map(str::trim).map(str::to_string).collect();
-    if items.iter().any(String::is_empty) {
-        return Err(format!(
-            "{flag}: expected a comma-separated list, got '{v}'"
-        ));
-    }
-    Ok(items)
-}
-
-fn parse_submit(args: &[String]) -> Result<Command, String> {
+fn parse_submit(mut f: Flags) -> Result<Command, String> {
     let mut submit = SubmitArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => submit.addr = value("--addr")?,
-            "--traces" => submit.traces = parse_list("--traces", &value("--traces")?)?,
-            "--llcs" => {
-                let list = parse_list("--llcs", &value("--llcs")?)?;
-                for name in &list {
-                    if LlcKind::from_name(name).is_none() {
-                        return Err(format!("unknown LLC kind '{name}' (valid: {LLC_KINDS})"));
-                    }
-                }
-                submit.llcs = list;
-            }
-            "--policies" => {
-                let list = parse_list("--policies", &value("--policies")?)?;
-                for name in &list {
-                    if PolicyKind::from_name(name).is_none() {
-                        return Err(format!("unknown policy '{name}' (valid: {POLICY_NAMES})"));
-                    }
-                }
-                submit.policies = list;
-            }
-            "--llc-mb" => {
-                submit.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                submit.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                submit.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--insts" => {
-                submit.insts = value("--insts")?
-                    .parse()
-                    .map_err(|e| format!("--insts: {e}"))?;
-            }
-            "--out" => submit.out = Some(PathBuf::from(value("--out")?)),
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => submit.addr = f.raw()?,
+            "--traces" => submit.traces = f.names(TRACES)?,
+            "--llcs" => submit.llcs = f.names(LLC)?,
+            "--policies" => submit.policies = f.names(POLICY)?,
+            "--llc-mb" => submit.llc_mb = f.value()?,
+            "--ways" => submit.ways = f.value()?,
+            "--warmup" => submit.warmup = f.value()?,
+            "--insts" => submit.insts = f.value()?,
+            "--out" => submit.out = Some(f.value()?),
             "--no-wait" => submit.no_wait = true,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown submit flag '{other}' (try --help)")),
+            _ => return f.other(),
         }
     }
     if submit.traces.is_empty() {
@@ -908,406 +832,167 @@ fn parse_submit(args: &[String]) -> Result<Command, String> {
     Ok(Command::Submit(submit))
 }
 
-fn parse_watch(args: &[String]) -> Result<Command, String> {
-    let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut ticket = None;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--ticket" => {
-                ticket = Some(
-                    value("--ticket")?
-                        .parse()
-                        .map_err(|e| format!("--ticket: {e}"))?,
-                );
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown watch flag '{other}' (try --help)")),
+fn parse_watch(mut f: Flags) -> Result<Command, String> {
+    let (mut addr, mut ticket, mut out) = (DEFAULT_SERVE_ADDR.to_string(), None, None);
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => addr = f.raw()?,
+            "--ticket" => ticket = Some(f.value()?),
+            "--out" => out = Some(f.value()?),
+            _ => return f.other(),
         }
     }
     let ticket = ticket.ok_or("watch requires --ticket <n>")?;
     Ok(Command::Watch(WatchArgs { addr, ticket, out }))
 }
 
-fn parse_ctl(args: &[String]) -> Result<Command, String> {
+const CTL_ACTIONS: &str = "ctl requires one of --status | --cancel | --kill-worker | --shutdown";
+
+fn parse_ctl(mut f: Flags) -> Result<Command, String> {
     let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut action = None;
-    let set = |a: CtlAction, action: &mut Option<CtlAction>| -> Result<(), String> {
-        if action.is_some() {
-            return Err("ctl takes exactly one action".into());
-        }
-        *action = Some(a);
-        Ok(())
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--status" => set(CtlAction::Status, &mut action)?,
-            "--cancel" => {
-                let t = value("--cancel")?
-                    .parse()
-                    .map_err(|e| format!("--cancel: {e}"))?;
-                set(CtlAction::Cancel(t), &mut action)?;
-            }
-            "--kill-worker" => {
-                let w = value("--kill-worker")?
-                    .parse()
-                    .map_err(|e| format!("--kill-worker: {e}"))?;
-                set(CtlAction::KillWorker(w), &mut action)?;
-            }
-            "--shutdown" => set(CtlAction::Shutdown, &mut action)?,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown ctl flag '{other}' (try --help)")),
+    let mut actions = Vec::new();
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => addr = f.raw()?,
+            "--status" => actions.push(CtlAction::Status),
+            "--cancel" => actions.push(CtlAction::Cancel(f.value()?)),
+            "--kill-worker" => actions.push(CtlAction::KillWorker(f.value()?)),
+            "--shutdown" => actions.push(CtlAction::Shutdown),
+            _ => return f.other(),
         }
     }
-    let action =
-        action.ok_or("ctl requires one of --status | --cancel | --kill-worker | --shutdown")?;
-    Ok(Command::Ctl(CtlArgs { addr, action }))
+    match <[_; 1]>::try_from(actions) {
+        Ok([action]) => Ok(Command::Ctl(CtlArgs { addr, action })),
+        Err(none) if none.is_empty() => Err(CTL_ACTIONS.into()),
+        Err(_) => Err("ctl takes exactly one action".into()),
+    }
 }
 
-fn parse_top(args: &[String]) -> Result<Command, String> {
+fn parse_top(mut f: Flags) -> Result<Command, String> {
     let mut top = TopArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => top.addr = value("--addr")?,
-            "--interval-ms" => {
-                let v: u64 = value("--interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--interval-ms: {e}"))?;
-                if v == 0 {
-                    return Err("--interval-ms must be at least 1".into());
-                }
-                top.interval_ms = v;
-            }
+    while let Some(flag) = f.next() {
+        match flag {
+            "--addr" => top.addr = f.raw()?,
+            "--interval-ms" => top.interval_ms = f.positive()?,
             "--once" => top.once = true,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown top flag '{other}' (try --help)")),
+            _ => return f.other(),
         }
     }
     Ok(Command::Top(top))
 }
 
-/// Parses an inclusive `lo:hi` range with `lo <= hi`.
-fn parse_range<T: std::str::FromStr + PartialOrd>(flag: &str, v: &str) -> Result<(T, T), String> {
-    let (lo, hi) = v
-        .split_once(':')
-        .ok_or_else(|| format!("{flag}: expected <lo>:<hi>, got '{v}'"))?;
-    let lo: T = lo
-        .parse()
-        .map_err(|_| format!("{flag}: bad lower bound '{lo}'"))?;
-    let hi: T = hi
-        .parse()
-        .map_err(|_| format!("{flag}: bad upper bound '{hi}'"))?;
-    if lo > hi {
-        return Err(format!("{flag}: range is inverted"));
-    }
-    Ok((lo, hi))
-}
-
-fn parse_trace(args: &[String]) -> Result<Command, String> {
+fn parse_trace(mut f: Flags) -> Result<Command, String> {
     let mut t = TraceArgs::default();
-    let mut trace = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--trace" => trace = Some(value("--trace")?),
-            "--llc" => {
-                let v = value("--llc")?;
-                t.llc = parse_llc(&v)
-                    .ok_or_else(|| format!("unknown LLC kind '{v}' (valid: {LLC_KINDS})"))?;
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                t.policy = parse_policy(&v)
-                    .ok_or_else(|| format!("unknown policy '{v}' (valid: {POLICY_NAMES})"))?;
-            }
-            "--llc-mb" => {
-                t.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                t.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                t.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--budget" => {
-                t.budget = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
-            }
-            "--out" => t.out = Some(PathBuf::from(value("--out")?)),
+    while let Some(flag) = f.next() {
+        match flag {
+            "--trace" => t.trace = f.raw()?,
+            "--llc" => t.llc = f.named(LLC)?,
+            "--policy" => t.policy = f.named(POLICY)?,
+            "--llc-mb" => t.llc_mb = f.value()?,
+            "--ways" => t.ways = f.value()?,
+            "--warmup" => t.warmup = f.value()?,
+            "--budget" => t.budget = f.value()?,
+            "--out" => t.out = Some(f.value()?),
             "--kinds" => {
-                let v = value("--kinds")?;
+                let v = f.raw()?;
                 // Validate now so an unknown kind fails before a long run.
                 bv_events::EventFilter::all().with_kind_names(&v)?;
                 t.kinds = Some(v);
             }
-            "--sets" => t.sets = Some(parse_range("--sets", &value("--sets")?)?),
-            "--window" => t.window = Some(parse_range("--window", &value("--window")?)?),
-            "--capacity" => {
-                let v: usize = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if v == 0 {
-                    return Err("--capacity must be at least 1".into());
-                }
-                t.capacity = v;
-            }
+            "--sets" => t.sets = Some(f.range()?),
+            "--window" => t.window = Some(f.range()?),
+            "--capacity" => t.capacity = f.positive()?,
             "--heatmap" => t.heatmap = true,
             "--audit" => t.audit = true,
-            "--ops" => {
-                t.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?;
-            }
-            "--seed" => {
-                t.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--context" => {
-                t.context = value("--context")?
-                    .parse()
-                    .map_err(|e| format!("--context: {e}"))?;
-            }
-            "--inject" => {
-                t.inject = Some(
-                    value("--inject")?
-                        .parse()
-                        .map_err(|e| format!("--inject: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown trace flag '{other}' (try --help)")),
+            "--ops" => t.ops = f.value()?,
+            "--seed" => t.seed = f.value()?,
+            "--context" => t.context = f.value()?,
+            "--inject" => t.inject = Some(f.value()?),
+            _ => return f.other(),
         }
     }
-    match (trace, t.audit) {
-        (Some(name), _) => {
-            t.trace = name;
-            Ok(Command::Trace(t))
-        }
-        (None, true) => Ok(Command::Trace(t)),
-        (None, false) => Err("trace requires --trace <name> (or --audit)".into()),
+    if t.trace.is_empty() && !t.audit {
+        return Err("trace requires --trace <name> (or --audit)".into());
     }
+    if let Some(op) = t.inject.filter(|&op| t.audit && op >= t.ops) {
+        return Err(format!("--inject {op} is past --ops"));
+    }
+    t.llc.check_llc_size(t.llc_mb as u64, t.ways as u64)?;
+    Ok(Command::Trace(t))
 }
 
-fn parse_kv(args: &[String]) -> Result<Command, String> {
+fn parse_kv(mut f: Flags) -> Result<Command, String> {
     let mut kv = KvArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--org" => {
-                let v = value("--org")?;
-                kv.org = parse_kv_org(&v)
-                    .ok_or_else(|| format!("unknown kv org '{v}' (valid: {KV_ORGS})"))?;
-            }
-            "--dist" => {
-                let v = value("--dist")?;
-                if bv_trace::request::RequestProfile::by_name(&v).is_none() {
-                    return Err(format!("unknown kv dist '{v}' (valid: {KV_DISTS})"));
-                }
-                kv.dist = v;
-            }
-            "--budget-kib" => {
-                let v: u64 = value("--budget-kib")?
-                    .parse()
-                    .map_err(|e| format!("--budget-kib: {e}"))?;
-                if v == 0 {
-                    return Err("--budget-kib must be at least 1".into());
-                }
-                kv.budget_kib = v;
-            }
-            "--requests" => {
-                kv.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--warmup" => {
-                kv.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--seed" => {
-                kv.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+    while let Some(flag) = f.next() {
+        match flag {
+            "--org" => kv.org = f.named(KV_ORG)?,
+            "--dist" => kv.dist = f.named(DIST)?.name.into(),
+            "--budget-kib" => kv.budget_kib = f.positive()?,
+            "--requests" => kv.requests = f.value()?,
+            "--warmup" => kv.warmup = f.value()?,
+            "--seed" => kv.seed = f.value()?,
             "--compare" => kv.compare = true,
             "--sweep" => kv.sweep = true,
-            "--jobs" => {
-                let v: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if v == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                kv.jobs = Some(v);
-            }
-            "--telemetry" => kv.telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--epoch" => kv.epoch = parse_epoch(&value("--epoch")?)?,
-            "--events" => kv.events = Some(PathBuf::from(value("--events")?)),
-            "--capacity" => {
-                let v: usize = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if v == 0 {
-                    return Err("--capacity must be at least 1".into());
-                }
-                kv.capacity = v;
-            }
+            "--jobs" => kv.jobs = Some(f.positive()?),
+            "--telemetry" => kv.telemetry = Some(f.value()?),
+            "--epoch" => kv.epoch = f.positive()?,
+            "--events" => kv.events = Some(f.value()?),
+            "--capacity" => kv.capacity = f.positive()?,
             "--lockstep" => kv.lockstep = true,
-            "--inject" => {
-                kv.inject = Some(
-                    value("--inject")?
-                        .parse()
-                        .map_err(|e| format!("--inject: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown kv flag '{other}' (try --help)")),
+            "--inject" => kv.inject = Some(f.value()?),
+            _ => return f.other(),
         }
     }
-    if kv.compare && kv.sweep {
-        return Err("--compare and --sweep are mutually exclusive".into());
+    if u8::from(kv.compare) + u8::from(kv.sweep) + u8::from(kv.lockstep) > 1 {
+        return Err("--compare, --sweep and --lockstep each run alone".into());
     }
-    if kv.lockstep && (kv.compare || kv.sweep) {
-        return Err("--lockstep runs alone (drop --compare/--sweep)".into());
+    match kv.inject {
+        Some(_) if !kv.lockstep => Err("--inject requires --lockstep".into()),
+        Some(op) if op >= kv.requests => Err(format!("--inject {op} is past --requests")),
+        _ => Ok(Command::Kv(kv)),
     }
-    if kv.inject.is_some() && !kv.lockstep {
-        return Err("--inject requires --lockstep".into());
-    }
-    Ok(Command::Kv(kv))
 }
 
-fn parse_fuzz(args: &[String]) -> Result<Command, String> {
-    let mut f = FuzzArgs::default();
+fn parse_fuzz(mut f: Flags) -> Result<Command, String> {
+    let mut fz = FuzzArgs::default();
     let mut cases_given = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--cases" => {
-                let v: u64 = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-                if v == 0 {
-                    return Err("--cases must be at least 1".into());
-                }
-                f.cases = v;
-                cases_given = true;
+    while let Some(flag) = f.next() {
+        match flag {
+            "--cases" => (fz.cases, cases_given) = (f.positive()?, true),
+            "--seed" => fz.seed = f.value()?,
+            // The last of --llc/--kv silently winning would hide a typo.
+            "--llc" | "--kv" if fz.domain.is_some_and(|d| d.name() != &flag[2..]) => {
+                return Err("--llc and --kv are mutually exclusive".into());
             }
-            "--seed" => {
-                f.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--llc" => f.domain = Some(bv_fuzz::Domain::Llc),
-            "--kv" => f.domain = Some(bv_fuzz::Domain::Kv),
-            "--inject" => f.inject = true,
-            "--replay" => f.replay = Some(PathBuf::from(value("--replay")?)),
-            "--shrink" => f.shrink = true,
-            "--out" => f.out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown fuzz flag '{other}' (try --help)")),
+            "--llc" | "--kv" => fz.domain = bv_fuzz::Domain::from_name(&flag[2..]),
+            "--inject" => fz.inject = true,
+            "--replay" => fz.replay = Some(f.value()?),
+            "--shrink" => fz.shrink = true,
+            "--out" => fz.out = Some(f.value()?),
+            _ => return f.other(),
         }
     }
-    // --llc/--kv may each appear, but the last one silently winning
-    // would hide a typo; catch the contradiction instead.
-    if args.iter().any(|a| a == "--llc") && args.iter().any(|a| a == "--kv") {
-        return Err("--llc and --kv are mutually exclusive".into());
-    }
-    if f.replay.is_some() && f.inject {
-        return Err("--replay and --inject are mutually exclusive".into());
-    }
-    if f.replay.is_some() && cases_given {
-        return Err("--cases has no effect with --replay".into());
-    }
-    if f.shrink && f.replay.is_none() {
-        return Err("--shrink requires --replay (campaigns always shrink)".into());
-    }
-    Ok(Command::Fuzz(f))
-}
-
-fn parse_epoch(v: &str) -> Result<u64, String> {
-    let epoch: u64 = v.parse().map_err(|e| format!("--epoch: {e}"))?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 instruction".into());
-    }
-    Ok(epoch)
-}
-
-fn parse_report(args: &[String]) -> Result<Command, String> {
-    match args {
-        [flag] if flag == "--help" || flag == "-h" => Ok(Command::Help),
-        [path] => Ok(Command::Report(PathBuf::from(path))),
-        [] => Err("report requires a telemetry file path".into()),
-        _ => Err("report takes exactly one telemetry file path".into()),
+    match (fz.replay.is_some(), fz.inject, cases_given, fz.shrink) {
+        (true, true, _, _) => Err("--replay and --inject are mutually exclusive".into()),
+        (true, _, true, _) => Err("--cases has no effect with --replay".into()),
+        (false, _, _, true) => Err("--shrink requires --replay (campaigns always shrink)".into()),
+        _ => Ok(Command::Fuzz(fz)),
     }
 }
 
-fn parse_bench(args: &[String]) -> Result<Command, String> {
+fn parse_bench(mut f: Flags) -> Result<Command, String> {
     let mut bench = BenchArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
+    while let Some(flag) = f.next() {
+        match flag {
             "--quick" => bench.quick = true,
-            "--out" => bench.out = PathBuf::from(value("--out")?),
-            "--baseline" => bench.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--max-regress" => {
-                let v: u32 = value("--max-regress")?
-                    .parse()
-                    .map_err(|e| format!("--max-regress: {e}"))?;
-                if v >= 100 {
-                    return Err("--max-regress must be below 100".into());
-                }
-                bench.max_regress = v;
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown bench flag '{other}' (try --help)")),
+            "--out" => bench.out = f.value()?,
+            "--baseline" => bench.baseline = Some(f.value()?),
+            "--max-regress" => bench.max_regress = f.value()?,
+            _ => return f.other(),
         }
+    }
+    if bench.max_regress >= 100 {
+        return Err("--max-regress must be below 100".into());
     }
     Ok(Command::Bench(bench))
 }
@@ -1789,5 +1474,42 @@ mod tests {
         // Exactly one action: none or two both fail.
         assert!(parse(&argv("ctl")).is_err());
         assert!(parse(&argv("ctl --status --shutdown")).is_err());
+    }
+
+    #[test]
+    fn unbuildable_llc_geometry_is_an_error() {
+        for flags in [
+            "--ways 0",
+            "--llc-mb 3",
+            "--llc-mb 0",
+            "--ways 128 --llc-mb 8",
+            "--llc two-tag --ways 64 --llc-mb 4",
+            "--llc-mb 18446744073709551615",
+        ] {
+            for cmd in ["", "trace "] {
+                let line = format!("{cmd}--trace specint.mcf.07 {flags}");
+                assert!(parse(&argv(&line)).is_err(), "accepted: {line}");
+            }
+        }
+        let err = parse(&argv("--trace t --ways 0")).unwrap_err();
+        assert!(err.contains("associativity"), "{err}");
+        assert!(parse(&argv("--trace t --llc-mb 3 --ways 24")).is_ok());
+        assert!(parse(&argv("--trace t --llc-mb 8 --ways 64")).is_ok());
+    }
+
+    #[test]
+    fn inject_past_the_last_op_is_an_error() {
+        let err = parse(&argv("trace --audit --ops 10 --inject 100")).unwrap_err();
+        assert!(err.contains("--inject 100"), "{err}");
+        assert!(parse(&argv("trace --audit --ops 10 --inject 10")).is_err());
+        assert!(parse(&argv("trace --audit --ops 10 --inject 9")).is_ok());
+        assert!(
+            parse(&argv("trace --audit --inject 2000")).is_err(),
+            "default --ops"
+        );
+        let err = parse(&argv("kv --lockstep --requests 100 --inject 500")).unwrap_err();
+        assert!(err.contains("--inject 500"), "{err}");
+        assert!(parse(&argv("kv --lockstep --requests 100 --inject 100")).is_err());
+        assert!(parse(&argv("kv --lockstep --requests 100 --inject 99")).is_ok());
     }
 }
