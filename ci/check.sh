@@ -42,6 +42,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== perfbench build (the benchmark compiles against the current APIs) =="
+# perfbench is its own package outside the workspace, so the steps above
+# never compile it; an API change that breaks it must fail here.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 

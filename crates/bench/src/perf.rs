@@ -259,14 +259,6 @@ impl SlotMeta for NoMeta {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Runs the [`PROBE_ROW`] pair: a populated LLC-shaped engine probed with
 /// a fixed ~3:1 hit:miss stream, timed through the optimized bitmask
 /// `find` and the retained scalar `find_reference`.
@@ -276,7 +268,14 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Panics if the two probe paths disagree on the stream's way checksum.
 #[must_use]
 pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
-    let mut rng = 0x0bad_cafe_f00d_d00du64;
+    // The SplitMix64 stream from this seed: `mix` of the state, then one
+    // golden-ratio step.
+    let mut state = 0x0bad_cafe_f00d_d00du64;
+    let mut rng = || {
+        let out = bv_testkit::mix(state);
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        out
+    };
     let mut engine: SetEngine<Policy, NoMeta> = SetEngine::new(
         PROBE_SETS,
         PROBE_WAYS,
@@ -285,7 +284,7 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     let mut resident = vec![0u64; PROBE_SETS * PROBE_WAYS];
     for set in 0..PROBE_SETS {
         for way in 0..PROBE_WAYS {
-            let tag = splitmix(&mut rng) | 1;
+            let tag = rng() | 1;
             resident[set * PROBE_WAYS + way] = tag;
             engine.install(set, way, tag, NoMeta, SegmentCount::FULL);
         }
@@ -296,12 +295,12 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     }
     let probes: Vec<(usize, u64)> = (0..cfg.corpus_lines * 64)
         .map(|_| {
-            let r = splitmix(&mut rng);
+            let r = rng();
             let set = (r as usize >> 8) % PROBE_SETS;
             let tag = if r & 3 != 0 {
                 resident[set * PROBE_WAYS + (r as usize >> 40) % PROBE_WAYS]
             } else {
-                splitmix(&mut rng) | 1 // near-certain miss
+                rng() | 1 // near-certain miss
             };
             (set, tag)
         })

@@ -17,11 +17,19 @@ use core::fmt;
 /// assert_eq!(llc.sets(), 2048);
 /// assert_eq!(llc.index_bits(), 11);
 /// ```
+///
+/// `sets` and `index_bits` follow from the three inputs and are computed
+/// once in [`CacheGeometry::new`], so set indexing on the access path is
+/// a mask and a shift, never a division. Because they follow from the
+/// inputs, the derived `PartialEq` and `Hash` mean the same as over the
+/// inputs alone.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: usize,
     ways: usize,
     line_bytes: usize,
+    sets: usize,
+    index_bits: u32,
 }
 
 /// The most ways one set may hold: [`SetEngine`](crate::engine::SetEngine)
@@ -77,10 +85,13 @@ impl CacheGeometry {
         if let Err(e) = CacheGeometry::check(size_bytes, ways, line_bytes) {
             panic!("{e}");
         }
+        let sets = size_bytes / (ways * line_bytes);
         CacheGeometry {
             size_bytes,
             ways,
             line_bytes,
+            sets,
+            index_bits: sets.trailing_zeros(),
         }
     }
 
@@ -105,13 +116,13 @@ impl CacheGeometry {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.size_bytes / (self.ways * self.line_bytes)
+        self.sets
     }
 
     /// Bits of the line address used as the set index.
     #[must_use]
     pub fn index_bits(&self) -> u32 {
-        self.sets().trailing_zeros()
+        self.index_bits
     }
 
     /// Bits of the byte address used as the line offset.
@@ -123,13 +134,13 @@ impl CacheGeometry {
     /// Set index for a line address (byte address >> offset bits).
     #[must_use]
     pub fn set_index(&self, line: u64) -> usize {
-        (line & (self.sets() as u64 - 1)) as usize
+        (line & (self.sets as u64 - 1)) as usize
     }
 
     /// Tag for a line address (the bits above the set index).
     #[must_use]
     pub fn tag(&self, line: u64) -> u64 {
-        line >> self.index_bits()
+        line >> self.index_bits
     }
 }
 
@@ -185,6 +196,40 @@ mod tests {
         let line: u64 = 0xabcd_1234;
         let rebuilt = (g.tag(line) << g.index_bits()) | g.set_index(line) as u64;
         assert_eq!(rebuilt, line);
+    }
+
+    #[test]
+    fn every_accepted_shape_indexes_like_the_division() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        let mut accepted = 0;
+        // Powers of two and their triples, so the 24- and 48-way shapes
+        // (which need a factor of three in the size) are reached too.
+        let sizes = (10..=26).flat_map(|k| [1usize << k, 3 << k]);
+        for size in sizes.filter(|&s| s <= 64 << 20) {
+            for ways in [1, 2, 8, 16, 24, 48, 64] {
+                for line in [32, 64, 128] {
+                    if CacheGeometry::check(size, ways, line).is_err() {
+                        continue;
+                    }
+                    accepted += 1;
+                    let g = CacheGeometry::new(size, ways, line);
+                    let sets = size / (ways * line);
+                    assert_eq!(g.sets(), sets, "{g:?}");
+                    assert_eq!(g.index_bits(), sets.trailing_zeros(), "{g:?}");
+                    for i in 0..64 {
+                        let line_addr = bv_testkit::mix(i) >> 6;
+                        let rebuilt =
+                            (g.tag(line_addr) << g.index_bits()) | g.set_index(line_addr) as u64;
+                        assert_eq!(rebuilt, line_addr, "{g:?}");
+                    }
+                    let twin = CacheGeometry::new(size, ways, line);
+                    assert_eq!(g, twin);
+                    assert_eq!(hasher.hash_one(g), hasher.hash_one(twin));
+                }
+            }
+        }
+        assert!(accepted > 200, "grid reached only {accepted} shapes");
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub struct CoreCaches {
     l1d: BasicCache,
     l2: BasicCache,
     prefetcher: StreamPrefetcher,
+    /// The prefetcher's output for the current access, reused on every
+    /// access so the demand path never allocates.
+    prefetches: Vec<u64>,
 }
 
 impl CoreCaches {
@@ -58,6 +61,7 @@ impl CoreCaches {
             l1d: BasicCache::new(cfg.l1d, PolicyKind::Lru),
             l2: BasicCache::new(cfg.l2, PolicyKind::Lru),
             prefetcher: StreamPrefetcher::new(cfg.prefetch_degree),
+            prefetches: Vec::new(),
         }
     }
 
@@ -274,7 +278,9 @@ impl Hierarchy {
         // "aggressive multi-stream instruction and data prefetchers", so
         // instruction fetches train streams too (sequential code is the
         // easiest stream there is).
-        let prefetches = core.prefetcher.observe(ev.addr);
+        let mut prefetches = std::mem::take(&mut core.prefetches);
+        prefetches.clear();
+        core.prefetcher.observe_into(ev.addr, &mut prefetches);
 
         let outcome = if l1_hit {
             AccessOutcome {
@@ -293,9 +299,10 @@ impl Hierarchy {
         };
 
         // Issue prefetches below the L1 (they fill L2 + LLC).
-        for pa in prefetches {
+        for &pa in &prefetches {
             self.prefetch_line(core_id, pa, now, gen);
         }
+        self.cores[core_id].prefetches = prefetches;
 
         outcome
     }
@@ -395,15 +402,15 @@ impl Hierarchy {
             self.uncore.dram.access(now, byte_addr, false);
         }
         // Bring the line into the L2 as well (data prefetchers fill the
-        // core-side caches in the modeled design).
+        // core-side caches in the modeled design). The L2 missed above,
+        // and the LLC fill can only back-invalidate inner lines, never
+        // insert one, so the line is still absent.
         let data = self
             .uncore
             .llc
             .peek_data(addr)
             .expect("line resident after prefetch");
-        if self.cores[core_id].l2.probe(addr).is_none() {
-            self.fill_l2(core_id, addr, data);
-        }
+        self.fill_l2(core_id, addr, data);
     }
 
     /// Checks strict inclusion: every L1/L2-resident line is LLC-resident.

@@ -76,10 +76,7 @@ fn main() -> ExitCode {
         Ok(Command::Watch(watch)) => run_watch(&watch),
         Ok(Command::Ctl(ctl)) => run_ctl(&ctl),
         Ok(Command::Top(top)) => run_top(&top),
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(format_args!("{e}\n\n{USAGE}")),
     }
 }
 
@@ -135,8 +132,10 @@ fn run_one(args: &RunArgs) -> ExitCode {
             let run = system.run_sampled(&trace.workload, args.warmup, args.insts, &mut tel);
             let report = tel.into_report();
             if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-                eprintln!("error: cannot write telemetry {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                return fail(format_args!(
+                    "cannot write telemetry {}: {e}",
+                    path.display()
+                ));
             }
             println!(
                 "telemetry           : {} epochs of {} insts -> {}",
@@ -199,16 +198,20 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
         match base_victim::runner::Runner::new(workers).with_journal(&args.journal, args.resume) {
             Ok(r) => r.with_progress(true),
             Err(e) => {
-                eprintln!("error: cannot open journal {}: {e}", args.journal.display());
-                return ExitCode::FAILURE;
+                return fail(format_args!(
+                    "cannot open journal {}: {e}",
+                    args.journal.display()
+                ))
             }
         };
     let runner = match &args.telemetry_dir {
         Some(dir) => match runner.with_telemetry(dir, args.epoch) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("error: cannot create telemetry dir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
+                return fail(format_args!(
+                    "cannot create telemetry dir {}: {e}",
+                    dir.display()
+                ))
             }
         },
         None => runner,
@@ -256,8 +259,7 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
         let spans = ctx.runner.take_spans();
         let text = base_victim::runner::chrome_trace_json(&spans);
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write spans {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return fail(format_args!("cannot write spans {}: {e}", path.display()));
         }
         println!(
             "sweep: {} -> {} (load in Perfetto or chrome://tracing)",
@@ -283,10 +285,7 @@ fn run_report(path: &Path) -> ExitCode {
             print!("{}", base_victim::telemetry::render(&report));
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -310,10 +309,7 @@ fn run_trace(args: &TraceArgs) -> ExitCode {
     if let Some(kinds) = &args.kinds {
         filter = match filter.with_kind_names(kinds) {
             Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(e),
         };
     }
     // CLI ranges are inclusive; the filter is half-open.
@@ -361,8 +357,7 @@ fn run_trace(args: &TraceArgs) -> ExitCode {
         meta.insert("policy".to_string(), args.policy.name().to_string());
         let text = base_victim::telemetry::write_events(&events, dropped, &meta);
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return fail(format_args!("cannot write {}: {e}", path.display()));
         }
         println!("events -> {}", path.display());
     }
@@ -499,8 +494,10 @@ fn run_kv(args: &KvArgs) -> ExitCode {
         let result = run_kv_sampled(&cfg, &mut tel);
         let report = tel.into_report();
         if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-            eprintln!("error: cannot write telemetry {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return fail(format_args!(
+                "cannot write telemetry {}: {e}",
+                path.display()
+            ));
         }
         println!(
             "telemetry           : {} epochs of {} requests -> {}",
@@ -522,8 +519,7 @@ fn run_kv(args: &KvArgs) -> ExitCode {
         meta.insert("kv-dist".to_string(), args.dist.clone());
         let text = base_victim::telemetry::write_events(&events, dropped, &meta);
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return fail(format_args!("cannot write {}: {e}", path.display()));
         }
         println!("events -> {}", path.display());
         result
@@ -714,14 +710,13 @@ fn run_bench(args: &BenchArgs) -> ExitCode {
             Ok(t) => match perf::BenchReport::from_json(&t) {
                 Ok(b) => Some(b),
                 Err(e) => {
-                    eprintln!("error: bad baseline {}: {e}", baseline_path.display());
-                    return ExitCode::FAILURE;
+                    return fail(format_args!(
+                        "bad baseline {}: {e}",
+                        baseline_path.display()
+                    ))
                 }
             },
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format_args!("cannot read {}: {e}", baseline_path.display())),
         },
         None => None,
     };
@@ -786,8 +781,7 @@ fn run_bench(args: &BenchArgs) -> ExitCode {
     let mut text = report.to_json();
     text.push('\n');
     if let Err(e) = std::fs::write(&args.out, &text) {
-        eprintln!("error: cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
+        return fail(format_args!("cannot write {}: {e}", args.out.display()));
     }
     println!("\nbench: report written to {}", args.out.display());
 
@@ -830,8 +824,7 @@ fn emit_reproducer(out: Option<&Path>, case: &bvfuzz::FuzzCase) -> ExitCode {
     match out {
         Some(path) => {
             if let Err(e) = bvfuzz::save(path, case) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return fail(e);
             }
             println!("reproducer          : {}", path.display());
             ExitCode::SUCCESS
@@ -948,10 +941,7 @@ fn run_fuzz_inject(args: &FuzzArgs) -> ExitCode {
 fn run_fuzz_replay(args: &FuzzArgs, path: &Path) -> ExitCode {
     let case = match bvfuzz::load(path) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     println!(
         "fuzz replay {} | {} case, {} ops{}",
@@ -1053,10 +1043,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         metrics_port: args.metrics_port,
     }) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot start daemon on {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format_args!("cannot start daemon on {}: {e}", args.addr)),
     };
     println!(
         "serve: listening on {} | {} worker(s), journal {}, job timeout {}s, {} retries",
@@ -1082,10 +1069,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
             println!("serve: drained and stopped");
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: span export failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(format_args!("span export failed: {e}")),
     }
 }
 
@@ -1174,10 +1158,7 @@ fn close_sink(sink: RowSink, out: Option<&Path>) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -1193,17 +1174,11 @@ fn run_submit(args: &SubmitArgs) -> ExitCode {
     };
     let mut sink = match RowSink::open(args.out.as_deref()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let outcome = match client::submit(&args.addr, &grid, !args.no_wait, |row| sink.push(row)) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     println!(
         "submit: ticket {} | {} job(s): {} fresh, {} journaled, {} merged",
@@ -1228,17 +1203,11 @@ fn run_submit(args: &SubmitArgs) -> ExitCode {
 fn run_watch(args: &WatchArgs) -> ExitCode {
     let mut sink = match RowSink::open(args.out.as_deref()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let done = match client::watch(&args.addr, args.ticket, |row| sink.push(row)) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     print_done(&done);
     if close_sink(sink, args.out.as_deref()) == ExitCode::FAILURE {
@@ -1285,18 +1254,9 @@ fn run_ctl(args: &CtlArgs) -> ExitCode {
             println!("ok: {info}");
             ExitCode::SUCCESS
         }
-        Ok(Response::Error { error }) => {
-            eprintln!("error: {error}");
-            ExitCode::FAILURE
-        }
-        Ok(other) => {
-            eprintln!("error: unexpected reply: {other:?}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Ok(Response::Error { error }) => fail(error),
+        Ok(other) => fail(format_args!("unexpected reply: {other:?}")),
+        Err(e) => fail(e),
     }
 }
 
@@ -1310,10 +1270,7 @@ fn run_top(args: &TopArgs) -> ExitCode {
     loop {
         let snap = match client::metrics(&args.addr) {
             Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(e),
         };
         let elapsed = last.elapsed().as_secs_f64();
         last = std::time::Instant::now();
@@ -1328,4 +1285,10 @@ fn run_top(args: &TopArgs) -> ExitCode {
         let _ = std::io::Write::flush(&mut std::io::stdout());
         std::thread::sleep(interval);
     }
+}
+
+/// Prints `error: <message>` to stderr and returns the failure exit code.
+fn fail(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::FAILURE
 }
