@@ -110,6 +110,20 @@ reject() {
 reject ./target/release/bvsim --trace specint.mcf.07 --ways 0
 reject ./target/release/bvsim trace --audit --ops 10 --inject 100
 reject ./target/release/experiments nosuchfigure
+# Corrupted reproducers (a non-ASCII op token, an unbuildable geometry)
+# are rejected at load. They live in a temp dir: every file under
+# tests/corpus/ must replay green.
+CORRUPT_DIR=$(mktemp -d)
+sed 's/"ops":"r0 /"ops":"é0 /' tests/corpus/clean.llc.bvfuzz.json \
+    >"$CORRUPT_DIR/non-ascii-op.bvfuzz.json"
+sed 's/"ways":2/"ways":0/' tests/corpus/clean.llc.bvfuzz.json \
+    >"$CORRUPT_DIR/zero-ways.bvfuzz.json"
+for corrupt in "$CORRUPT_DIR"/*.bvfuzz.json; do
+    cmp -s "$corrupt" tests/corpus/clean.llc.bvfuzz.json \
+        && { echo "argv smoke: corrupting $corrupt changed nothing" >&2; exit 1; }
+    reject ./target/release/bvsim fuzz --replay "$corrupt"
+done
+rm -rf "$CORRUPT_DIR"
 
 echo "== serve smoke (daemon, worker kill, dedup, metrics, restart recovery) =="
 # A live bvsim-serve-v1 daemon on an ephemeral port: arm a worker crash,

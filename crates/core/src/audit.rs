@@ -1,150 +1,132 @@
-//! Baseline-divergence auditor: runs a Base-Victim LLC and an
-//! uncompressed LLC in lockstep and explains the first mismatch.
+//! Baseline-divergence auditor: the LLC's [`Mirror`] runs a Base-Victim
+//! LLC and an uncompressed LLC in lockstep and explains the first
+//! mismatch.
 //!
 //! The Base-Victim architecture's central guarantee (Section IV of the
 //! paper) is that its Baseline cache holds *exactly* the lines an
-//! uncompressed cache of the same geometry would hold. The differential
-//! and mirror test suites assert that guarantee pass/fail; this module
-//! turns it into an explaining tool. [`run_audit`] drives both
-//! organizations with the same randomized trace, compares the Baseline
-//! contents against the uncompressed contents after **every** operation,
-//! and — on the first mismatch — reports which lines differ, which set
-//! they live in, and the last few [`CacheEvent`]s recorded for that set,
-//! so the decision that caused the divergence is visible, not just its
+//! uncompressed cache of the same geometry would hold. [`LlcMirror`]
+//! turns it into an explaining oracle for [`bv_testkit::mirror::run`]:
+//! after **every** operation it checks the Base-Victim invariants, that
+//! a read hit the uncompressed cache exactly when it made a Baseline hit
+//! (so every uncompressed miss is a Base-Victim miss or a Victim hit),
+//! and that the Baseline contents equal the uncompressed contents. On
+//! the first mismatch it reports which lines differ, which set they live
+//! in, and the last few [`CacheEvent`]s recorded for that set, so the
+//! decision that caused the divergence is visible, not just its
 //! aftermath.
 //!
-//! A healthy build never diverges, so the auditor also supports *fault
-//! injection*: [`AuditConfig::inject_at`] issues extra demand reads to
-//! the Base-Victim side only, silently perturbing its replacement state
-//! the way a policy bug would. The auditor is then expected to pinpoint
-//! the first fill whose victim choice differs — `bvsim trace --audit
+//! A healthy build never diverges, so the oracle also supports *fault
+//! injection*: [`Mirror::inject`] issues extra demand reads to the
+//! Base-Victim side only, silently perturbing its replacement state the
+//! way a policy bug would. The oracle is then expected to pinpoint the
+//! first fill whose victim choice differs — `bvsim trace --audit
 //! --inject N` uses this as a self-test of the event pipeline.
 
 use crate::{
-    BaseVictimLlc, InclusionMode, LlcOrganization, NoInner, UncompressedLlc, VictimPolicyKind,
+    BaseVictimLlc, HitKind, InclusionMode, LlcOrganization, LlcStats, NoInner, UncompressedLlc,
+    VictimPolicyKind,
 };
-use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
+use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind};
 use bv_compress::{Bdi, CacheLine};
 use bv_events::{CacheEvent, RingSink};
-
-/// How the auditor drives the two organizations.
-#[derive(Clone, Copy, Debug)]
-pub struct AuditConfig {
-    /// Number of trace operations to run.
-    pub ops: usize,
-    /// Seed for the deterministic operation stream.
-    pub seed: u64,
-    /// How many set-local events to report alongside a divergence.
-    pub context: usize,
-    /// If set, issue extra demand reads (one per Baseline-resident line,
-    /// in address order) to the Base-Victim side only, just before this
-    /// operation index — a synthetic replacement-state fault the auditor
-    /// must catch.
-    pub inject_at: Option<usize>,
-    /// Baseline replacement policy for both organizations.
-    pub policy: PolicyKind,
-    /// Victim-cache allocation policy for the Base-Victim side.
-    pub victim: VictimPolicyKind,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            ops: 2000,
-            seed: 1,
-            context: 8,
-            inject_at: None,
-            policy: PolicyKind::Lru,
-            victim: VictimPolicyKind::EcmLargestBase,
-        }
-    }
-}
+use bv_testkit::mirror::Mirror;
+use bv_testkit::Rng;
 
 /// The first point where the Baseline cache stopped mirroring the
 /// uncompressed cache.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// Index of the operation after which the mismatch was observed.
-    pub op: usize,
-    /// The set holding the first mismatched line.
+    /// The set holding the first mismatched line (or the split read).
     pub set: usize,
     /// Lines the uncompressed cache holds but the Baseline cache lost.
     pub missing: Vec<LineAddr>,
     /// Lines the Baseline cache holds but the uncompressed cache does not.
     pub unexpected: Vec<LineAddr>,
+    /// A read whose outcomes split wrongly: the line, whether the
+    /// uncompressed cache hit, and where the Base-Victim side found it.
+    pub read: Option<(LineAddr, bool, HitKind)>,
     /// The most recent events recorded for [`Divergence::set`], oldest
     /// first — the offending decision is the last fill/eviction here.
     pub context: Vec<CacheEvent>,
 }
 
-/// What an audit run observed.
-#[derive(Clone, Debug)]
-pub struct AuditReport {
-    /// Operations completed before stopping (equals the configured `ops`
-    /// when no divergence was found).
-    pub ops_run: usize,
-    /// Total events drained from the Base-Victim side's ring.
-    pub events_seen: u64,
-    /// Whether the configured fault injection actually fired.
-    pub injected: bool,
-    /// The first mismatch, if any.
-    pub divergence: Option<Divergence>,
-}
-
-impl AuditReport {
-    /// `true` when the run matched expectations: a clean mirror without
-    /// injection, or a *caught* divergence with it.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        if self.injected {
-            self.divergence.is_some()
-        } else {
-            self.divergence.is_none()
-        }
-    }
-}
-
-/// xorshift64* — deterministic, dependency-free op-stream generator.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// One operation in an externally supplied audit stream.
-///
-/// [`run_audit`] generates these internally from the config seed;
-/// [`run_audit_ops`] accepts a caller-built sequence (the fuzzer's
-/// adversarial workloads) and drives the same lockstep comparison.
+/// One operation of an LLC workload, as the inner level issues it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuditOp {
     /// Demand read of a line address, filling on miss.
     Read(u64),
-    /// L2 writeback; executed only when the line is resident on both
-    /// sides (otherwise a no-op, matching L2 inclusion semantics).
+    /// L2 writeback; reaches the LLC only for a line the L2 can hold
+    /// (see [`AuditOp::apply`]).
     Writeback(u64),
     /// Prefetch fill of a line address.
     Prefetch(u64),
 }
 
-/// Address-stable memory contents with mixed compressibility, matching
-/// the mirror test suite: a line's bytes are a function of its address
-/// only, so size-aware policies see identical sizes on both sides.
+impl AuditOp {
+    /// The line address the op touches.
+    #[must_use]
+    pub fn addr(self) -> u64 {
+        match self {
+            AuditOp::Read(a) | AuditOp::Writeback(a) | AuditOp::Prefetch(a) => a,
+        }
+    }
+
+    /// Applies the op to `llc` with line contents `data`: a read fills
+    /// on a miss, a prefetch fills, and a writeback is issued only when
+    /// `inner_holds` (the inner level writes back only lines it holds,
+    /// which inclusion bounds by uncompressed residency) and the line is
+    /// resident in `llc`. Returns where a read found its line; `None`
+    /// for the other ops.
+    pub fn apply<L: LlcOrganization + ?Sized>(
+        self,
+        llc: &mut L,
+        data: CacheLine,
+        inner_holds: bool,
+    ) -> Option<HitKind> {
+        let addr = LineAddr::new(self.addr());
+        let mut inner = NoInner;
+        match self {
+            AuditOp::Read(_) => {
+                let kind = llc.read(addr, &mut inner).kind;
+                if !kind.is_hit() {
+                    llc.fill(addr, data, &mut inner);
+                }
+                return Some(kind);
+            }
+            AuditOp::Writeback(_) => {
+                if inner_holds && llc.contains(addr) {
+                    llc.writeback(addr, data, &mut inner);
+                }
+            }
+            AuditOp::Prefetch(_) => {
+                llc.prefetch_fill(addr, data, &mut inner);
+            }
+        }
+        None
+    }
+}
+
+/// The randomized op stream `bvsim trace --audit` replays: `ops`
+/// operations (70% reads, 20% writebacks, 10% prefetches) over an
+/// address span of 4x the line capacity (at least 256 lines), so every
+/// set sees steady eviction pressure.
+#[must_use]
+pub fn audit_ops(geom: CacheGeometry, ops: usize, seed: u64) -> Vec<AuditOp> {
+    let mut rng = Rng::new(seed);
+    let span = 256u64.max((geom.sets() * geom.ways() * 4) as u64);
+    rng.vec_of(ops, |r| {
+        let a = r.below(span);
+        match r.below(10) {
+            0..=6 => AuditOp::Read(a),
+            7..=8 => AuditOp::Writeback(a),
+            _ => AuditOp::Prefetch(a),
+        }
+    })
+}
+
+/// Address-stable memory contents with mixed compressibility: a line's
+/// bytes are a function of its address only, so size-aware policies see
+/// identical sizes on both sides.
 #[must_use]
 pub fn line_for(key: u64) -> CacheLine {
     let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -165,165 +147,142 @@ fn sorted(mut v: Vec<LineAddr>) -> Vec<LineAddr> {
     v
 }
 
-/// Runs the lockstep audit and stops at the first Baseline mismatch.
-///
-/// The Base-Victim side is built with a [`RingSink`] (capacity scaled to
-/// the context request), drained after every operation into a rolling
-/// event log; on divergence the log is filtered to the offending set.
-#[must_use]
-pub fn run_audit(geom: CacheGeometry, cfg: &AuditConfig) -> AuditReport {
-    let sets = geom.sets();
-    let ways = geom.ways();
-    let mut rng = Rng::new(cfg.seed);
-
-    // Address space spans 16x the line capacity's working set at the
-    // default audit geometry, matching the mirror suite's trace shape.
-    let span = 256u64.max((sets * ways * 4) as u64);
-
-    let ops: Vec<AuditOp> = (0..cfg.ops)
-        .map(|_| {
-            let a = rng.below(span);
-            match rng.below(10) {
-                0..=6 => AuditOp::Read(a),
-                7..=8 => AuditOp::Writeback(a),
-                _ => AuditOp::Prefetch(a),
-            }
-        })
-        .collect();
-    run_audit_ops(geom, cfg, &ops, line_for)
+/// The lines of `lines` that `other` lacks.
+fn absent(lines: &[LineAddr], other: &[LineAddr]) -> Vec<LineAddr> {
+    lines
+        .iter()
+        .filter(|a| !other.contains(a))
+        .copied()
+        .collect()
 }
 
-/// Runs the lockstep audit over a caller-supplied operation stream with
-/// caller-supplied memory contents (`data_for` maps a line address to
-/// its bytes, and must be address-stable so both sides see identical
-/// compressed sizes).
+/// An inclusive Base-Victim LLC and an uncompressed LLC of one geometry
+/// and baseline policy, with memory contents from `data_for` (which
+/// must be address-stable so both sides see identical compressed
+/// sizes).
 ///
-/// `cfg.ops` and `cfg.seed` are ignored — the stream *is* the workload;
-/// `cfg.inject_at`, `cfg.policy`, `cfg.victim`, and `cfg.context` apply
-/// exactly as in [`run_audit`].
-#[must_use]
-pub fn run_audit_ops(
-    geom: CacheGeometry,
-    cfg: &AuditConfig,
-    ops: &[AuditOp],
-    data_for: impl Fn(u64) -> CacheLine,
-) -> AuditReport {
-    let sets = geom.sets();
-    let ways = geom.ways();
-    let mut unc = UncompressedLlc::new(geom, cfg.policy);
-    let mut bv = BaseVictimLlc::with_sink(
-        geom,
-        cfg.policy.instantiate(sets, ways),
-        cfg.victim,
-        InclusionMode::Inclusive,
-        Box::new(Bdi::new()),
-        RingSink::new(cfg.context.max(1) * 64),
-    );
-    let mut inner = NoInner;
+/// The Base-Victim side records into a [`RingSink`] (capacity scaled to
+/// the context request), drained after every operation into a rolling
+/// event log; on divergence the log is filtered to the offending set.
+pub struct LlcMirror<F> {
+    unc: UncompressedLlc,
+    bv: BaseVictimLlc<Policy, RingSink>,
+    data_for: F,
+    context: usize,
+    log: Vec<CacheEvent>,
+    events_seen: u64,
+    read: Option<(LineAddr, bool, HitKind)>,
+}
 
-    // Rolling event log, drained from the ring after every op so the ring
-    // never wraps between compares.
-    let mut log: Vec<CacheEvent> = Vec::new();
-    let mut events_seen = 0u64;
-    let mut injected = false;
-
-    for (op, &trace_op) in ops.iter().enumerate() {
-        if cfg.inject_at == Some(op) {
-            // The synthetic fault: demand reads the uncompressed side
-            // never sees, one per resident Baseline line. Contents stay
-            // identical at first; only the replacement state skews (every
-            // set's recency becomes address order), so the divergence
-            // surfaces at a later fill — exactly the delayed-cause shape
-            // the event context exists to explain.
-            for addr in sorted(bv.baseline_lines()) {
-                let _ = bv.read(addr, &mut inner);
-            }
-            injected = true;
-        }
-
-        let a = match trace_op {
-            AuditOp::Read(a) | AuditOp::Writeback(a) | AuditOp::Prefetch(a) => a,
-        };
-        let addr = LineAddr::new(a);
-        let data = data_for(a);
-        match trace_op {
-            // Demand read, filling on miss.
-            AuditOp::Read(_) => {
-                let hu = unc.read(addr, &mut inner).is_hit();
-                let hb = bv.read(addr, &mut inner).is_hit();
-                if !hu {
-                    unc.fill(addr, data, &mut inner);
-                }
-                if !hb {
-                    bv.fill(addr, data, &mut inner);
-                }
-            }
-            // L2 writeback, legal only for baseline-resident lines.
-            AuditOp::Writeback(_) => {
-                if bv.baseline_lines().contains(&addr) && unc.contains(addr) {
-                    unc.writeback(addr, data, &mut inner);
-                    bv.writeback(addr, data, &mut inner);
-                }
-            }
-            // Prefetch fill.
-            AuditOp::Prefetch(_) => {
-                unc.prefetch_fill(addr, data, &mut inner);
-                bv.prefetch_fill(addr, data, &mut inner);
-            }
-        }
-
-        let fresh = bv.drain_events();
-        events_seen += fresh.len() as u64;
-        log.extend(fresh);
-
-        let base = sorted(bv.baseline_lines());
-        let mirror = sorted(unc.resident_lines());
-        if base != mirror {
-            let missing: Vec<LineAddr> = mirror
-                .iter()
-                .filter(|a| !base.contains(a))
-                .copied()
-                .collect();
-            let unexpected: Vec<LineAddr> = base
-                .iter()
-                .filter(|a| !mirror.contains(a))
-                .copied()
-                .collect();
-            let first = missing.first().or(unexpected.first()).copied();
-            let set = first.map_or(0, |a| geom.set_index(a.get()));
-            let set_events: Vec<CacheEvent> = log
-                .iter()
-                .filter(|e| e.set as usize == set)
-                .copied()
-                .collect();
-            let start = set_events.len().saturating_sub(cfg.context.max(1));
-            return AuditReport {
-                ops_run: op + 1,
-                events_seen,
-                injected,
-                divergence: Some(Divergence {
-                    op,
-                    set,
-                    missing,
-                    unexpected,
-                    context: set_events[start..].to_vec(),
-                }),
-            };
-        }
-
-        // Keep the rolling log bounded; only the recent tail can ever be
-        // reported.
-        let cap = cfg.context.max(1) * 256;
-        if log.len() > cap {
-            log.drain(..log.len() - cap);
+impl<F: Fn(u64) -> CacheLine> LlcMirror<F> {
+    /// Builds both sides; a divergence reports up to `context` of the
+    /// diverging set's most recent events.
+    #[must_use]
+    pub fn new(
+        geom: CacheGeometry,
+        policy: PolicyKind,
+        victim: VictimPolicyKind,
+        context: usize,
+        data_for: F,
+    ) -> LlcMirror<F> {
+        let context = context.max(1);
+        LlcMirror {
+            unc: UncompressedLlc::new(geom, policy),
+            bv: BaseVictimLlc::with_sink(
+                geom,
+                policy.instantiate(geom.sets(), geom.ways()),
+                victim,
+                InclusionMode::Inclusive,
+                Box::new(Bdi::new()),
+                RingSink::new(context * 64),
+            ),
+            data_for,
+            context,
+            log: Vec::new(),
+            events_seen: 0,
+            read: None,
         }
     }
 
-    AuditReport {
-        ops_run: ops.len(),
-        events_seen,
-        injected,
-        divergence: None,
+    /// Total events drained from the Base-Victim side's ring.
+    #[must_use]
+    pub fn events_seen(&self) -> u64 {
+        self.events_seen
+    }
+
+    /// The (uncompressed, Base-Victim) statistics.
+    #[must_use]
+    pub fn stats(&self) -> (&LlcStats, &LlcStats) {
+        (self.unc.stats(), self.bv.stats())
+    }
+}
+
+impl<F: Fn(u64) -> CacheLine> Mirror for LlcMirror<F> {
+    type Op = AuditOp;
+    type Mismatch = Divergence;
+
+    fn apply(&mut self, op: AuditOp) {
+        let data = (self.data_for)(op.addr());
+        // The check after the previous op proved Baseline == uncompressed,
+        // so uncompressed residency is what the inner level can hold.
+        let inner_holds = self.unc.contains(LineAddr::new(op.addr()));
+        let hu = op.apply(&mut self.unc, data, inner_holds);
+        let hb = op.apply(&mut self.bv, data, inner_holds);
+        self.read = hu
+            .zip(hb)
+            .map(|(u, b)| (LineAddr::new(op.addr()), u.is_hit(), b));
+    }
+
+    /// The synthetic fault: demand reads the uncompressed side never
+    /// sees, one per resident Baseline line, in address order. Contents
+    /// stay identical at first; only the replacement state skews (every
+    /// set's recency becomes address order), so the divergence surfaces
+    /// at a later fill — exactly the delayed-cause shape the event
+    /// context exists to explain.
+    fn inject(&mut self) {
+        for addr in sorted(self.bv.baseline_lines()) {
+            let _ = self.bv.read(addr, &mut NoInner);
+        }
+    }
+
+    fn check(&mut self) -> Result<(), Divergence> {
+        self.bv.assert_invariants();
+        let fresh = self.bv.drain_events();
+        self.events_seen += fresh.len() as u64;
+        self.log.extend(fresh);
+
+        let read = self
+            .read
+            .take()
+            .filter(|&(_, hu, hb)| hu != matches!(hb, HitKind::Base(_)));
+        let base = sorted(self.bv.baseline_lines());
+        let mirror = sorted(self.unc.resident_lines());
+        if read.is_none() && base == mirror {
+            // Only the recent tail can ever be reported.
+            let excess = self.log.len().saturating_sub(self.context * 256);
+            self.log.drain(..excess);
+            return Ok(());
+        }
+        let missing = absent(&mirror, &base);
+        let unexpected = absent(&base, &mirror);
+        let first = read
+            .map(|(a, ..)| a)
+            .or(missing.first().or(unexpected.first()).copied());
+        let set = first.map_or(0, |a| self.bv.geometry().set_index(a.get()));
+        let set_events: Vec<CacheEvent> = self
+            .log
+            .iter()
+            .filter(|e| e.set as usize == set)
+            .copied()
+            .collect();
+        let start = set_events.len().saturating_sub(self.context);
+        Err(Divergence {
+            set,
+            missing,
+            unexpected,
+            read,
+            context: set_events[start..].to_vec(),
+        })
     }
 }
 
@@ -362,15 +321,27 @@ pub fn describe_event(ev: &CacheEvent) -> String {
     .to_string()
 }
 
-/// Renders a [`Divergence`] as the multi-line report `bvsim trace
-/// --audit` prints.
+/// Renders a [`Divergence`] found after op `op` as the multi-line
+/// report `bvsim trace --audit` prints.
 #[must_use]
-pub fn render_divergence(d: &Divergence) -> String {
+pub fn render_divergence(op: usize, d: &Divergence) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "baseline divergence after op {} in set {}\n",
-        d.op, d.set
+        "baseline divergence after op {op} in set {}\n",
+        d.set
     ));
+    if let Some((addr, hu, hb)) = d.read {
+        let bv = match hb {
+            HitKind::Base(_) => "a Baseline hit",
+            HitKind::Victim(_) => "a Victim hit",
+            HitKind::Miss => "a miss",
+        };
+        out.push_str(&format!(
+            "  read 0x{:x}: uncompressed {}, base-victim made {bv}\n",
+            addr.get(),
+            if hu { "hit" } else { "missed" }
+        ));
+    }
     let list = |addrs: &[LineAddr]| {
         addrs
             .iter()
@@ -410,45 +381,42 @@ pub fn render_divergence(d: &Divergence) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bv_testkit::mirror::run;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(4096, 4, 64)
     }
 
+    fn mirror(geom: CacheGeometry, policy: PolicyKind) -> LlcMirror<fn(u64) -> CacheLine> {
+        LlcMirror::new(geom, policy, VictimPolicyKind::EcmLargestBase, 8, line_for)
+    }
+
     #[test]
     fn clean_run_never_diverges() {
         for policy in PolicyKind::ALL {
-            let cfg = AuditConfig {
-                policy,
-                seed: 7,
-                ..AuditConfig::default()
-            };
-            let report = run_audit(geom(), &cfg);
+            let mut m = mirror(geom(), policy);
+            let report = run(&mut m, audit_ops(geom(), 2000, 7), None);
             assert!(
                 report.divergence.is_none(),
                 "{policy:?}: spurious divergence: {:?}",
                 report.divergence
             );
             assert!(report.passed());
-            assert_eq!(report.ops_run, cfg.ops);
-            assert!(report.events_seen > 0, "traced run recorded no events");
+            assert_eq!(report.ops_run, 2000);
+            assert!(m.events_seen() > 0, "traced run recorded no events");
         }
     }
 
     #[test]
     fn injected_fault_is_pinpointed_with_set_context() {
-        let cfg = AuditConfig {
-            inject_at: Some(200),
-            seed: 3,
-            ..AuditConfig::default()
-        };
-        let report = run_audit(geom(), &cfg);
+        let mut m = mirror(geom(), PolicyKind::Lru);
+        let report = run(&mut m, audit_ops(geom(), 2000, 3), Some(200));
         assert!(report.injected);
         assert!(report.passed());
-        let d = report
+        let (op, d) = report
             .divergence
             .expect("injected replacement fault must be caught");
-        assert!(d.op >= 200, "divergence cannot precede the injection");
+        assert!(op >= 200, "divergence cannot precede the injection");
         assert!(
             !d.missing.is_empty() || !d.unexpected.is_empty(),
             "divergence must name at least one mismatched line"
@@ -456,49 +424,50 @@ mod tests {
         // Set-local context: every reported event belongs to the set the
         // mismatch was found in, and the report stays within the bound.
         assert!(!d.context.is_empty(), "divergence carried no event context");
-        assert!(d.context.len() <= cfg.context);
+        assert!(d.context.len() <= 8);
         for ev in &d.context {
             assert_eq!(ev.set as usize, d.set);
         }
         // The rendering names the op, the set, and the events.
-        let text = render_divergence(&d);
-        assert!(text.contains(&format!("after op {}", d.op)));
+        let text = render_divergence(op, &d);
+        assert!(text.contains(&format!("after op {op}")));
         assert!(text.contains(&format!("set {}", d.set)));
         assert!(text.contains("seq="));
     }
 
-    /// An explicit op stream must behave like the generated one: clean
-    /// without injection, caught with it, and `ops_run` reflects the
-    /// stream length rather than `cfg.ops`.
+    /// A smaller geometry than the default audit's: still clean without
+    /// injection, still caught with it.
     #[test]
     fn explicit_op_streams_audit_cleanly_and_catch_injection() {
-        let mut rng = Rng::new(11);
-        let ops: Vec<AuditOp> = (0..1_000)
-            .map(|_| {
-                let a = rng.below(4 * 4 * 16);
-                match rng.below(10) {
-                    0..=6 => AuditOp::Read(a),
-                    7..=8 => AuditOp::Writeback(a),
-                    _ => AuditOp::Prefetch(a),
-                }
-            })
-            .collect();
         let small = CacheGeometry::new(1024, 4, 64);
-        let cfg = AuditConfig::default();
-        let clean = run_audit_ops(small, &cfg, &ops, line_for);
+        let ops = audit_ops(small, 1_000, 11);
+        let clean = run(&mut mirror(small, PolicyKind::Lru), ops.clone(), None);
         assert!(
             clean.passed(),
             "clean stream diverged: {:?}",
             clean.divergence
         );
         assert_eq!(clean.ops_run, ops.len());
-        let cfg = AuditConfig {
-            inject_at: Some(100),
-            ..AuditConfig::default()
-        };
-        let faulted = run_audit_ops(small, &cfg, &ops, line_for);
+        let faulted = run(&mut mirror(small, PolicyKind::Lru), ops, Some(100));
         assert!(faulted.injected);
         assert!(faulted.passed(), "injected fault must be caught");
+    }
+
+    #[test]
+    fn split_reads_are_rendered() {
+        let d = Divergence {
+            set: 2,
+            missing: Vec::new(),
+            unexpected: Vec::new(),
+            read: Some((LineAddr::new(0x42), true, HitKind::Miss)),
+            context: Vec::new(),
+        };
+        let text = render_divergence(9, &d);
+        assert!(text.contains("after op 9 in set 2"), "{text}");
+        assert!(
+            text.contains("read 0x42: uncompressed hit, base-victim made a miss"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -112,8 +112,9 @@ pub struct FuzzCase {
     pub seed: u64,
     /// The workload itself.
     pub body: CaseBody,
-    /// If set, a synthetic fault is injected after this many operations
-    /// (LLC: extra baseline reads; kv: a baseline recency perturbation).
+    /// If set, a synthetic fault is planted after op `inject_at` is
+    /// applied and before it is checked, in both domains (LLC: extra
+    /// baseline reads; kv: a baseline recency perturbation).
     /// An injected case *passes* when the fault is detected — the
     /// `--inject` self-test convention.
     pub inject_at: Option<u64>,

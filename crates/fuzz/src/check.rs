@@ -1,24 +1,29 @@
-//! Property evaluation: replay a case through the auditors and the
-//! organization zoo and report the first observed divergence.
+//! Property evaluation: replay a case through its domain's lockstep
+//! oracle and the organization zoo and report the first observed
+//! divergence.
 //!
 //! Two layers, because injection flips the meaning of an observation:
 //!
 //! * [`observe`] answers "did any property *trip*?" — a divergence, a
 //!   budget violation, a stats mismatch — with no judgement attached.
-//! * [`verdict`] applies the `--inject` convention: a clean case passes
-//!   when nothing trips; an injected case passes when the fault **is**
-//!   detected (an undetected injected fault means the auditors are
-//!   blind, which is exactly the regression the fuzzer exists to catch).
+//! * [`verdict`] applies the `--inject` convention through
+//!   [`MirrorReport::passed`]: a clean case passes when nothing trips;
+//!   an injected case passes when the planted fault **is** detected (an
+//!   undetected injected fault means the oracle is blind, which is
+//!   exactly the regression the fuzzer exists to catch).
 //!
 //! The shrinker minimizes against [`observe`]: whatever tripped must
 //! keep tripping as the case gets smaller.
 
 use crate::case::{CaseBody, FuzzCase, KvCase, LlcCase};
-use bv_core::audit::{render_divergence, run_audit_ops, AuditConfig, AuditOp};
-use bv_core::{LlcOrganization, NoInner};
+use bv_cache::LineAddr;
+use bv_core::audit::{render_divergence, LlcMirror};
+use bv_core::LlcOrganization;
 use bv_events::RingSink;
-use bv_kvcache::{run_kv, run_lockstep, KvConfig, KvOrgKind, LockstepConfig};
+use bv_kvcache::{compress_value, run_kv, KvConfig, KvMirror, KvOrgKind};
 use bv_sim::LlcKind;
+use bv_testkit::mirror::{run, MirrorReport};
+use bv_trace::request::RequestStream;
 
 /// The organization cross-section every LLC case replays for stats
 /// identity: the same seven kinds the event zero-cost suite pins.
@@ -45,9 +50,8 @@ pub struct FuzzFailure {
 
 /// Replays every property for the case and returns the first observed
 /// trip, or `None` when all properties held. Injection (if armed) is
-/// live during the auditor properties; the identity/determinism
-/// properties are skipped for injected cases since the fault model only
-/// exists inside the auditors.
+/// live during the oracle; the zoo properties are skipped for injected
+/// cases since the fault model only exists inside the oracle.
 ///
 /// A panic anywhere under replay — a violated internal invariant, an
 /// overflow, an `expect` on a state the model thought impossible — is
@@ -56,9 +60,78 @@ pub struct FuzzFailure {
 /// killing the campaign.
 #[must_use]
 pub fn observe(case: &FuzzCase) -> Option<FuzzFailure> {
-    quiet_catch(|| match &case.body {
-        CaseBody::Llc(c) => observe_llc(c, case.inject_at),
-        CaseBody::Kv(c) => observe_kv(c, case.inject_at),
+    match replay(case) {
+        Ok(report) => report.divergence.map(|(_, f)| f),
+        Err(f) => Some(f),
+    }
+}
+
+/// Applies the `--inject` pass/fail convention: the oracle's
+/// [`MirrorReport::passed`], plus every zoo property of a clean case.
+///
+/// # Errors
+///
+/// A clean case fails with whatever property tripped; an injected case
+/// fails with the oracle's divergence when it diverged before the fault
+/// was planted, and with `inject-undetected` when no divergence
+/// followed the fault (or the fault lay past the end of the stream).
+pub fn verdict(case: &FuzzCase) -> Result<(), FuzzFailure> {
+    let report = replay(case)?;
+    if report.passed() && report.injected == case.inject_at.is_some() {
+        return Ok(());
+    }
+    Err(match report.divergence {
+        Some((_, f)) => f,
+        None => FuzzFailure {
+            property: "inject-undetected",
+            detail: format!(
+                "fault injected after op {} but no oracle property tripped \
+                 ({} case, {} ops)",
+                case.inject_at.unwrap_or_default(),
+                case.domain().name(),
+                case.op_count()
+            ),
+        },
+    })
+}
+
+/// Runs the case's lockstep oracle and then, for a clean case the oracle
+/// passed, the zoo properties. A zoo trip or a panic anywhere is the
+/// `Err`.
+fn replay(case: &FuzzCase) -> Result<MirrorReport<FuzzFailure>, FuzzFailure> {
+    quiet_catch(|| {
+        let inject_at = case
+            .inject_at
+            .map(|at| usize::try_from(at).unwrap_or(usize::MAX));
+        let report = match &case.body {
+            CaseBody::Llc(c) => {
+                let mut mirror =
+                    LlcMirror::new(c.geometry(), c.policy, c.victim, 8, |a| c.data_for(a));
+                run(&mut mirror, c.ops.iter().copied(), inject_at).map(|op, d| FuzzFailure {
+                    property: "llc-mirror",
+                    detail: render_divergence(op, &d),
+                })
+            }
+            CaseBody::Kv(c) => {
+                let mut mirror = KvMirror::new(c.budget, |key| {
+                    compress_value(key, c.profile.value_spec(key))
+                });
+                let ops = RequestStream::new(c.profile.clone(), c.stream_seed);
+                run(&mut mirror, ops.take(c.requests as usize), inject_at).map(|op, detail| {
+                    FuzzFailure {
+                        property: "kv-mirror",
+                        detail: format!("op {op}: {detail}"),
+                    }
+                })
+            }
+        };
+        if report.divergence.is_none() && case.inject_at.is_none() {
+            match &case.body {
+                CaseBody::Llc(c) => stats_identity(c)?,
+                CaseBody::Kv(c) => kv_zoo(c)?,
+            }
+        }
+        Ok(report)
     })
 }
 
@@ -72,7 +145,7 @@ thread_local! {
 
 /// Runs `f`, converting a panic into a [`FuzzFailure`] and suppressing
 /// the default panic message for the duration.
-fn quiet_catch(f: impl FnOnce() -> Option<FuzzFailure>) -> Option<FuzzFailure> {
+fn quiet_catch<T>(f: impl FnOnce() -> Result<T, FuzzFailure>) -> Result<T, FuzzFailure> {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let default = std::panic::take_hook();
@@ -93,128 +166,12 @@ fn quiet_catch(f: impl FnOnce() -> Option<FuzzFailure>) -> Option<FuzzFailure> {
                 .map(ToString::to_string)
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            Some(FuzzFailure {
+            Err(FuzzFailure {
                 property: "panic",
                 detail: format!("replay panicked: {msg}"),
             })
         }
     }
-}
-
-/// Applies the `--inject` pass/fail convention on top of [`observe`].
-///
-/// # Errors
-///
-/// A clean case fails with whatever property tripped; an injected case
-/// fails with `inject-undetected` when no property tripped.
-pub fn verdict(case: &FuzzCase) -> Result<(), FuzzFailure> {
-    match (case.inject_at, observe(case)) {
-        (_, Some(f)) if case.inject_at.is_none() => Err(f),
-        (Some(at), None) => Err(FuzzFailure {
-            property: "inject-undetected",
-            detail: format!(
-                "fault injected after op {at} but no auditor property tripped \
-                 ({} case, {} ops)",
-                case.domain().name(),
-                case.op_count()
-            ),
-        }),
-        _ => Ok(()),
-    }
-}
-
-fn observe_llc(c: &LlcCase, inject_at: Option<u64>) -> Option<FuzzFailure> {
-    let cfg = AuditConfig {
-        ops: 0, // ignored: the stream is explicit
-        seed: 0,
-        context: 8,
-        inject_at: inject_at.map(|x| x as usize),
-        policy: c.policy,
-        victim: c.victim,
-    };
-    let report = run_audit_ops(c.geometry(), &cfg, &c.ops, |a| c.data_for(a));
-    if let Some(d) = report.divergence {
-        return Some(FuzzFailure {
-            property: "llc-mirror",
-            detail: render_divergence(&d),
-        });
-    }
-    if inject_at.is_some() {
-        // The injected fault only exists inside the mirror audit; the
-        // identity properties below would vacuously pass and are skipped.
-        return None;
-    }
-    stats_identity(c)
-}
-
-/// Writeback legality per op under L2 inclusion, replayed once on an
-/// uncompressed mirror of the case geometry. The inner level can only
-/// write back lines it holds, which inclusion bounds by uncompressed
-/// residency — the same model the baseline-divergence auditor uses.
-/// Gating every organization on the same mask keeps the streams
-/// identical across the zoo and keeps inclusive Base-Victim's "no write
-/// hit in the victim area" invariant satisfiable.
-fn writeback_legality(c: &LlcCase) -> Vec<bool> {
-    let mut mirror = LlcKind::Uncompressed.build(c.geometry(), c.policy);
-    let mut inner = NoInner;
-    c.ops
-        .iter()
-        .map(|&op| match op {
-            AuditOp::Read(a) => {
-                let addr = bv_cache::LineAddr::new(a);
-                if !mirror.read(addr, &mut inner).is_hit() {
-                    mirror.fill(addr, c.data_for(a), &mut inner);
-                }
-                true
-            }
-            AuditOp::Writeback(a) => {
-                let addr = bv_cache::LineAddr::new(a);
-                let legal = mirror.contains(addr);
-                if legal {
-                    mirror.writeback(addr, c.data_for(a), &mut inner);
-                }
-                legal
-            }
-            AuditOp::Prefetch(a) => {
-                let addr = bv_cache::LineAddr::new(a);
-                mirror.prefetch_fill(addr, c.data_for(a), &mut inner);
-                true
-            }
-        })
-        .collect()
-}
-
-/// Drives one organization through the case's op stream.
-fn drive(llc: &mut dyn LlcOrganization, c: &LlcCase, legal: &[bool]) -> u64 {
-    let mut inner = NoInner;
-    let mut events = 0u64;
-    for (&op, &ok) in c.ops.iter().zip(legal) {
-        match op {
-            AuditOp::Read(a) => {
-                let addr = bv_cache::LineAddr::new(a);
-                if !llc.read(addr, &mut inner).is_hit() {
-                    llc.fill(addr, c.data_for(a), &mut inner);
-                }
-            }
-            AuditOp::Writeback(a) => {
-                // Legal under inclusion (the mask) *and* resident in this
-                // organization: kinds without the mirror guarantee (TwoTag,
-                // Vsc, Dcc) may have evicted a line the uncompressed
-                // mirror still holds, and writing back a non-resident line
-                // is an inclusion violation those organizations reject.
-                let addr = bv_cache::LineAddr::new(a);
-                if ok && llc.contains(addr) {
-                    llc.writeback(addr, c.data_for(a), &mut inner);
-                }
-            }
-            AuditOp::Prefetch(a) => {
-                let addr = bv_cache::LineAddr::new(a);
-                llc.prefetch_fill(addr, c.data_for(a), &mut inner);
-            }
-        }
-        events += llc.drain_events().len() as u64;
-    }
-    events
 }
 
 fn sorted_lines(llc: &dyn LlcOrganization) -> Vec<u64> {
@@ -227,18 +184,30 @@ fn sorted_lines(llc: &dyn LlcOrganization) -> Vec<u64> {
 /// second untraced run (determinism), and a traced run must agree on
 /// every counter and on the resident-line set, and the traced run must
 /// actually emit events.
-fn stats_identity(c: &LlcCase) -> Option<FuzzFailure> {
+///
+/// Every run replays the stream next to one uncompressed model: a
+/// writeback reaches an organization only when the model holds the line
+/// (inclusion bounds the inner level by uncompressed residency, and a
+/// victim-area write hit would break inclusive Base-Victim) and the
+/// organization does (TwoTag, Vsc and Dcc may have evicted it).
+fn stats_identity(c: &LlcCase) -> Result<(), FuzzFailure> {
     let geom = c.geometry();
-    let legal = writeback_legality(c);
     for kind in LLC_KINDS {
+        let mut model = LlcKind::Uncompressed.build(geom, c.policy);
         let mut first = kind.build(geom, c.policy);
         let mut again = kind.build(geom, c.policy);
         let mut traced = kind.build_traced(geom, c.policy, RingSink::new(1 << 12));
-        drive(first.as_mut(), c, &legal);
-        drive(again.as_mut(), c, &legal);
-        let events = drive(traced.as_mut(), c, &legal);
+        let mut events = 0u64;
+        for &op in &c.ops {
+            let data = c.data_for(op.addr());
+            let legal = model.contains(LineAddr::new(op.addr()));
+            for llc in [&mut model, &mut first, &mut again, &mut traced] {
+                op.apply(llc.as_mut(), data, legal);
+            }
+            events += traced.drain_events().len() as u64;
+        }
         let fail = |what: &str| {
-            Some(FuzzFailure {
+            Err(FuzzFailure {
                 property: "llc-stats-identity",
                 detail: format!("{}: {what}", kind.name()),
             })
@@ -265,26 +234,11 @@ fn stats_identity(c: &LlcCase) -> Option<FuzzFailure> {
             return fail("traced run emitted no events");
         }
     }
-    None
+    Ok(())
 }
 
-fn observe_kv(c: &KvCase, inject_at: Option<u64>) -> Option<FuzzFailure> {
-    let report = run_lockstep(&LockstepConfig {
-        profile: c.profile.clone(),
-        seed: c.stream_seed,
-        requests: c.requests,
-        budget: c.budget,
-        inject_at,
-    });
-    if let Some(d) = report.divergence {
-        return Some(FuzzFailure {
-            property: "kv-mirror",
-            detail: format!("op {} ({:?}): {}", d.op_index, d.request, d.detail),
-        });
-    }
-    if inject_at.is_some() {
-        return None;
-    }
+/// Budget and determinism across the three kv organizations.
+fn kv_zoo(c: &KvCase) -> Result<(), FuzzFailure> {
     for org in KvOrgKind::ALL {
         let cfg = KvConfig {
             org,
@@ -296,7 +250,7 @@ fn observe_kv(c: &KvCase, inject_at: Option<u64>) -> Option<FuzzFailure> {
         };
         let run = run_kv(&cfg);
         if run.occupancy.resident_bytes > c.budget {
-            return Some(FuzzFailure {
+            return Err(FuzzFailure {
                 property: "kv-budget",
                 detail: format!(
                     "{}: resident {} bytes exceeds budget {}",
@@ -308,7 +262,7 @@ fn observe_kv(c: &KvCase, inject_at: Option<u64>) -> Option<FuzzFailure> {
         }
         let replay = run_kv(&cfg);
         if run.stats != replay.stats || run.occupancy != replay.occupancy {
-            return Some(FuzzFailure {
+            return Err(FuzzFailure {
                 property: "kv-determinism",
                 detail: format!(
                     "{}: identical configs disagree: {:?} vs {:?}",
@@ -319,7 +273,7 @@ fn observe_kv(c: &KvCase, inject_at: Option<u64>) -> Option<FuzzFailure> {
             });
         }
     }
-    None
+    Ok(())
 }
 
 #[cfg(test)]
@@ -370,10 +324,10 @@ mod tests {
 
     #[test]
     fn replay_panics_become_failures_not_aborts() {
-        let f = quiet_catch(|| panic!("boom {}", 7)).expect("panic must surface");
+        let f = quiet_catch::<()>(|| panic!("boom {}", 7)).expect_err("panic must surface");
         assert_eq!(f.property, "panic");
         assert!(f.detail.contains("boom 7"), "{}", f.detail);
-        assert!(quiet_catch(|| None).is_none(), "clean replay stays clean");
+        assert!(quiet_catch(|| Ok(())).is_ok(), "clean replay stays clean");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! self-test reproducers are committable alongside honest divergences.
 
 use crate::case::{CaseBody, Domain, FuzzCase, KvCase, LlcCase};
-use bv_cache::PolicyKind;
+use bv_cache::{CacheGeometry, PolicyKind, MAX_WAYS};
 use bv_core::audit::AuditOp;
 use bv_core::VictimPolicyKind;
 use bv_telemetry::json::{parse, ObjWriter, Value};
@@ -120,6 +120,10 @@ fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field `{key}`"))
 }
 
+fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
+    usize::try_from(req_u64(v, key)?).map_err(|_| format!("field `{key}` is out of range"))
+}
+
 fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     v.get(key)
         .and_then(Value::as_str)
@@ -173,20 +177,33 @@ pub fn from_json(text: &str) -> Result<FuzzCase, String> {
             let ops = req_str(c, "ops")?
                 .split_whitespace()
                 .map(|tok| {
-                    let addr: u64 = tok[1..]
-                        .parse()
-                        .map_err(|_| format!("malformed op token `{tok}`"))?;
-                    match tok.as_bytes()[0] {
-                        b'r' => Ok(AuditOp::Read(addr)),
-                        b'w' => Ok(AuditOp::Writeback(addr)),
-                        b'p' => Ok(AuditOp::Prefetch(addr)),
+                    // `get`, not indexing: a multi-byte first char has no
+                    // boundary at 1.
+                    let addr = tok.get(1..).and_then(|a| a.parse().ok());
+                    match (tok.as_bytes()[0], addr) {
+                        (b'r', Some(a)) => Ok(AuditOp::Read(a)),
+                        (b'w', Some(a)) => Ok(AuditOp::Writeback(a)),
+                        (b'p', Some(a)) => Ok(AuditOp::Prefetch(a)),
                         _ => Err(format!("malformed op token `{tok}`")),
                     }
                 })
                 .collect::<Result<Vec<_>, String>>()?;
+            let (sets, ways) = (req_usize(c, "sets")?, req_usize(c, "ways")?);
+            let bytes = sets.checked_mul(ways).and_then(|n| n.checked_mul(64));
+            bytes
+                .ok_or_else(|| format!("{sets} sets x {ways} ways x 64 B overflows"))
+                .and_then(|bytes| CacheGeometry::check(bytes, ways, 64))
+                .map_err(|e| {
+                    let field = if (1..=MAX_WAYS).contains(&ways) {
+                        "sets"
+                    } else {
+                        "ways"
+                    };
+                    format!("field `{field}`: {e}")
+                })?;
             CaseBody::Llc(LlcCase {
-                sets: req_u64(c, "sets")? as usize,
-                ways: req_u64(c, "ways")? as usize,
+                sets,
+                ways,
                 policy,
                 victim,
                 palette,
@@ -299,6 +316,38 @@ mod tests {
         assert!(from_json(&bad_op)
             .expect_err("op token")
             .contains("malformed op token"));
+    }
+
+    fn llc_json(sets: &str, ways: &str, ops: &str) -> String {
+        format!(
+            r#"{{"schema":"{SCHEMA}","seed":1,"domain":"llc","llc":{{"sets":{sets},"ways":{ways},"policy":"lru","victim":"ecm-largest-base","palette":"zero","ops":"{ops}"}}}}"#
+        )
+    }
+
+    #[test]
+    fn non_ascii_op_tokens_are_malformed_not_a_panic() {
+        assert!(from_json(&llc_json("4", "2", "r0 w1 p2")).is_ok());
+        for tok in ["é0", "r", "ré", "x5"] {
+            let err = from_json(&llc_json("4", "2", &format!("r0 {tok}"))).expect_err(tok);
+            assert!(err.contains("malformed op token"), "{tok}: {err}");
+        }
+    }
+
+    #[test]
+    fn unbuildable_geometry_names_the_field() {
+        for (sets, ways, field) in [
+            ("4", "0", "ways"),
+            ("4", "65", "ways"),
+            ("3", "2", "sets"),
+            ("0", "2", "sets"),
+            ("18446744073709551615", "2", "sets"),
+        ] {
+            let err = from_json(&llc_json(sets, ways, "r0")).expect_err(sets);
+            assert!(
+                err.starts_with(&format!("field `{field}`")),
+                "{sets}x{ways}: {err}"
+            );
+        }
     }
 
     #[test]

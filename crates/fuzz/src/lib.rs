@@ -7,9 +7,9 @@
 //! (Zipf skew, client interleavings, diurnal phases, value-size and
 //! compressibility mixtures) sharpened by adversarial mutators
 //! (hot-set flips, budget-boundary value sizes, incompressible bursts,
-//! set-aliasing address patterns), each replayed through the
-//! baseline-divergence auditor, the organization zoo's stats-identity
-//! check, and the kv lockstep auditor.
+//! set-aliasing address patterns), each replayed through its domain's
+//! lockstep oracle (`bv_testkit::mirror`) and then the organization
+//! zoo's stats-identity, budget and determinism checks.
 //!
 //! The pipeline is **generator → auditor → shrinker**:
 //!

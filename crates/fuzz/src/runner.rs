@@ -184,7 +184,7 @@ pub fn run_inject_selftest(cfg: &FuzzConfig) -> Vec<InjectReport> {
                 let seed = seeds.next_u64();
                 tried += 1;
                 let case = FuzzCase::generate(seed, Some(domain)).with_injection();
-                if observe(&case).is_some() {
+                if verdict(&case).is_ok() {
                     found = Some((seed, case));
                 }
             }

@@ -71,6 +71,21 @@ pub fn shrink(case: &FuzzCase) -> ShrinkOutcome {
     }
 }
 
+/// `c` with its fault moved, if need be, to the last op it can be
+/// planted after and still be seen: the kv oracle sees a perturbed
+/// recency order at once, while a skewed LLC replacement state surfaces
+/// only at a later fill.
+fn clamp_injection(mut c: FuzzCase) -> FuzzCase {
+    let settle = match c.body {
+        CaseBody::Llc(_) => 2,
+        CaseBody::Kv(_) => 1,
+    };
+    c.inject_at = c
+        .inject_at
+        .map(|at| at.min(c.op_count().saturating_sub(settle)));
+    c
+}
+
 struct Shrinker {
     current: FuzzCase,
     target: &'static str,
@@ -102,10 +117,7 @@ impl Shrinker {
             CaseBody::Llc(l) => l.ops.truncate(len as usize),
             CaseBody::Kv(k) => k.requests = k.requests.min(len),
         }
-        if let Some(at) = c.inject_at {
-            c.inject_at = Some(at.min(len.saturating_sub(1)));
-        }
-        c
+        clamp_injection(c)
     }
 
     /// Binary-searches the shortest tripping prefix.
@@ -143,10 +155,7 @@ impl Shrinker {
                     };
                     let end = (start + chunk).min(lc.ops.len());
                     lc.ops.drain(start..end);
-                    if let (Some(at), len) = (c.inject_at, lc.ops.len() as u64) {
-                        c.inject_at = Some(at.min(len.saturating_sub(1)));
-                    }
-                    if self.try_adopt(c) {
+                    if self.try_adopt(clamp_injection(c)) {
                         adopted = true;
                         // Re-scan the same start: the next chunk slid in.
                     } else {

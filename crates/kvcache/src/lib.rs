@@ -22,7 +22,7 @@
 //!   the slack runs an opportunistic victim area. Structurally
 //!   guaranteed to never hit less than the uncompressed tier.
 //!
-//! The guarantee is not just argued — [`lockstep`] replays a
+//! The guarantee is not just argued — [`KvMirror`] replays a
 //! [`BaseVictimKv`] and an [`UncompressedKv`] side by side and compares
 //! the full recency-ordered baseline key list after **every** request,
 //! pinpointing the first divergence if one ever appears.
@@ -46,7 +46,7 @@ mod org;
 mod sim;
 mod value;
 
-pub use lockstep::{run_lockstep, KvDivergence, LockstepConfig, LockstepReport};
+pub use lockstep::KvMirror;
 pub use lru::LruMap;
 pub use org::{
     BaseVictimKv, CompressedKv, KvCache, KvCacheWith, KvOccupancy, KvOrgKind, KvOutcome, KvStats,

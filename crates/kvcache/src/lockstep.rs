@@ -2,13 +2,13 @@
 //!
 //! The Base-Victim tier's whole claim is that its *decision-making*
 //! state is bit-identical to the uncompressed tier's at every point in
-//! time — compression can only add hits, never change a decision. This
-//! module proves it empirically: it steps a [`BaseVictimKv`] and an
-//! [`UncompressedKv`] through the same request stream in lockstep and,
-//! after **every** operation, compares the full recency-ordered key
-//! list of the base-victim baseline area against the uncompressed
-//! tier's. The first mismatch is pinpointed with the op index, the
-//! request that caused it, and the two orderings around the first
+//! time — compression can only add hits, never change a decision.
+//! [`KvMirror`] is the kv tier's [`Mirror`] for the shared lockstep
+//! driver [`bv_testkit::mirror::run`]: it steps a [`BaseVictimKv`] and
+//! an [`UncompressedKv`] through the same request stream and, after
+//! **every** operation, compares the full recency-ordered key list of
+//! the base-victim baseline area against the uncompressed tier's. The
+//! first mismatch is described by the two orderings around the first
 //! differing position.
 //!
 //! Alongside the mirror identity the auditor checks the consequences
@@ -20,62 +20,89 @@
 //! * The byte-budget invariant (physical bytes `<=` budget) after every
 //!   op, via [`BaseVictimKv::check_invariants`].
 //!
-//! Like the LLC auditor's `--inject`, [`LockstepConfig::inject_at`]
-//! deliberately perturbs the baseline mid-run so tests can show the
-//! auditor actually detects divergence rather than vacuously passing.
+//! Like the LLC auditor's, [`Mirror::inject`] deliberately perturbs the
+//! baseline mid-run so tests can show the auditor actually detects
+//! divergence rather than vacuously passing.
 
-use crate::org::{BaseVictimKv, UncompressedKv};
-use crate::value::compress_value;
+use crate::org::{BaseVictimKv, KvStats, UncompressedKv};
+use crate::value::ValueMeta;
 use bv_events::NoEventSink;
-use bv_trace::request::{KvOp, KvRequest, RequestProfile, RequestStream};
+use bv_testkit::mirror::Mirror;
+use bv_trace::request::{KvOp, KvRequest};
 
-/// What to audit.
-#[derive(Clone, Debug)]
-pub struct LockstepConfig {
-    /// The request-traffic shape.
-    pub profile: RequestProfile,
-    /// Stream seed.
-    pub seed: u64,
-    /// How many requests to replay.
-    pub requests: u64,
-    /// Shared byte budget for both tiers.
-    pub budget: u64,
-    /// Perturb the base-victim baseline after this many requests to
-    /// prove divergence detection is live (`None` = honest run).
-    pub inject_at: Option<u64>,
+/// A base-victim tier and an uncompressed tier under one byte budget,
+/// with values from `meta_for` (which must be a function of the key
+/// only, so both tiers see the same value for the same key).
+pub struct KvMirror<F> {
+    bv: BaseVictimKv,
+    unc: UncompressedKv,
+    meta_for: F,
 }
 
-/// The first detected divergence between the two baselines.
-#[derive(Clone, Debug)]
-pub struct KvDivergence {
-    /// 0-based index of the request after which state differed.
-    pub op_index: u64,
-    /// The request that was just applied.
-    pub request: KvRequest,
-    /// Human-readable description: which check failed and how.
-    pub detail: String,
-}
-
-/// Outcome of a lockstep run.
-#[derive(Clone, Debug)]
-pub struct LockstepReport {
-    /// Requests replayed (stops early at the first divergence).
-    pub ops: u64,
-    /// The first divergence, or `None` when the mirror held throughout.
-    pub divergence: Option<KvDivergence>,
-    /// Base-victim hits (base + victim areas).
-    pub bv_hits: u64,
-    /// Base-victim victim-area hits (the opportunistic gain).
-    pub victim_hits: u64,
-    /// Uncompressed-tier hits.
-    pub unc_hits: u64,
-}
-
-impl LockstepReport {
-    /// True when the mirror held and the hit-rate guarantee with it.
+impl<F: Fn(u64) -> ValueMeta> KvMirror<F> {
+    /// Builds both tiers with `budget` bytes each.
     #[must_use]
-    pub fn holds(&self) -> bool {
-        self.divergence.is_none()
+    pub fn new(budget: u64, meta_for: F) -> KvMirror<F> {
+        KvMirror {
+            bv: BaseVictimKv::new(budget, NoEventSink),
+            unc: UncompressedKv::new(budget, NoEventSink),
+            meta_for,
+        }
+    }
+
+    /// The (uncompressed, base-victim) statistics.
+    #[must_use]
+    pub fn stats(&self) -> (&KvStats, &KvStats) {
+        (self.unc.stats(), self.bv.stats())
+    }
+}
+
+impl<F: Fn(u64) -> ValueMeta> Mirror for KvMirror<F> {
+    type Op = KvRequest;
+    /// Which check failed and how.
+    type Mismatch = String;
+
+    fn apply(&mut self, req: KvRequest) {
+        let fetch = || (self.meta_for)(req.key);
+        match req.op {
+            KvOp::Get => {
+                self.bv.get(req.key, fetch);
+                self.unc.get(req.key, fetch);
+            }
+            KvOp::Put => {
+                self.bv.put(req.key, fetch);
+                self.unc.put(req.key, fetch);
+            }
+        }
+    }
+
+    fn inject(&mut self) {
+        self.bv.inject_baseline_perturbation();
+    }
+
+    fn check(&mut self) -> Result<(), String> {
+        let (bv, unc) = (&self.bv, &self.unc);
+        let expected = unc.keys_mru();
+        let got = bv.baseline_keys_mru();
+        if expected != got {
+            return Err(describe_mismatch(&expected, &got));
+        }
+        if bv.stats().base_hits != unc.stats().base_hits {
+            return Err(format!(
+                "base hits diverged: base-victim {} vs uncompressed {}",
+                bv.stats().base_hits,
+                unc.stats().base_hits
+            ));
+        }
+        if bv.stats().misses + bv.stats().victim_hits != unc.stats().misses {
+            return Err(format!(
+                "miss accounting diverged: base-victim misses {} + victim hits {} != uncompressed misses {}",
+                bv.stats().misses,
+                bv.stats().victim_hits,
+                unc.stats().misses
+            ));
+        }
+        bv.check_invariants()
     }
 }
 
@@ -99,130 +126,58 @@ fn describe_mismatch(expected: &[u64], got: &[u64]) -> String {
     )
 }
 
-/// Replays `cfg.requests` against both tiers, checking the mirror after
-/// every operation. Returns at the first divergence.
-#[must_use]
-pub fn run_lockstep(cfg: &LockstepConfig) -> LockstepReport {
-    let mut bv: BaseVictimKv = BaseVictimKv::new(cfg.budget, NoEventSink);
-    let mut unc: UncompressedKv = UncompressedKv::new(cfg.budget, NoEventSink);
-    let profile = cfg.profile.clone();
-    let stream = RequestStream::new(profile.clone(), cfg.seed);
-
-    let mut ops = 0u64;
-    let mut divergence = None;
-    for req in stream.take(cfg.requests as usize) {
-        let spec = profile.value_spec(req.key);
-        match req.op {
-            KvOp::Get => {
-                bv.get(req.key, || compress_value(req.key, spec));
-                unc.get(req.key, || compress_value(req.key, spec));
-            }
-            KvOp::Put => {
-                bv.put(req.key, || compress_value(req.key, spec));
-                unc.put(req.key, || compress_value(req.key, spec));
-            }
-        }
-        if Some(ops) == cfg.inject_at {
-            bv.inject_baseline_perturbation();
-        }
-        ops += 1;
-
-        if let Some(detail) = check_step(&bv, &unc) {
-            divergence = Some(KvDivergence {
-                op_index: ops - 1,
-                request: req,
-                detail,
-            });
-            break;
-        }
-    }
-
-    LockstepReport {
-        ops,
-        divergence,
-        bv_hits: bv.stats().hits(),
-        victim_hits: bv.stats().victim_hits,
-        unc_hits: unc.stats().hits(),
-    }
-}
-
-/// Every per-op check; returns the first failure's description.
-fn check_step(bv: &BaseVictimKv, unc: &UncompressedKv) -> Option<String> {
-    let expected = unc.keys_mru();
-    let got = bv.baseline_keys_mru();
-    if expected != got {
-        return Some(describe_mismatch(&expected, &got));
-    }
-    if bv.stats().base_hits != unc.stats().base_hits {
-        return Some(format!(
-            "base hits diverged: base-victim {} vs uncompressed {}",
-            bv.stats().base_hits,
-            unc.stats().base_hits
-        ));
-    }
-    if bv.stats().misses + bv.stats().victim_hits != unc.stats().misses {
-        return Some(format!(
-            "miss accounting diverged: base-victim misses {} + victim hits {} != uncompressed misses {}",
-            bv.stats().misses,
-            bv.stats().victim_hits,
-            unc.stats().misses
-        ));
-    }
-    if let Err(violation) = bv.check_invariants() {
-        return Some(violation);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::compress_value;
+    use bv_testkit::mirror::{run, MirrorReport};
+    use bv_trace::request::{RequestProfile, RequestStream};
 
-    fn cfg(profile: RequestProfile, seed: u64) -> LockstepConfig {
-        LockstepConfig {
-            profile,
-            seed,
-            requests: 6_000,
-            budget: 256 * 1024,
-            inject_at: None,
-        }
+    /// 6000 requests of `profile` against a 256 KiB mirror; returns the
+    /// report and the (base-victim hits, victim hits, uncompressed hits).
+    fn lockstep(
+        profile: &RequestProfile,
+        seed: u64,
+        inject_at: Option<usize>,
+    ) -> (MirrorReport<String>, (u64, u64, u64)) {
+        let mut m = KvMirror::new(256 * 1024, |key| {
+            compress_value(key, profile.value_spec(key))
+        });
+        let ops = RequestStream::new(profile.clone(), seed).take(6_000);
+        let report = run(&mut m, ops, inject_at);
+        let (unc, bv) = m.stats();
+        (report, (bv.hits(), bv.victim_hits, unc.hits()))
     }
 
     #[test]
     fn mirror_holds_on_every_preset() {
         for name in RequestProfile::NAMES {
             let profile = RequestProfile::by_name(name).expect("preset");
-            let report = run_lockstep(&cfg(profile, 77));
-            assert!(report.holds(), "{name}: {:?}", report.divergence);
-            assert!(
-                report.bv_hits >= report.unc_hits,
-                "{name}: bv {} < unc {}",
-                report.bv_hits,
-                report.unc_hits
-            );
+            let (report, (bv_hits, _, unc_hits)) = lockstep(&profile, 77, None);
+            assert!(report.passed(), "{name}: {:?}", report.divergence);
+            assert!(bv_hits >= unc_hits, "{name}: bv {bv_hits} < unc {unc_hits}");
         }
     }
 
     #[test]
     fn victim_hits_account_for_the_entire_gain() {
-        let report = run_lockstep(&cfg(RequestProfile::web(), 3));
-        assert!(report.holds());
-        assert_eq!(report.bv_hits - report.unc_hits, report.victim_hits);
+        let (report, (bv_hits, victim_hits, unc_hits)) = lockstep(&RequestProfile::web(), 3, None);
+        assert!(report.passed());
+        assert_eq!(bv_hits - unc_hits, victim_hits);
         assert!(
-            report.victim_hits > 0,
+            victim_hits > 0,
             "web traffic should exercise the victim area"
         );
     }
 
     #[test]
     fn injected_perturbation_is_detected() {
-        let mut c = cfg(RequestProfile::web(), 5);
-        c.inject_at = Some(2_000);
-        let report = run_lockstep(&c);
-        let div = report.divergence.expect("perturbation must be caught");
+        let (report, _) = lockstep(&RequestProfile::web(), 5, Some(2_000));
+        assert!(report.passed(), "perturbation must be caught");
+        let (op, detail) = report.divergence.expect("perturbation must be caught");
         // Detection is immediate: the check runs right after the inject.
-        assert_eq!(div.op_index, 2_000);
-        assert!(div.detail.contains("recency order"), "{}", div.detail);
+        assert_eq!(op, 2_000);
+        assert!(detail.contains("recency order"), "{detail}");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 
 #![warn(missing_docs)]
 
+pub mod mirror;
+
 /// One SplitMix64 step as a stateless mix: advances `x` by the golden
 /// gamma and finalizes. This is the workspace's single canonical mixing
 /// function — [`Rng`] is exactly this function iterated over an internal

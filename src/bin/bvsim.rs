@@ -39,16 +39,17 @@ use base_victim::cli::{
 use base_victim::events::{CacheEvent, EventFilter, EventKind, RingSink};
 use base_victim::fuzz as bvfuzz;
 use base_victim::kvcache::{
-    run_kv as kv_replay, run_kv_sampled, run_kv_traced, KvConfig, KvOrgKind, KvRunResult,
-    KvTelemetry, LockstepConfig,
+    compress_value, run_kv as kv_replay, run_kv_sampled, run_kv_traced, KvConfig, KvMirror,
+    KvOrgKind, KvRunResult, KvTelemetry,
 };
-use base_victim::llc::audit::{self, AuditConfig};
+use base_victim::llc::audit::{self, LlcMirror};
 use base_victim::serve::{
     client, Daemon, DoneSummary, Request, Response, ResultRow, ServeConfig, SweepGrid, TopView,
 };
 use base_victim::sim::SimTelemetry;
-use base_victim::trace::request::RequestProfile;
-use base_victim::{CacheGeometry, LlcKind, SimConfig, System, TraceRegistry};
+use base_victim::trace::request::{RequestProfile, RequestStream};
+use base_victim::{CacheGeometry, LlcKind, SimConfig, System, TraceRegistry, VictimPolicyKind};
+use bv_testkit::mirror::{self, MirrorReport};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -406,49 +407,50 @@ fn print_set_heatmap(events: &[CacheEvent], sets: usize) {
 fn run_audit(args: &TraceArgs) -> ExitCode {
     // A small LLC so the op budget exercises evictions in every set.
     let geom = CacheGeometry::new(64 * 1024, 8, 64);
-    let cfg = AuditConfig {
-        ops: args.ops,
-        seed: args.seed,
-        context: args.context,
-        inject_at: args.inject,
-        policy: args.policy,
-        ..AuditConfig::default()
-    };
     println!(
         "audit: {} ops, seed {}, {} policy, 64 KiB 8-way LLC{}",
-        cfg.ops,
-        cfg.seed,
+        args.ops,
+        args.seed,
         args.policy.name(),
-        match args.inject {
-            Some(op) => format!(", injecting a policy perturbation at op {op}"),
-            None => String::new(),
-        }
+        args.inject.map_or(String::new(), |op| format!(
+            ", injecting a policy perturbation after op {op}"
+        ))
     );
-    let report = audit::run_audit(geom, &cfg);
+    let mut llc = LlcMirror::new(
+        geom,
+        args.policy,
+        VictimPolicyKind::EcmLargestBase,
+        args.context,
+        audit::line_for,
+    );
+    let ops = audit::audit_ops(geom, args.ops, args.seed);
+    let report = mirror::run(&mut llc, ops, args.inject);
     println!(
         "audit: {} ops run, {} event(s) observed",
-        report.ops_run, report.events_seen
+        report.ops_run,
+        llc.events_seen()
     );
-    match (&report.divergence, report.injected) {
-        (Some(d), injected) => {
-            print!("{}", audit::render_divergence(d));
-            if injected {
-                println!("audit: injected fault detected, as required");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("audit: FAILED — base-victim Baseline diverged from uncompressed");
-                ExitCode::FAILURE
-            }
-        }
-        (None, true) => {
-            eprintln!("audit: FAILED — injected fault was not detected");
-            ExitCode::FAILURE
-        }
-        (None, false) => {
-            println!("audit: PASSED — Baseline contents matched the uncompressed LLC throughout");
-            ExitCode::SUCCESS
-        }
+    if let Some((op, d)) = &report.divergence {
+        print!("{}", audit::render_divergence(*op, d));
     }
+    mirror_exit(
+        "audit",
+        &report,
+        "Baseline contents matched the uncompressed LLC throughout",
+        "base-victim Baseline diverged from uncompressed",
+    )
+}
+
+/// The `--inject` exit convention both auditors share: pass when
+/// [`MirrorReport::passed`], naming which of the four outcomes it was.
+fn mirror_exit<X>(who: &str, report: &MirrorReport<X>, clean: &str, diverged: &str) -> ExitCode {
+    match (report.injected, report.passed()) {
+        (true, true) => println!("{who}: injected fault detected, as required"),
+        (false, true) => println!("{who}: PASSED — {clean}"),
+        (true, false) => eprintln!("{who}: FAILED — injected fault was not detected"),
+        (false, false) => eprintln!("{who}: FAILED — {diverged}"),
+    }
+    ExitCode::from(u8::from(!report.passed()))
 }
 
 fn run_kv(args: &KvArgs) -> ExitCode {
@@ -637,55 +639,49 @@ fn run_kv_sweep(args: &KvArgs) -> ExitCode {
 
 fn run_kv_lockstep(args: &KvArgs) -> ExitCode {
     let profile = RequestProfile::by_name(&args.dist).expect("dist validated at parse time");
-    let cfg = LockstepConfig {
-        profile,
-        seed: args.seed,
-        requests: args.requests,
-        budget: args.budget_kib * 1024,
-        inject_at: args.inject,
-    };
     println!(
         "kv lockstep: dist {}, budget {} KiB, {} requests, seed {}{}",
         args.dist,
         args.budget_kib,
         args.requests,
         args.seed,
-        match args.inject {
-            Some(op) => format!(", injecting a baseline perturbation at request {op}"),
-            None => String::new(),
-        }
+        args.inject.map_or(String::new(), |op| format!(
+            ", injecting a baseline perturbation after request {op}"
+        ))
     );
-    let report = base_victim::kvcache::run_lockstep(&cfg);
+    let mut kv = KvMirror::new(args.budget_kib * 1024, |key| {
+        compress_value(key, profile.value_spec(key))
+    });
+    let requests = || RequestStream::new(profile.clone(), args.seed);
+    let report = mirror::run(
+        &mut kv,
+        requests().take(args.requests as usize),
+        args.inject.map(|op| op as usize),
+    );
+    let (unc, bv) = kv.stats();
     println!(
         "kv lockstep: {} requests run; base-victim {} hits ({} from the victim area) \
          vs uncompressed {}",
-        report.ops, report.bv_hits, report.victim_hits, report.unc_hits
+        report.ops_run,
+        bv.hits(),
+        bv.victim_hits,
+        unc.hits()
     );
-    match (&report.divergence, args.inject.is_some()) {
-        (Some(d), injected) => {
-            println!(
-                "divergence at request {} ({:?} client {} key {}): {}",
-                d.op_index, d.request.op, d.request.client, d.request.key, d.detail
-            );
-            if injected {
-                println!("kv lockstep: injected fault detected, as required");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("kv lockstep: FAILED — baseline diverged from the uncompressed tier");
-                ExitCode::FAILURE
-            }
-        }
-        (None, true) => {
-            eprintln!("kv lockstep: FAILED — injected fault was not detected");
-            ExitCode::FAILURE
-        }
-        (None, false) => {
-            println!(
-                "kv lockstep: PASSED — baseline mirrored the uncompressed tier after every request"
-            );
-            ExitCode::SUCCESS
-        }
+    if let Some((op, detail)) = &report.divergence {
+        let req = requests()
+            .nth(*op)
+            .expect("the diverging request was replayed");
+        println!(
+            "divergence at request {op} ({:?} client {} key {}): {detail}",
+            req.op, req.client, req.key
+        );
     }
+    mirror_exit(
+        "kv lockstep",
+        &report,
+        "baseline mirrored the uncompressed tier after every request",
+        "baseline diverged from the uncompressed tier",
+    )
 }
 
 /// A current-over-baseline throughput ratio, rendered as `1.23x`, or `-`

@@ -87,8 +87,8 @@ TRACE (captures event-level cache activity from one run, or audits fidelity):
     --ops <n>           audit operation count (default: 2000)
     --seed <n>          audit op-stream seed (default: 1)
     --context <n>       divergence context events to show (default: 8)
-    --inject <op>       inject a baseline-policy perturbation at this op
-                        (self-test: the auditor must then report a
+    --inject <op>       inject a baseline-policy perturbation after this
+                        op (self-test: the auditor must then report a
                         divergence, and exits nonzero if it does not)
 
 REPORT (renders a telemetry file: per-epoch TSV plus sparkline summaries):
@@ -118,7 +118,7 @@ KV (replays server-style request traffic against the compressed kv tier):
                         tier and an uncompressed tier replay the same
                         stream and the recency state is compared after
                         every request; exits nonzero on divergence
-    --inject <op>       perturb the baseline at this request (lockstep
+    --inject <op>       perturb the baseline after this request (lockstep
                         self-test: the auditor must report divergence)
 
 FUZZ (hunts for hit-rate-guarantee violations on adversarial random workloads):

@@ -16,9 +16,10 @@
 //! compressibility from incompressible to 32x.
 
 use base_victim::kvcache::{
-    run_kv, BaseVictimKv, CompressedKv, KvConfig, KvOrgKind, UncompressedKv, ValueMeta,
+    run_kv, BaseVictimKv, CompressedKv, KvConfig, KvMirror, KvOrgKind, UncompressedKv, ValueMeta,
 };
-use base_victim::trace::request::{RequestProfile, SplitMix64};
+use base_victim::trace::request::{KvOp, KvRequest, RequestProfile, SplitMix64};
+use bv_testkit::mirror::run;
 
 const BUDGET: u64 = 64 * 1024;
 const OPS_PER_SEED: u64 = 4_000;
@@ -45,41 +46,24 @@ fn next_request(rng: &mut SplitMix64, keyspace: u64) -> (bool, u64) {
     (is_get, rng.below(bound))
 }
 
+/// The lockstep oracle checks the recency order, the hit split and the
+/// byte budget after every request.
 #[test]
 fn fuzzed_mixtures_uphold_the_baseline_mirror() {
     for seed in SEEDS {
         let mut rng = SplitMix64::new(seed);
-        let mut bv: BaseVictimKv = BaseVictimKv::new(BUDGET, bv_events::NoEventSink);
-        let mut unc: UncompressedKv = UncompressedKv::new(BUDGET, bv_events::NoEventSink);
-        for op in 0..OPS_PER_SEED {
+        let requests = (0..OPS_PER_SEED).map(|_| {
             let (is_get, key) = next_request(&mut rng, 512);
-            if is_get {
-                bv.get(key, || meta_for(key, BUDGET));
-                unc.get(key, || meta_for(key, BUDGET));
-            } else {
-                bv.put(key, || meta_for(key, BUDGET));
-                unc.put(key, || meta_for(key, BUDGET));
-            }
-            assert_eq!(
-                bv.baseline_keys_mru(),
-                unc.keys_mru(),
-                "seed {seed}: baseline recency order diverged after op {op}"
-            );
-            assert_eq!(
-                bv.stats().base_hits,
-                unc.stats().base_hits,
-                "seed {seed}: base hits diverged after op {op}"
-            );
-            assert_eq!(
-                bv.stats().misses + bv.stats().victim_hits,
-                unc.stats().misses,
-                "seed {seed}: miss accounting diverged after op {op}"
-            );
-            bv.check_invariants()
-                .unwrap_or_else(|v| panic!("seed {seed}, op {op}: {v}"));
-        }
+            let op = if is_get { KvOp::Get } else { KvOp::Put };
+            KvRequest { client: 0, op, key }
+        });
+        let mut mirror = KvMirror::new(BUDGET, |key| meta_for(key, BUDGET));
+        let report = run(&mut mirror, requests, None);
+        assert!(report.passed(), "seed {seed}: {:?}", report.divergence);
+        assert_eq!(report.ops_run, OPS_PER_SEED as usize);
+        let (unc, bv) = mirror.stats();
         assert!(
-            bv.stats().hits() >= unc.stats().hits(),
+            bv.hits() >= unc.hits(),
             "seed {seed}: base-victim lost hits vs uncompressed"
         );
     }
