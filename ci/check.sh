@@ -123,7 +123,52 @@ for corrupt in "$CORRUPT_DIR"/*.bvfuzz.json; do
         && { echo "argv smoke: corrupting $corrupt changed nothing" >&2; exit 1; }
     reject ./target/release/bvsim fuzz --replay "$corrupt"
 done
+# 200,000 nested arrays: a one-line parse error, not a stack overflow
+# (which aborts with exit 134).
+printf '%*s' 200000 '' | tr ' ' '[' >"$CORRUPT_DIR/deep.jsonl"
+reject ./target/release/bvsim report "$CORRUPT_DIR/deep.jsonl"
+DEEP_STATUS=0
+./target/release/bvsim report "$CORRUPT_DIR/deep.jsonl" >/dev/null 2>&1 || DEEP_STATUS=$?
+if [[ "$DEEP_STATUS" == 134 ]]; then
+    echo "argv smoke: bvsim report aborted (exit 134) on deep nesting" >&2
+    exit 1
+fi
 rm -rf "$CORRUPT_DIR"
+
+echo "== sweep smoke (journaled sweep, resume, SIGINT drill) =="
+# The whole suite at tiny budgets through the job engine: a resumed
+# sweep must re-simulate none of the 1980 journaled configs, and Ctrl-C
+# must leave a journal without duplicates that a resume completes.
+SWEEP_DIR=$(mktemp -d)
+sweep() {
+    BV_WARMUP=2000 BV_INSTS=4000 ./target/release/bvsim sweep --jobs 2 \
+        --journal "$SWEEP_DIR/$1" "${@:2}" 2>/dev/null
+}
+sweep full >/dev/null
+grep -q "1980 from journal, 0 simulated" <<<"$(sweep full --resume)" \
+    || { echo "sweep smoke: resume re-simulated journaled work" >&2; exit 1; }
+# Started directly, not through the function, so $! is bvsim itself.
+BV_WARMUP=2000 BV_INSTS=4000 ./target/release/bvsim sweep --jobs 2 \
+    --journal "$SWEEP_DIR/drill" >/dev/null 2>&1 &
+SWEEP_PID=$!
+for _ in $(seq 1 1000); do
+    [[ -s "$SWEEP_DIR/drill/runs.jsonl" ]] && break
+    sleep 0.01
+done
+kill -INT "$SWEEP_PID"
+SWEEP_STATUS=0
+wait "$SWEEP_PID" || SWEEP_STATUS=$?
+if [[ "$SWEEP_STATUS" != 130 ]]; then
+    echo "sweep smoke: SIGINT drill exited $SWEEP_STATUS, expected 130" >&2
+    exit 1
+fi
+if grep -o '"hash":"[0-9a-f]*"' "$SWEEP_DIR/drill/runs.jsonl" | sort | uniq -d | grep -q .; then
+    echo "sweep smoke: the interrupted sweep journaled a job twice" >&2
+    exit 1
+fi
+grep -q "sweep: 1980 checkpoints" <<<"$(sweep drill --resume)" \
+    || { echo "sweep smoke: resume after SIGINT did not complete the sweep" >&2; exit 1; }
+rm -rf "$SWEEP_DIR"
 
 echo "== serve smoke (daemon, worker kill, dedup, metrics, restart recovery) =="
 # A live bvsim-serve-v1 daemon on an ephemeral port: arm a worker crash,

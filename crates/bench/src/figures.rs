@@ -320,7 +320,7 @@ pub fn fig12(ctx: &Ctx) -> String {
 pub fn fig13(ctx: &Ctx) -> String {
     let mixes = paper_mixes(&ctx.registry);
     // Each mix's six configurations are independent of every other mix's,
-    // so mixes are fanned out across the runner's worker pool (mix runs
+    // so mixes are fanned out across the runner's worker count (mix runs
     // are not checkpointed — each is used exactly once per figure).
     let per_mix =
         bv_runner::pool::parallel_map(mixes, ctx.runner.workers(), |_worker, _idx, mix| {
@@ -833,8 +833,8 @@ pub fn future_work_camp(ctx: &Ctx) -> String {
 /// Plans every single-core job the standard experiment suite needs and
 /// submits them to the runner as one deduplicated batch. The
 /// `experiments` binary (and `bvsim sweep`) call this first so the whole
-/// suite's simulations run across the worker pool at once; the figure
-/// functions then assemble their tables from the result store.
+/// suite's simulations run across the workers at once; the figure
+/// functions then assemble their tables from the engine's results.
 pub fn plan_suite(ctx: &Ctx) -> bv_runner::ExecutionReport {
     use bv_sim::CompressorKind;
     let mut jobs = Vec::new();

@@ -15,7 +15,7 @@
 //!   multi-program mixes (defaults 500,000 / 800,000)
 //!
 //! Execution is delegated to [`bv_runner`]: each figure plans its job
-//! list up front and submits it to a shared [`Runner`], which
+//! list up front and submits it to a shared [`Runner`], whose job engine
 //! deduplicates, runs the remainder across `BV_JOBS` worker threads
 //! (default: all cores), and keeps every result for later figures.
 //! Setting `BV_JOURNAL=<dir>` additionally checkpoints each completed
@@ -68,8 +68,8 @@ pub struct Ctx {
     pub registry: TraceRegistry,
     /// Simulation budgets.
     pub budget: Budget,
-    /// The orchestrator: deduplicating planner, worker pool, result
-    /// store, and (when `BV_JOURNAL` is set) the checkpoint journal.
+    /// The job engine's in-process client: deduplicating planner,
+    /// workers, results, and (when `BV_JOURNAL` is set) the journal.
     pub runner: Runner,
     results_dir: PathBuf,
 }
@@ -137,7 +137,7 @@ impl Ctx {
         self.runner.execute(&self.registry, jobs)
     }
 
-    /// Runs (or fetches from the runner's store) one trace under one
+    /// Runs (or fetches from the runner's engine) one trace under one
     /// configuration.
     #[must_use]
     pub fn run(&self, trace: &TraceSpec, cfg: SimConfig) -> RunResult {

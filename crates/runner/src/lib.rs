@@ -1,23 +1,29 @@
-//! # bv-runner — parallel experiment orchestration
+//! # bv-runner — the job engine and experiment orchestration
 //!
 //! The paper's evaluation (Section VI) is a wide Cartesian sweep:
 //! ~100 traces crossed with LLC organizations, replacement policies, and
 //! size/associativity variants. This crate owns the machinery that makes
-//! such sweeps fast and restartable:
+//! such sweeps fast and restartable, for the in-process sweep and the
+//! serving daemon alike:
 //!
-//! * [`pool`] — a work-stealing thread pool over [`std::thread::scope`]
-//!   that spreads `(trace, config)` jobs across every core;
+//! * [`Engine`] — the one job engine: a job table with cross-ticket
+//!   dedup, a FIFO queue drained by a worker shard, claim tokens, a
+//!   monitor that re-queues a crashed or hung job and respawns its
+//!   worker, tickets, journal appends, spans and live metrics. It has no
+//!   transport: `bv-serve` puts TCP and HTTP in front of it;
+//! * [`Runner`] — the in-process client: it deduplicates a job set,
+//!   submits it as one ticket, and waits on it with a progress line and
+//!   a Ctrl-C cancel;
 //! * [`JobSpec`] — the unit of work, with a stable content-derived hash
 //!   ([`JobSpec::stable_hash`]) that names its checkpoint;
 //! * [`Journal`] — the on-disk checkpoint store (one JSON record per
 //!   completed run, written atomically from worker threads) plus a JSONL
-//!   observability stream and live progress line;
-//! * [`Runner`] — the orchestrator tying those together: deduplicating
-//!   job planning, journal-backed resume, and a thread-safe result store
-//!   the reporting layer reads back;
-//! * [`SpanLog`] + [`chrome_trace_json`] — opt-in per-job wall-clock
-//!   spans ([`Runner::with_spans`]) exported in the Chrome trace-event
-//!   format for Perfetto (`bvsim sweep --spans`).
+//!   observability stream;
+//! * [`Span`] + [`chrome_trace_json`] — per-job wall-clock spans,
+//!   always recorded by the engine and exported in the Chrome
+//!   trace-event format for Perfetto (`bvsim sweep --spans`);
+//! * [`pool::parallel_map`] — an order-preserving parallel map for work
+//!   that is not a journaled job (multi-program mixes, kv sweeps).
 //!
 //! ## Determinism
 //!
@@ -51,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod engine;
 mod job;
 mod journal;
 pub mod pool;
@@ -59,7 +66,8 @@ mod spans;
 
 pub use bv_telemetry::json;
 
+pub use engine::{DoneSummary, Engine, EngineConfig, ResultRow, StatusInfo, Submission};
 pub use job::{fnv1a, JobSpec};
 pub use journal::{JobTiming, Journal, RunsRecovery};
 pub use runner::{ExecutionReport, Runner};
-pub use spans::{chrome_trace_json, utilization_summary, Span, SpanLog};
+pub use spans::{chrome_trace_json, utilization_summary, Span};

@@ -1,28 +1,17 @@
-//! A work-stealing thread pool over `std::thread::scope`.
+//! An order-preserving parallel map over `std::thread::scope`, for work
+//! that is not a journaled [`JobSpec`](crate::JobSpec) — the
+//! multi-program mixes of Figure 13 and `bvsim kv --sweep`. Sweeps of
+//! `JobSpec`s run on the job [`Engine`](crate::Engine) instead.
 //!
-//! The pool is shaped by the workload it serves: experiment jobs are
-//! coarse (one full trace simulation each, milliseconds to minutes), the
-//! job set is known up front, and no job spawns further jobs. That lets
-//! the implementation stay small and obviously correct:
-//!
-//! * each worker owns a deque seeded round-robin with its share of jobs;
-//! * a worker pops from the *front* of its own deque and, once empty,
-//!   steals from the *back* of the fullest other deque;
-//! * when every deque is empty the workers simply exit — no condition
-//!   variables, because nothing produces new work.
-//!
-//! Per-pop mutex cost is nanoseconds against millisecond jobs, so plain
-//! `Mutex<VecDeque>` deques lose nothing over lock-free Chase-Lev ones
-//! while remaining `forbid(unsafe_code)`-friendly.
+//! The items are known up front and coarse, so the workers share one
+//! atomic cursor: each takes the next unclaimed index until none is
+//! left.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Applies `f` to every item on `workers` threads, returning results in
-/// input order. `f` receives `(worker_index, item_index, item)`; the
-/// worker index lets callers attribute output (e.g. a run journal's
-/// `worker` field).
+/// input order. `f` receives `(worker_index, item_index, item)`.
 ///
 /// With `workers <= 1` the items run serially on the calling thread in
 /// input order — byte-identical behavior to a plain loop, which the
@@ -30,40 +19,9 @@ use std::sync::Mutex;
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` (remaining jobs on other
-/// workers still drain their current item).
+/// Propagates a panic raised by `f` once the other workers have run
+/// the remaining items.
 pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, usize, T) -> R + Sync,
-{
-    let never = AtomicBool::new(false);
-    parallel_map_cancelable(items, workers, &never, f)
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect()
-}
-
-/// [`parallel_map`] with cooperative cancellation: workers re-check
-/// `cancel` before dequeuing each item and stop *taking new work* once
-/// it is set. In-flight items always run to completion (so their side
-/// effects — checkpoints, journal lines — are never half-done); items
-/// that were never started come back as `None`, preserving input order.
-///
-/// This is the Ctrl-C path for `bvsim sweep`: the signal handler sets
-/// the flag, the pool drains its in-flight jobs, and the journal is left
-/// resumable.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f`, as [`parallel_map`] does.
-pub fn parallel_map_cancelable<T, R, F>(
-    items: Vec<T>,
-    workers: usize,
-    cancel: &AtomicBool,
-    f: F,
-) -> Vec<Option<R>>
 where
     T: Send,
     R: Send,
@@ -71,68 +29,33 @@ where
 {
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        for (i, item) in items.into_iter().enumerate() {
-            if cancel.load(Ordering::SeqCst) {
-                out.push(None);
-            } else {
-                out.push(Some(f(0, i, item)));
-            }
-        }
-        return out;
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(0, i, item))
+            .collect();
     }
-    let workers = workers.min(n);
-
-    // Seed the deques round-robin so every worker starts with local work.
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers]
-            .lock()
-            .expect("deque")
-            .push_back((i, item));
-    }
-
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<(Option<T>, Option<R>)>> = items
+        .into_iter()
+        .map(|item| Mutex::new((Some(item), None)))
+        .collect();
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let f = &f;
+        for w in 0..workers.min(n) {
+            let (slots, cursor, f) = (&slots, &cursor, &f);
             scope.spawn(move || loop {
-                if cancel.load(Ordering::SeqCst) {
-                    break;
-                }
-                let job = pop_own(&deques[w]).or_else(|| steal(deques, w));
-                match job {
-                    Some((i, item)) => {
-                        let r = f(w, i, item);
-                        *slots[i].lock().expect("slot") = Some(r);
-                    }
-                    None => break,
-                }
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let item = slot.lock().expect("slot").0.take().expect("unclaimed item");
+                let r = f(w, i, item);
+                slot.lock().expect("slot").1 = Some(r);
             });
         }
     });
-
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("slot"))
+        .map(|s| s.into_inner().expect("slot").1.expect("every item ran"))
         .collect()
-}
-
-fn pop_own<T>(deque: &Mutex<VecDeque<T>>) -> Option<T> {
-    deque.lock().expect("deque").pop_front()
-}
-
-/// Steals from the back of the fullest foreign deque.
-fn steal<T>(deques: &[Mutex<VecDeque<T>>], thief: usize) -> Option<T> {
-    let victim = deques
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != thief)
-        .max_by_key(|(_, d)| d.lock().expect("deque").len())?;
-    victim.1.lock().expect("deque").pop_back()
 }
 
 /// The worker count to use when the caller expresses no preference: the
@@ -194,45 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn cancel_stops_new_work_but_finishes_in_flight() {
-        let cancel = AtomicBool::new(false);
-        let started = AtomicUsize::new(0);
-        let out = parallel_map_cancelable((0..64).collect(), 2, &cancel, |_, i, x: usize| {
-            started.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                // First item pulls the plug; everything already dequeued
-                // still completes, nothing new starts afterwards.
-                cancel.store(true, Ordering::SeqCst);
-            }
-            // Nonzero cost so the other worker cannot race through its
-            // whole deque before the flag lands.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x * 2
-        });
-        assert_eq!(out.len(), 64);
-        let done = out.iter().filter(|s| s.is_some()).count();
-        assert_eq!(done, started.load(Ordering::SeqCst));
-        assert!(done < 64, "cancellation must skip some items");
-        for (i, slot) in out.iter().enumerate() {
-            if let Some(v) = slot {
-                assert_eq!(*v, i * 2, "completed items keep input order");
-            }
-        }
-    }
-
-    #[test]
-    fn cancel_before_start_runs_nothing() {
-        let cancel = AtomicBool::new(true);
-        let out = parallel_map_cancelable((0..8).collect(), 4, &cancel, |_, _, x: i32| x);
-        assert!(out.iter().all(Option::is_none));
-        // The serial path honors the flag identically.
-        let out = parallel_map_cancelable((0..8).collect(), 1, &cancel, |_, _, x: i32| x);
-        assert!(out.iter().all(Option::is_none));
-    }
-
-    #[test]
     fn uneven_job_costs_complete() {
-        // Front-loads expensive jobs on one deque; stealing must drain it.
+        // Every fourth item is slow; the shared cursor must still drain all.
         let out = parallel_map((0..32).collect(), 4, |_, _, x: u64| {
             if x.is_multiple_of(4) {
                 std::thread::sleep(std::time::Duration::from_millis(5));

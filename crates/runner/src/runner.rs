@@ -1,21 +1,24 @@
-//! The experiment orchestrator: plans a job set (deduplicating and
-//! consulting the checkpoint journal), executes the remainder on the
-//! work-stealing pool, and retains every result in a thread-safe store
-//! for the reporting code to read back.
+//! The in-process sweep client: deduplicates a job set, submits it to
+//! the job [`Engine`] as one ticket and waits on it. The engine queues,
+//! simulates, journals and retains every result; the runner adds only
+//! the progress line and the Ctrl-C cancel.
 
+use crate::engine::{Engine, EngineConfig};
 use crate::job::JobSpec;
-use crate::journal::{JobTiming, Journal};
-use crate::pool;
-use crate::spans::{Span, SpanLog};
-use bv_sim::{RunResult, SimTelemetry, System};
-use bv_trace::synth::WorkloadSpec;
+use crate::journal::Journal;
+use crate::spans::Span;
+use bv_sim::RunResult;
 use bv_trace::TraceRegistry;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Re-queues a sweep job gets after a worker crash (the daemon's
+/// default `--retries`).
+const RETRIES: u32 = 3;
 
 /// What one `execute` call did, for progress reporting and for the
 /// resume tests ("a resumed sweep re-simulates zero journaled configs").
@@ -25,7 +28,7 @@ pub struct ExecutionReport {
     pub requested: usize,
     /// Distinct configurations after deduplication.
     pub unique: usize,
-    /// Served from the in-memory store (earlier figures this process).
+    /// Served from the engine's results (earlier batches this process).
     pub from_memory: usize,
     /// Served from on-disk checkpoints (a previous, interrupted sweep).
     pub from_journal: usize,
@@ -33,23 +36,22 @@ pub struct ExecutionReport {
     pub simulated: usize,
     /// Scheduled but never started because the cancel flag
     /// ([`Runner::with_cancel`]) was raised mid-sweep. These jobs are
-    /// absent from the store and journal; a `--resume` rerun picks them
-    /// up.
+    /// absent from the results and the journal; a `--resume` rerun
+    /// picks them up.
     pub canceled: usize,
+    /// Jobs whose every attempt crashed its worker: the engine gave up
+    /// on them after its retries, and they have no result.
+    pub failed: usize,
 }
 
-/// The orchestrator. One `Runner` is shared by a whole experiment suite;
-/// it owns the in-memory result store, the optional on-disk journal, and
-/// the worker-count policy.
+/// The in-process client of the job engine. One `Runner` is shared by a
+/// whole experiment suite; its engine starts on first use, so the
+/// builder methods configure it.
 pub struct Runner {
-    workers: usize,
-    journal: Option<Journal>,
-    resume: bool,
+    cfg: EngineConfig,
     progress: bool,
-    telemetry: Option<(PathBuf, u64)>,
-    spans: Option<SpanLog>,
     cancel: Option<Arc<AtomicBool>>,
-    store: Mutex<HashMap<u64, RunResult>>,
+    engine: OnceLock<Engine>,
 }
 
 impl Runner {
@@ -57,14 +59,20 @@ impl Runner {
     #[must_use]
     pub fn new(workers: usize) -> Runner {
         Runner {
-            workers: workers.max(1),
-            journal: None,
-            resume: false,
+            cfg: EngineConfig {
+                workers: workers.max(1),
+                journal: None,
+                resume: false,
+                // A long sweep job is slow, not hung: only served jobs
+                // have a deadline.
+                timeout: Duration::MAX,
+                retries: RETRIES,
+                metrics: true,
+                telemetry: None,
+            },
             progress: false,
-            telemetry: None,
-            spans: None,
             cancel: None,
-            store: Mutex::new(HashMap::new()),
+            engine: OnceLock::new(),
         }
     }
 
@@ -77,11 +85,11 @@ impl Runner {
     /// Returns the I/O error if the journal directory cannot be opened.
     pub fn with_journal(
         mut self,
-        dir: impl Into<std::path::PathBuf>,
+        dir: impl Into<PathBuf>,
         resume: bool,
     ) -> std::io::Result<Runner> {
-        self.journal = Some(Journal::open(dir)?);
-        self.resume = resume;
+        self.cfg.journal = Some(Arc::new(Journal::open(dir)?));
+        self.cfg.resume = resume;
         Ok(self)
     }
 
@@ -95,8 +103,8 @@ impl Runner {
     /// Enables epoch-sampled telemetry: every *simulated* job writes a
     /// `bvsim-telemetry-v1` JSONL file named `<hash>.telemetry.jsonl`
     /// under `dir`, sampling every `epoch_insts` committed instructions.
-    /// Jobs satisfied from the store or (under resume) the journal are
-    /// not re-simulated and therefore write no telemetry.
+    /// Jobs satisfied from memory or (under resume) the journal are not
+    /// re-simulated and therefore write no telemetry.
     ///
     /// # Errors
     ///
@@ -108,34 +116,28 @@ impl Runner {
     ) -> std::io::Result<Runner> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        self.telemetry = Some((dir, epoch_insts));
+        self.cfg.telemetry = Some((dir, epoch_insts));
         Ok(self)
     }
 
-    /// Enables per-job wall-clock span recording. Each simulated job
-    /// (not store or journal hits — those cost no wall time worth a
-    /// track) contributes one [`Span`]; collect them afterwards with
-    /// [`Runner::take_spans`] and export via
+    /// Removes and returns the per-job wall-clock spans recorded so far
+    /// (one per simulated job, labeled with its trace id), ordered by
+    /// start time; export them with
     /// [`chrome_trace_json`](crate::chrome_trace_json)
     /// (`bvsim sweep --spans`).
     #[must_use]
-    pub fn with_spans(mut self) -> Runner {
-        self.spans = Some(SpanLog::new());
-        self
-    }
-
-    /// Removes and returns the spans recorded so far, ordered by start
-    /// time. Empty when span recording is not enabled.
-    #[must_use]
     pub fn take_spans(&self) -> Vec<Span> {
-        self.spans.as_ref().map(SpanLog::take).unwrap_or_default()
+        self.engine
+            .get()
+            .map(Engine::take_spans)
+            .unwrap_or_default()
     }
 
     /// Attaches a cooperative cancel flag (the Ctrl-C path): once some
-    /// other thread — typically a signal handler — sets it, workers stop
-    /// dequeuing new jobs. In-flight jobs run to completion and are
-    /// checkpointed normally, so the journal stays resumable; jobs never
-    /// started are counted in [`ExecutionReport::canceled`].
+    /// other thread — typically a signal handler — sets it, the batch's
+    /// pending jobs are canceled. In-flight jobs run to completion and
+    /// are checkpointed normally, so the journal stays resumable; jobs
+    /// never started are counted in [`ExecutionReport::canceled`].
     #[must_use]
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Runner {
         self.cancel = Some(flag);
@@ -145,95 +147,44 @@ impl Runner {
     /// The configured worker count.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.cfg.workers
     }
 
     /// The journal, if one is attached.
     #[must_use]
     pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
+        self.cfg.journal.as_deref()
     }
 
-    /// A result already in the in-memory store.
+    /// A result the engine already holds.
     #[must_use]
     pub fn get(&self, job: &JobSpec) -> Option<RunResult> {
-        self.store
-            .lock()
-            .expect("result store")
-            .get(&job.stable_hash())
-            .cloned()
+        self.engine.get()?.result(job)
     }
 
-    /// Runs one job synchronously on the calling thread, consulting the
-    /// store and journal first — the serial path for ad-hoc lookups
-    /// outside a planned sweep. Results land in the store and journal
-    /// exactly as parallel ones do.
+    /// [`Runner::execute`] of one job, returning its result — the path
+    /// for ad-hoc lookups outside a planned sweep.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not in `registry`.
+    /// Panics if the trace is not in `registry`, or if the job failed or
+    /// was canceled.
     pub fn run_one(&self, registry: &TraceRegistry, job: &JobSpec) -> RunResult {
-        if let Some(hit) = self.get(job) {
-            return hit;
-        }
-        if self.resume {
-            if let Some(hit) = self.journal.as_ref().and_then(|j| j.load(job)) {
-                self.insert(job, hit.clone());
-                return hit;
-            }
-        }
-        let workload = registry
-            .get(&job.trace)
-            .unwrap_or_else(|| panic!("trace '{}' not in the registry", job.trace))
-            .workload
-            .clone();
-        let t = Instant::now();
-        let (result, telemetry) = self.simulate(job, &workload);
-        if let Some(log) = &self.spans {
-            log.record(&span_label(job, &result), 0, t);
-        }
-        if let Some(j) = &self.journal {
-            j.record(
-                job,
-                &result,
-                JobTiming::sim_only(t.elapsed().as_secs_f64()),
-                0,
-                None,
-                telemetry.as_deref(),
-            );
-        }
-        self.insert(job, result.clone());
-        result
+        self.execute(registry, std::slice::from_ref(job));
+        self.get(job)
+            .unwrap_or_else(|| panic!("job {} failed or was canceled", job.key()))
     }
 
-    /// Runs the simulation for one job, writing its telemetry file when
-    /// sampling is enabled. Returns the result and the telemetry path
-    /// that was actually written.
-    fn simulate(&self, job: &JobSpec, workload: &WorkloadSpec) -> (RunResult, Option<PathBuf>) {
-        let system = System::new(job.cfg);
-        let Some((dir, epoch_insts)) = &self.telemetry else {
-            let result = system.run_with_warmup(workload, job.warmup, job.insts);
-            return (result, None);
-        };
-        let mut tel = SimTelemetry::new(*epoch_insts)
-            .with_meta("trace", &job.trace)
-            .with_meta("key", &job.key());
-        let result = system.run_sampled(workload, job.warmup, job.insts, &mut tel);
-        let tel = tel.with_meta("llc", result.llc_name);
-        let path = dir.join(format!("{:016x}.telemetry.jsonl", job.stable_hash()));
-        if let Err(e) = std::fs::write(&path, tel.into_report().to_jsonl()) {
-            // Like a lost checkpoint, a lost telemetry file does not
-            // fail the sweep.
-            eprintln!("telemetry: failed to write {}: {e}", path.display());
-            return (result, None);
-        }
-        (result, Some(path))
+    fn engine(&self) -> &Engine {
+        self.engine.get_or_init(|| Engine::start(self.cfg.clone()))
     }
 
-    /// Plans and executes a batch: deduplicates, satisfies what it can
-    /// from the store and (under resume) the journal, then simulates the
-    /// rest across the worker pool. Afterwards every submitted job's
-    /// result is available via [`Runner::get`].
+    /// Plans and executes a batch: deduplicates, takes what the engine
+    /// already holds, then submits the rest as one ticket (served from
+    /// the journal under resume, else simulated across the workers) and
+    /// waits for it to settle. Afterwards every submitted job's result
+    /// is available via [`Runner::get`], and every simulated job is in
+    /// the journal.
     ///
     /// # Panics
     ///
@@ -243,112 +194,70 @@ impl Runner {
             requested: jobs.len(),
             ..ExecutionReport::default()
         };
-
         // Deduplicate while preserving first-seen order, so equal-budget
         // sweeps schedule identically whether or not callers repeat jobs.
-        let mut seen = HashMap::new();
-        let mut to_run: Vec<JobSpec> = Vec::new();
+        // Workloads resolve up front so a missing trace fails before any
+        // simulation time is spent.
+        let mut seen = HashSet::new();
+        let mut batch = Vec::new();
         for job in jobs {
-            let hash = job.stable_hash();
-            if seen.insert(hash, ()).is_some() {
+            if !seen.insert(job.stable_hash()) {
                 continue;
             }
             report.unique += 1;
             if self.get(job).is_some() {
                 report.from_memory += 1;
-            } else if self.resume
-                && self
-                    .journal
-                    .as_ref()
-                    .and_then(|j| j.load(job))
-                    .map(|hit| self.insert(job, hit))
-                    .is_some()
-            {
-                report.from_journal += 1;
-            } else {
-                to_run.push(job.clone());
+                continue;
             }
+            let spec = registry
+                .get(&job.trace)
+                .unwrap_or_else(|| panic!("trace '{}' not in the registry", job.trace));
+            batch.push((job.clone(), spec.workload.clone()));
         }
-        if to_run.is_empty() {
+        if batch.is_empty() {
             return report;
         }
-
-        // Resolve workloads up front so missing traces fail before any
-        // simulation time is spent.
-        let resolved: Vec<(JobSpec, bv_trace::synth::WorkloadSpec)> = to_run
-            .into_iter()
-            .map(|job| {
-                let spec = registry
-                    .get(&job.trace)
-                    .unwrap_or_else(|| panic!("trace '{}' not in the registry", job.trace));
-                let workload = spec.workload.clone();
-                (job, workload)
-            })
-            .collect();
-
-        let total = resolved.len();
-        let done = AtomicUsize::new(0);
+        let engine = self.engine();
+        let ticket = engine
+            .submit(batch)
+            .expect("the runner's engine takes submissions until it is dropped");
         let t0 = Instant::now();
-        let never = AtomicBool::new(false);
-        let cancel: &AtomicBool = self.cancel.as_deref().unwrap_or(&never);
-        let results = pool::parallel_map_cancelable(
-            resolved,
-            self.workers,
-            cancel,
-            |worker, _, (job, workload)| {
-                let t = Instant::now();
-                let (result, telemetry) = self.simulate(&job, &workload);
-                let wall = t.elapsed().as_secs_f64();
-                if let Some(log) = &self.spans {
-                    log.record(&span_label(&job, &result), worker, t);
-                }
-                if let Some(j) = &self.journal {
-                    j.record(
-                        &job,
-                        &result,
-                        JobTiming::sim_only(wall),
-                        worker,
-                        None,
-                        telemetry.as_deref(),
-                    );
-                }
-                // Store immediately (not after the batch) so a panic or kill
-                // elsewhere loses as little completed work as possible.
-                self.insert(&job, result.clone());
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let (mut cursor, mut finished) = (0, 0);
+        let mut cancel = self.cancel.as_deref();
+        let done = loop {
+            if cancel.is_some_and(|f| f.load(Ordering::SeqCst)) {
+                let _ = engine.cancel(ticket.ticket);
+                cancel = None;
+            }
+            let (rows, done) = engine
+                .next(ticket.ticket, cursor, true)
+                .expect("the runner's own ticket");
+            cursor += rows.len();
+            for row in rows.iter().filter(|r| r.source == "simulated") {
+                finished += 1;
                 if self.progress {
-                    progress_line(finished, total, t0.elapsed(), &job.trace);
+                    progress_line(finished, ticket.fresh as usize, t0.elapsed(), &row.trace);
                 }
-                (job, result)
-            },
-        );
-        if self.progress {
+            }
+            if let Some(done) = done {
+                break done;
+            }
+        };
+        if self.progress && finished > 0 {
             eprintln!();
         }
-        debug_assert_eq!(results.len(), total);
-        report.simulated = results.iter().filter(|slot| slot.is_some()).count();
-        report.canceled = total - report.simulated;
+        report.from_journal = done.journaled as usize;
+        report.simulated = done.simulated as usize;
+        report.failed = done.failed as usize;
+        report.canceled = (done.jobs - done.journaled - done.simulated - done.failed) as usize;
         report
     }
-
-    fn insert(&self, job: &JobSpec, result: RunResult) {
-        self.store
-            .lock()
-            .expect("result store")
-            .insert(job.stable_hash(), result);
-    }
-}
-
-/// A span label short enough for a Perfetto track slice: the trace name
-/// plus the organization that ran.
-fn span_label(job: &JobSpec, result: &RunResult) -> String {
-    format!("{} {}", job.trace, result.llc_name)
 }
 
 fn progress_line(done: usize, total: usize, elapsed: Duration, last_trace: &str) {
     let secs = elapsed.as_secs_f64();
     let rate = done as f64 / secs.max(1e-9);
-    let eta = (total - done) as f64 / rate.max(1e-9);
+    let eta = total.saturating_sub(done) as f64 / rate.max(1e-9);
     let mut err = std::io::stderr().lock();
     let _ = write!(
         err,
@@ -394,5 +303,27 @@ mod tests {
         parallel.execute(&registry, std::slice::from_ref(&job));
         let b = parallel.get(&job).expect("executed");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_job_that_exhausts_its_retries_is_counted_as_failed() {
+        let registry = TraceRegistry::paper_default();
+        let trace = registry.all().next().expect("trace").name.clone();
+        let runner = Runner::new(1);
+        let engine = runner.engine.get_or_init(|| {
+            Engine::start(EngineConfig {
+                retries: 0,
+                ..runner.cfg.clone()
+            })
+        });
+        engine.kill_worker(0).expect("worker 0 is alive");
+        let job = tiny_job(&trace, LlcKind::Uncompressed);
+        let report = runner.execute(&registry, std::slice::from_ref(&job));
+        assert_eq!(
+            (report.failed, report.simulated, report.canceled),
+            (1, 0, 0)
+        );
+        assert!(runner.get(&job).is_none());
+        assert_eq!(engine.status().crashes, 1);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A sweep's wall-clock behavior — worker imbalance, one straggler trace
 //! serializing the tail, checkpoint hits collapsing a re-run — is
-//! invisible in `runs.jsonl` aggregates. When enabled
-//! ([`crate::Runner::with_spans`]), each worker records one [`Span`] per
-//! simulated job; [`chrome_trace_json`] renders them in the Chrome
+//! invisible in `runs.jsonl` aggregates. The job [`Engine`](crate::Engine)
+//! records one [`Span`] per simulated job, labeled with the job's
+//! `[trace_id]`; [`chrome_trace_json`] renders them in the Chrome
 //! trace-event format (the `{"traceEvents":[...]}` object form), which
 //! loads directly in Perfetto / `chrome://tracing` with one track per
 //! worker.
@@ -42,21 +42,15 @@ impl Span {
 
 /// A thread-safe span accumulator with a fixed time origin.
 #[derive(Debug)]
-pub struct SpanLog {
+pub(crate) struct SpanLog {
     t0: Instant,
     spans: Mutex<Vec<Span>>,
-}
-
-impl Default for SpanLog {
-    fn default() -> SpanLog {
-        SpanLog::new()
-    }
 }
 
 impl SpanLog {
     /// An empty log whose time origin is now.
     #[must_use]
-    pub fn new() -> SpanLog {
+    pub(crate) fn new() -> SpanLog {
         SpanLog {
             t0: Instant::now(),
             spans: Mutex::new(Vec::new()),
@@ -64,7 +58,7 @@ impl SpanLog {
     }
 
     /// Records a span that started at `start` and just ended.
-    pub fn record(&self, label: &str, worker: usize, start: Instant) {
+    pub(crate) fn record(&self, label: &str, worker: usize, start: Instant) {
         let end = Instant::now();
         let span = Span {
             label: label.to_string(),
@@ -77,22 +71,10 @@ impl SpanLog {
 
     /// Removes and returns every recorded span, ordered by start time.
     #[must_use]
-    pub fn take(&self) -> Vec<Span> {
+    pub(crate) fn take(&self) -> Vec<Span> {
         let mut spans = std::mem::take(&mut *self.spans.lock().expect("span log"));
         spans.sort_by_key(|s| s.start_us);
         spans
-    }
-
-    /// Recorded span count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("span log").len()
-    }
-
-    /// Whether nothing is recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -198,10 +180,9 @@ mod tests {
         let t = Instant::now();
         log.record("b", 1, t);
         log.record("a", 0, t);
-        assert_eq!(log.len(), 2);
         let spans = log.take();
         assert_eq!(spans.len(), 2);
-        assert!(log.is_empty());
+        assert!(log.take().is_empty());
         assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
     }
 

@@ -1,45 +1,28 @@
 //! # bv-serve — a multi-tenant sweep-serving daemon
 //!
-//! Every sweep in this repo used to be one process per invocation; this
-//! crate turns the bv-runner machinery — job planning, the checkpoint
-//! journal, the `runs.jsonl` observability stream — into a long-running
-//! *service*. A daemon (`bvsim serve`) listens on a TCP socket, accepts
-//! sweep submissions from any number of concurrent clients, and shards
-//! the resulting jobs across a pool of worker threads:
+//! A daemon (`bvsim serve`) puts the job engine ([`bv_runner::Engine`])
+//! behind a TCP socket: any number of concurrent clients submit sweeps,
+//! and the engine's worker shard runs them. The engine supplies
+//! cross-client dedup (two overlapping grids simulate each
+//! configuration once and both tickets stream it), crash recovery (a
+//! worker dying mid-job is detected, its job re-queued with backoff and
+//! the worker replaced), journal-backed restart, trace ids and job-path
+//! metrics. This crate adds the transport:
 //!
 //! * **Protocol** ([`proto`]) — `bvsim-serve-v1`, line-delimited JSON
-//!   over TCP (one request per connection), built on the same hand-rolled
-//!   JSON as the telemetry sink. Requests: submit-sweep, status,
-//!   stream-results, cancel, kill-worker (a test hook), metrics,
-//!   shutdown.
-//! * **Cross-client dedup** ([`daemon`]) — jobs are keyed by
-//!   [`bv_runner::JobSpec::stable_hash`]; two clients submitting
-//!   overlapping grids simulate each configuration once, and both
-//!   tickets stream its result.
-//! * **Crash recovery** — per-job atomic checkpoints through
-//!   [`bv_runner::Journal`]; a worker thread dying mid-job is detected
-//!   by a monitor thread, its claimed job is re-queued with bounded
-//!   backoff retry, and a replacement worker is spawned. Restarting the
-//!   whole daemon against the same journal re-simulates nothing already
-//!   checkpointed.
-//! * **Streaming** — results flow back to clients incrementally as
-//!   `runs.jsonl`-shaped lines, in completion order, as soon as each job
-//!   finishes.
+//!   over TCP (one request per connection, at most 1 MiB per line),
+//!   built on the same hand-rolled JSON as the telemetry sink. Requests:
+//!   submit-sweep, status, stream-results, cancel, kill-worker (a test
+//!   hook), metrics, shutdown.
+//! * **Streaming** ([`daemon`]) — results flow back to clients
+//!   incrementally as `runs.jsonl`-shaped lines, in completion order, as
+//!   soon as each job finishes.
 //! * **Client mode** ([`client`]) — blocking helpers behind
 //!   `bvsim submit` / `bvsim watch` / `bvsim ctl` / `bvsim top`.
-//! * **Observability** — a [`bv_metrics::Registry`] threaded through the
-//!   daemon records queue depth, per-worker utilization, job latency
-//!   split into queue-wait/sim/journal phases, crash/retry/timeout
-//!   counters, and per-tenant request rates. Scrape it as a protocol
-//!   `metrics` snapshot (what `bvsim top` renders) or as Prometheus
-//!   text exposition over plain HTTP (`bvsim serve --metrics-port`).
-//!   Every job carries a trace id minted at submit that flows through
-//!   its result rows, `runs.jsonl` line, and worker span.
-//!
-//! The daemon holds no global run lock while simulating: workers only
-//! take the state mutex to claim a job and to publish its completion, so
-//! the service stays responsive to status and submit requests while a
-//! sweep is in flight.
+//! * **Observability** — the engine's metric registry plus per-tenant
+//!   request counters, scraped as a protocol `metrics` snapshot (what
+//!   `bvsim top` renders) or as Prometheus text exposition over plain
+//!   HTTP (`bvsim serve --metrics-port`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

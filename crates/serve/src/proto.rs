@@ -16,6 +16,7 @@ use bv_cache::PolicyKind;
 use bv_metrics::{HistogramSnapshot, MetricKey, Snapshot};
 use bv_runner::json::{self, ArrWriter, ObjWriter, Value};
 use bv_runner::JobSpec;
+pub use bv_runner::{DoneSummary, ResultRow, StatusInfo};
 use bv_sim::{LlcKind, SimConfig};
 use bv_telemetry::Log2Histogram;
 
@@ -278,144 +279,25 @@ impl Request {
     }
 }
 
-/// One completed job, shaped like a `runs.jsonl` record plus the serve
-/// metadata (ticket, sequence, provenance).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResultRow {
-    /// The ticket this line belongs to.
-    pub ticket: u64,
-    /// Position within the ticket's stream (0-based, completion order).
-    pub seq: u64,
-    /// Registry trace name.
-    pub trace: String,
-    /// LLC organization name (as reported by the simulation).
-    pub llc: String,
-    /// Replacement policy name.
-    pub policy: String,
-    /// The job's 16-hex-digit stable hash (checkpoint identity).
-    pub hash: String,
-    /// Instructions per cycle.
-    pub ipc: f64,
-    /// LLC hit rate.
-    pub llc_hit_rate: f64,
-    /// Mean compression ratio.
-    pub comp_ratio: f64,
-    /// Measured instructions.
-    pub instructions: u64,
-    /// Simulation wall-clock seconds (0 for journal hits).
-    pub wall_secs: f64,
-    /// Worker that ran the job (0 for journal hits).
-    pub worker: u64,
-    /// 1-based attempt that succeeded (0 for journal hits).
-    pub attempt: u64,
-    /// `"simulated"` or `"journal"`.
-    pub source: String,
-    /// The daemon's per-job correlation id. Stamped at submit, it
-    /// follows the job through claim, simulation, the `runs.jsonl`
-    /// journal line, and the span export, so one id joins all four.
-    pub trace_id: String,
-}
-
-impl ResultRow {
-    fn render_fields(&self, w: &mut ObjWriter) {
-        w.u64("ticket", self.ticket)
-            .u64("seq", self.seq)
-            .str("trace", &self.trace)
-            .str("llc", &self.llc)
-            .str("policy", &self.policy)
-            .str("hash", &self.hash)
-            .f64("ipc", self.ipc)
-            .f64("llc_hit_rate", self.llc_hit_rate)
-            .f64("comp_ratio", self.comp_ratio)
-            .u64("instructions", self.instructions)
-            .f64("wall_secs", self.wall_secs)
-            .u64("worker", self.worker)
-            .u64("attempt", self.attempt)
-            .str("source", &self.source)
-            .str("trace_id", &self.trace_id);
-    }
-
-    /// Renders the row as a bare JSON object line — no protocol
-    /// envelope — shaped like the journal's `runs.jsonl` rows, so
-    /// client-side `--out` files feed the same downstream consumers.
-    #[must_use]
-    pub fn to_jsonl_line(&self) -> String {
-        let mut w = ObjWriter::new();
-        self.render_fields(&mut w);
-        w.finish()
-    }
-
-    fn decode(v: &Value) -> Result<ResultRow, String> {
-        Ok(ResultRow {
-            ticket: field_u64(v, "ticket")?,
-            seq: field_u64(v, "seq")?,
-            trace: field_str(v, "trace")?,
-            llc: field_str(v, "llc")?,
-            policy: field_str(v, "policy")?,
-            hash: field_str(v, "hash")?,
-            ipc: field_f64(v, "ipc")?,
-            llc_hit_rate: field_f64(v, "llc_hit_rate")?,
-            comp_ratio: field_f64(v, "comp_ratio")?,
-            instructions: field_u64(v, "instructions")?,
-            wall_secs: field_f64(v, "wall_secs")?,
-            worker: field_u64(v, "worker")?,
-            attempt: field_u64(v, "attempt")?,
-            source: field_str(v, "source")?,
-            trace_id: field_str(v, "trace_id")?,
-        })
-    }
-}
-
-/// The terminal line of a ticket's result stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DoneSummary {
-    /// The ticket that finished.
-    pub ticket: u64,
-    /// Unique jobs the ticket planned.
-    pub jobs: u64,
-    /// Jobs this daemon simulated fresh for the ticket.
-    pub simulated: u64,
-    /// Jobs satisfied from on-disk checkpoints at submit time.
-    pub journaled: u64,
-    /// Jobs merged with another ticket's identical pending/running work.
-    pub merged: u64,
-    /// Jobs that exhausted their retries.
-    pub failed: u64,
-    /// The ticket was canceled before completing.
-    pub canceled: bool,
-}
-
-/// Daemon-wide counters for `status`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatusInfo {
-    /// Worker slots ever started (replacements included).
-    pub workers: u64,
-    /// Worker slots currently alive.
-    pub alive: u64,
-    /// Jobs waiting in the queue (including backoff).
-    pub pending: u64,
-    /// Jobs claimed by a worker right now.
-    pub running: u64,
-    /// Jobs in the terminal done state.
-    pub done: u64,
-    /// Jobs in the terminal failed state.
-    pub failed: u64,
-    /// Tickets ever issued.
-    pub tickets: u64,
-    /// Worker threads that died and were replaced.
-    pub crashes: u64,
-    /// Job re-queues (after a crash or timeout).
-    pub retries: u64,
-    /// Jobs completed per worker slot, for utilization reporting.
-    pub per_worker_done: Vec<u64>,
-    /// p50 end-to-end job latency (queue wait + simulation) in ms,
-    /// from the live `job_total_ms` histogram; 0 when no job has
-    /// completed yet or metrics are disabled.
-    pub p50_ms: u64,
-    /// p95 end-to-end job latency in ms (see `p50_ms`).
-    pub p95_ms: u64,
-    /// p99 end-to-end job latency in ms (see `p50_ms`).
-    pub p99_ms: u64,
+/// Decodes the fields of a `result` line into a row.
+fn decode_row(v: &Value) -> Result<ResultRow, String> {
+    Ok(ResultRow {
+        ticket: field_u64(v, "ticket")?,
+        seq: field_u64(v, "seq")?,
+        trace: field_str(v, "trace")?,
+        llc: field_str(v, "llc")?,
+        policy: field_str(v, "policy")?,
+        hash: field_str(v, "hash")?,
+        ipc: field_f64(v, "ipc")?,
+        llc_hit_rate: field_f64(v, "llc_hit_rate")?,
+        comp_ratio: field_f64(v, "comp_ratio")?,
+        instructions: field_u64(v, "instructions")?,
+        wall_secs: field_f64(v, "wall_secs")?,
+        worker: field_u64(v, "worker")?,
+        attempt: field_u64(v, "attempt")?,
+        source: field_str(v, "source")?,
+        trace_id: field_str(v, "trace_id")?,
+    })
 }
 
 /// A daemon-to-client response line.
@@ -477,7 +359,7 @@ impl Response {
             }
             Response::Result(row) => {
                 w.str("kind", "result");
-                row.render_fields(&mut w);
+                row.write_fields(&mut w);
             }
             Response::Done(d) => {
                 w.str("kind", "done")
@@ -536,7 +418,7 @@ impl Response {
                 journaled: field_u64(&v, "journaled")?,
                 merged: field_u64(&v, "merged")?,
             }),
-            "result" => Ok(Response::Result(ResultRow::decode(&v)?)),
+            "result" => Ok(Response::Result(decode_row(&v)?)),
             "done" => Ok(Response::Done(DoneSummary {
                 ticket: field_u64(&v, "ticket")?,
                 jobs: field_u64(&v, "jobs")?,

@@ -413,3 +413,55 @@ fn cancel_drops_pending_jobs_and_done_reports_it() {
     daemon.wait().expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Sends raw bytes as one request, half-closes, and reads the reply.
+fn raw_request(addr: &str, bytes: &[u8]) -> Response {
+    use std::io::{BufRead as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(bytes).expect("send frame");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut line = String::new();
+    std::io::BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("read reply");
+    Response::parse_line(&line).expect("a protocol line")
+}
+
+#[test]
+fn hostile_frames_get_errors_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("frames");
+    let daemon = start(dir.join("journal"), 2);
+    let addr = daemon.addr().to_string();
+
+    // A status request whose extra field opens 200,000 arrays.
+    let nested = format!(
+        "{{\"v\":\"bvsim-serve-v1\",\"kind\":\"status\",\"x\":{}}}\n",
+        "[".repeat(200_000)
+    );
+    match raw_request(&addr, nested.as_bytes()) {
+        Response::Error { error } => {
+            assert!(error.starts_with("nesting deeper than 128"), "{error}")
+        }
+        other => panic!("deep nesting accepted: {other:?}"),
+    }
+    // A 2 MiB line with no newline.
+    match raw_request(&addr, &vec![b'x'; 2 << 20]) {
+        Response::Error { error } => assert_eq!(error, "frame longer than 1048576 bytes"),
+        other => panic!("oversized frame accepted: {other:?}"),
+    }
+
+    // The daemon still serves a sweep, and no worker died.
+    let outcome = client::submit(&addr, &tiny_grid(trace_names(1)), true, |_| {}).expect("submit");
+    assert_eq!(outcome.done.expect("streamed").simulated, 2);
+    assert_eq!(
+        client::metrics(&addr)
+            .expect("metrics")
+            .counter("worker_crashes_total"),
+        0
+    );
+    shutdown(&addr);
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -201,11 +201,17 @@ impl ArrWriter {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. No format this
+/// repo writes nests deeper than 4; the cap bounds the parser's memory
+/// on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or
+/// `nesting deeper than 128 at offset N` past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
@@ -232,18 +238,93 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
+/// Parses the value at `pos`. Open arrays and objects are kept on an
+/// explicit stack, not the call stack, so no input can overflow the
+/// thread's stack; an input that opens more than [`MAX_DEPTH`] of them
+/// is rejected.
 fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
+    // Each open container, with the key its next value goes under.
+    let mut stack: Vec<(Value, String)> = Vec::new();
+    loop {
+        skip_ws(b, pos);
+        let mut value = match b.get(*pos) {
+            Some(b'[' | b'{') if stack.len() == MAX_DEPTH => {
+                return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+            }
+            Some(&c @ (b'[' | b'{')) => {
+                let (container, closer) = if c == b'[' {
+                    (Value::Arr(Vec::new()), b']')
+                } else {
+                    (Value::Obj(BTreeMap::new()), b'}')
+                };
+                *pos += 1;
+                skip_ws(b, pos);
+                if b.get(*pos) == Some(&closer) {
+                    *pos += 1;
+                    container
+                } else {
+                    let key = if c == b'{' {
+                        parse_key(b, pos)?
+                    } else {
+                        String::new()
+                    };
+                    stack.push((container, key));
+                    continue;
+                }
+            }
+            None => return Err("unexpected end of input".into()),
+            Some(b'"') => Value::Str(parse_string(b, pos)?),
+            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true))?,
+            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false))?,
+            Some(b'n') => parse_lit(b, pos, "null", Value::Null)?,
+            Some(_) => parse_num(b, pos)?,
+        };
+        // Fold the finished value into its container, closing every
+        // container it completes.
+        loop {
+            let Some((container, key)) = stack.last_mut() else {
+                return Ok(value);
+            };
+            let closer = match container {
+                Value::Arr(items) => {
+                    items.push(value);
+                    b']'
+                }
+                Value::Obj(map) => {
+                    map.insert(std::mem::take(key), value);
+                    b'}'
+                }
+                _ => unreachable!("only containers are stacked"),
+            };
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b',') => {
+                    *pos += 1;
+                    if closer == b'}' {
+                        *key = parse_key(b, pos)?;
+                    }
+                    break;
+                }
+                Some(&c) if c == closer => *pos += 1,
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at offset {pos}",
+                        closer as char
+                    ))
+                }
+            }
+            value = stack.pop().expect("an open container").0;
+        }
     }
+}
+
+/// Consumes an object key and its colon.
+fn parse_key(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    skip_ws(b, pos);
+    let key = parse_string(b, pos)?;
+    skip_ws(b, pos);
+    expect(b, pos, b':')?;
+    Ok(key)
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
@@ -316,55 +397,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(out));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'{')?;
-    let mut out = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        out.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(out));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +461,37 @@ mod tests {
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let deep = format!("{{\"a\":{}}}", nested(MAX_DEPTH - 1));
+        assert!(parse(&deep).is_ok(), "objects count toward the depth");
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 at offset 128".to_string())
+        );
+        let deep = format!("{{\"a\":{}}}", nested(MAX_DEPTH));
+        assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_small_stack() {
+        let text = "[".repeat(200_000);
+        let result = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || parse(&text))
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow a 64 KiB stack");
+        assert!(result
+            .expect_err("unterminated")
+            .starts_with("nesting deeper than 128"));
     }
 
     #[test]

@@ -195,37 +195,22 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
     let workers = args
         .jobs
         .unwrap_or_else(base_victim::runner::pool::default_workers);
-    let runner =
-        match base_victim::runner::Runner::new(workers).with_journal(&args.journal, args.resume) {
-            Ok(r) => r.with_progress(true),
-            Err(e) => {
-                return fail(format_args!(
-                    "cannot open journal {}: {e}",
-                    args.journal.display()
-                ))
-            }
-        };
-    let runner = match &args.telemetry_dir {
-        Some(dir) => match runner.with_telemetry(dir, args.epoch) {
-            Ok(r) => r,
-            Err(e) => {
-                return fail(format_args!(
-                    "cannot create telemetry dir {}: {e}",
-                    dir.display()
-                ))
-            }
-        },
-        None => runner,
-    };
-    let runner = if args.spans.is_some() {
-        runner.with_spans()
-    } else {
-        runner
+    let runner = base_victim::runner::Runner::new(workers)
+        .with_journal(&args.journal, args.resume)
+        .map_err(|e| format!("cannot open journal {}: {e}", args.journal.display()));
+    let runner = match (runner, &args.telemetry_dir) {
+        (Ok(r), Some(dir)) => r
+            .with_telemetry(dir, args.epoch)
+            .map_err(|e| format!("cannot create telemetry dir {}: {e}", dir.display())),
+        (runner, _) => runner,
     };
     // Ctrl-C checkpoints in-flight state and leaves a resumable journal
     // instead of killing the process mid-write.
     let interrupted = sigint::install();
-    let runner = runner.with_cancel(std::sync::Arc::clone(&interrupted));
+    let runner = match runner {
+        Ok(r) => r.with_progress(true).with_cancel(interrupted),
+        Err(e) => return fail(e),
+    };
     let ctx = base_victim::bench::Ctx::with_runner(runner);
     println!(
         "sweep: {} worker(s), journal {}{}, warmup {} + measure {} instructions per run",
@@ -249,6 +234,7 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
     if report.canceled > 0 {
         println!("sweep: {} job(s) skipped after Ctrl-C", report.canceled);
     }
+
     if let Some(journal) = ctx.runner.journal() {
         println!(
             "sweep: {} checkpoints under {} (runs.jsonl has one line per completed job)",
@@ -276,6 +262,10 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
         );
         // The conventional exit status for death-by-SIGINT.
         return ExitCode::from(130);
+    }
+    if report.failed > 0 {
+        // Each failed job is named on an `engine: job ... failed` line.
+        return fail(format_args!("{} sweep job(s) failed", report.failed));
     }
     ExitCode::SUCCESS
 }
