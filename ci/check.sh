@@ -106,9 +106,11 @@ reject() {
     fi
 }
 # An LLC geometry no set engine can build, an --inject that never fires,
+# a kv budget whose byte count overflows (it used to wrap to 0 bytes),
 # and an unknown experiment name.
 reject ./target/release/bvsim --trace specint.mcf.07 --ways 0
 reject ./target/release/bvsim trace --audit --ops 10 --inject 100
+reject ./target/release/bvsim kv --budget-kib 18014398509481984
 reject ./target/release/experiments nosuchfigure
 # Corrupted reproducers (a non-ASCII op token, an unbuildable geometry)
 # are rejected at load. They live in a temp dir: every file under

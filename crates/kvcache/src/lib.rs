@@ -9,22 +9,24 @@
 //! instead of sets and ways, and `GET`/`PUT` request traffic instead of
 //! a memory trace.
 //!
-//! Three organizations share one slab-backed [`LruMap`]:
+//! One tier type, [`KvCache`], runs three organizations over the
+//! slab-backed [`LruMap`]; its [`KvOrgKind`] is a data field that picks
+//! the baseline area's charge and whether a victim area runs:
 //!
-//! * [`UncompressedKv`] — the baseline: plain LRU charged at logical
-//!   bytes.
-//! * [`CompressedKv`] — naive always-compress: LRU charged at
+//! * [`KvOrgKind::Uncompressed`] — the baseline: plain LRU charged at
+//!   logical bytes.
+//! * [`KvOrgKind::Compressed`] — naive always-compress: LRU charged at
 //!   BDI-compressed bytes. Holds more, but its decisions diverge from
 //!   the baseline, so adversarial mixtures can make it *lose* — the
 //!   software analogue of the two-tag pollution problem.
-//! * [`BaseVictimKv`] — decisions charged at logical bytes (an exact
-//!   mirror of the uncompressed tier), values stored compressed, and
-//!   the slack runs an opportunistic victim area. Structurally
+//! * [`KvOrgKind::BaseVictim`] — decisions charged at logical bytes
+//!   (the uncompressed tier's own code path), values stored compressed,
+//!   and the slack runs an opportunistic victim area. Structurally
 //!   guaranteed to never hit less than the uncompressed tier.
 //!
 //! The guarantee is not just argued — [`KvMirror`] replays a
-//! [`BaseVictimKv`] and an [`UncompressedKv`] side by side and compares
-//! the full recency-ordered baseline key list after **every** request,
+//! base-victim and an uncompressed tier side by side and compares the
+//! full recency-ordered baseline key list after **every** request,
 //! pinpointing the first divergence if one ever appears.
 //!
 //! Values are never materialized: [`compress_value`] synthesizes each
@@ -48,10 +50,7 @@ mod value;
 
 pub use lockstep::KvMirror;
 pub use lru::LruMap;
-pub use org::{
-    BaseVictimKv, CompressedKv, KvCache, KvCacheWith, KvOccupancy, KvOrgKind, KvOutcome, KvStats,
-    UncompressedKv, KV_EVENT_BUCKETS,
-};
+pub use org::{KvCache, KvCacheWith, KvOccupancy, KvOrgKind, KvOutcome, KvStats, KV_EVENT_BUCKETS};
 pub use sim::{
     run_kv, run_kv_sampled, run_kv_traced, KvConfig, KvRunResult, KvTelemetry,
     DEFAULT_EPOCH_REQUESTS,

@@ -4,12 +4,17 @@
 //! state is bit-identical to the uncompressed tier's at every point in
 //! time — compression can only add hits, never change a decision.
 //! [`KvMirror`] is the kv tier's [`Mirror`] for the shared lockstep
-//! driver [`bv_testkit::mirror::run`]: it steps a [`BaseVictimKv`] and
-//! an [`UncompressedKv`] through the same request stream and, after
-//! **every** operation, compares the full recency-ordered key list of
-//! the base-victim baseline area against the uncompressed tier's. The
-//! first mismatch is described by the two orderings around the first
-//! differing position.
+//! driver [`bv_testkit::mirror::run`]: it builds a base-victim and an
+//! uncompressed tier through [`KvOrgKind::build`], steps both through
+//! the same request stream and, after **every** operation, compares the
+//! full recency-ordered key list of the base-victim baseline area
+//! against the uncompressed tier's. The first mismatch is described by
+//! the two orderings around the first differing position.
+//!
+//! Both tiers run one [`KvCache`] code path, so — as on the LLC side,
+//! where both Baselines sit on one set engine — the mirror guards what
+//! Base-Victim adds (the victim area, its promotions and its parking),
+//! and the goldens and unit tests guard the shared baseline path.
 //!
 //! Alongside the mirror identity the auditor checks the consequences
 //! that make it worth having:
@@ -18,15 +23,14 @@
 //!   `misses + victim_hits == uncompressed misses` — every victim hit
 //!   is a rescued miss, never a reshuffled one.
 //! * The byte-budget invariant (physical bytes `<=` budget) after every
-//!   op, via [`BaseVictimKv::check_invariants`].
+//!   op, via [`KvCache::check_invariants`].
 //!
 //! Like the LLC auditor's, [`Mirror::inject`] deliberately perturbs the
 //! baseline mid-run so tests can show the auditor actually detects
 //! divergence rather than vacuously passing.
 
-use crate::org::{BaseVictimKv, KvStats, UncompressedKv};
+use crate::org::{KvCache, KvOrgKind, KvStats};
 use crate::value::ValueMeta;
-use bv_events::NoEventSink;
 use bv_testkit::mirror::Mirror;
 use bv_trace::request::{KvOp, KvRequest};
 
@@ -34,8 +38,8 @@ use bv_trace::request::{KvOp, KvRequest};
 /// with values from `meta_for` (which must be a function of the key
 /// only, so both tiers see the same value for the same key).
 pub struct KvMirror<F> {
-    bv: BaseVictimKv,
-    unc: UncompressedKv,
+    bv: KvCache,
+    unc: KvCache,
     meta_for: F,
 }
 
@@ -44,8 +48,8 @@ impl<F: Fn(u64) -> ValueMeta> KvMirror<F> {
     #[must_use]
     pub fn new(budget: u64, meta_for: F) -> KvMirror<F> {
         KvMirror {
-            bv: BaseVictimKv::new(budget, NoEventSink),
-            unc: UncompressedKv::new(budget, NoEventSink),
+            bv: KvOrgKind::BaseVictim.build(budget),
+            unc: KvOrgKind::Uncompressed.build(budget),
             meta_for,
         }
     }
@@ -83,7 +87,7 @@ impl<F: Fn(u64) -> ValueMeta> Mirror for KvMirror<F> {
     fn check(&mut self) -> Result<(), String> {
         let (bv, unc) = (&self.bv, &self.unc);
         let expected = unc.keys_mru();
-        let got = bv.baseline_keys_mru();
+        let got = bv.keys_mru();
         if expected != got {
             return Err(describe_mismatch(&expected, &got));
         }

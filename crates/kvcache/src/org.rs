@@ -1,26 +1,31 @@
-//! The three byte-budgeted cache-tier organizations.
+//! The byte-budgeted cache tier and its three organizations.
 //!
-//! Each tier stores variable-sized values under a fixed byte budget and
-//! differs only in what it charges against that budget:
+//! One tier type, [`KvCacheWith`], stores variable-sized values under a
+//! fixed byte budget; its [`KvOrgKind`] is a data field that picks what
+//! the baseline area is charged and whether a victim area runs:
 //!
-//! * [`UncompressedKv`] — charges logical bytes; the baseline every
-//!   comparison is anchored to.
-//! * [`CompressedKv`] — naive always-compress: charges BDI-compressed
-//!   bytes, so it holds more entries but its replacement decisions
-//!   diverge from the uncompressed tier (the software analogue of the
-//!   two-tag LLC designs the paper argues against).
-//! * [`BaseVictimKv`] — the paper's opportunistic idea one level up:
-//!   admission/eviction decisions are made exactly as the uncompressed
-//!   tier would (charging logical bytes), so the *baseline area* always
-//!   holds exactly the uncompressed tier's contents; values are stored
-//!   compressed, and the slack this creates hosts a *victim area* of
-//!   recently evicted entries that can serve extra hits but can never
-//!   influence a baseline decision. Hit rate is therefore guaranteed
-//!   `>=` the uncompressed tier at equal budget — the kv-level mirror
-//!   of the paper's Section III invariant, checked op-by-op in
-//!   [`crate::lockstep`].
+//! * [`KvOrgKind::Uncompressed`] — charges logical bytes; the baseline
+//!   every comparison is anchored to.
+//! * [`KvOrgKind::Compressed`] — naive always-compress: charges
+//!   BDI-compressed bytes, so it holds more entries but its replacement
+//!   decisions diverge from the uncompressed tier (the software analogue
+//!   of the two-tag LLC designs the paper argues against).
+//! * [`KvOrgKind::BaseVictim`] — the paper's opportunistic idea one
+//!   level up: admission/eviction decisions are made exactly as the
+//!   uncompressed tier makes them (charging logical bytes), so the
+//!   *baseline area* always holds exactly the uncompressed tier's
+//!   contents; values are stored compressed, and the slack this creates
+//!   hosts a *victim area* of recently evicted entries that can serve
+//!   extra hits but can never influence a baseline decision. Hit rate is
+//!   therefore guaranteed `>=` the uncompressed tier at equal budget —
+//!   the kv-level mirror of the paper's Section III invariant, checked
+//!   op-by-op in [`crate::lockstep`].
 //!
-//! Event tracing mirrors the LLC organizations: every tier is generic
+//! Like the LLC's Baseline, the base-victim baseline is the
+//! uncompressed tier's own code: all three run the same `get`, `put`
+//! and admission path.
+//!
+//! Event tracing mirrors the LLC organizations: the tier is generic
 //! over an [`EventSink`] monomorphized to nothing by default. Since a
 //! kv tier has no sets or ways, events use a 1024-bucket hash of the
 //! key as the `set` and express sizes in 64-byte lines (clamped to
@@ -86,10 +91,13 @@ impl KvOrgKind {
     /// Builds the tier around an event sink.
     #[must_use]
     pub fn build_traced<S: EventSink>(self, budget: u64, sink: S) -> KvCacheWith<S> {
-        match self {
-            KvOrgKind::Uncompressed => KvCacheWith::Uncompressed(UncompressedKv::new(budget, sink)),
-            KvOrgKind::Compressed => KvCacheWith::Compressed(CompressedKv::new(budget, sink)),
-            KvOrgKind::BaseVictim => KvCacheWith::BaseVictim(BaseVictimKv::new(budget, sink)),
+        KvCacheWith {
+            kind: self,
+            baseline: LruMap::new(),
+            victim: LruMap::new(),
+            budget,
+            stats: KvStats::default(),
+            sink,
         }
     }
 }
@@ -203,279 +211,30 @@ fn lines(meta: ValueMeta) -> u8 {
     u64::from(meta.compressed).div_ceil(64).clamp(1, 255) as u8
 }
 
-/// The uncompressed baseline tier: plain byte-budgeted LRU.
-#[derive(Debug)]
-pub struct UncompressedKv<S: EventSink = NoEventSink> {
-    lru: LruMap,
-    budget: u64,
-    stats: KvStats,
-    sink: S,
-}
-
-impl<S: EventSink> UncompressedKv<S> {
-    /// An empty tier with `budget` bytes of capacity.
-    #[must_use]
-    pub fn new(budget: u64, sink: S) -> UncompressedKv<S> {
-        UncompressedKv {
-            lru: LruMap::new(),
-            budget,
-            stats: KvStats::default(),
-            sink,
-        }
-    }
-
-    /// Looks `key` up; on a miss the value is fetched (its metadata
-    /// produced by `fetch`) and admitted when it can ever fit.
-    pub fn get(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) -> KvOutcome {
-        self.stats.gets += 1;
-        if self.lru.touch(key).is_some() {
-            self.stats.base_hits += 1;
-            if S::ENABLED {
-                self.sink.emit(CacheEvent::set_wide(
-                    bucket(key),
-                    EventKind::DemandHit { tag: key },
-                ));
-            }
-            return KvOutcome::BaseHit;
-        }
-        self.stats.misses += 1;
-        if S::ENABLED {
-            self.sink
-                .emit(CacheEvent::set_wide(bucket(key), EventKind::DemandMiss));
-        }
-        self.admit(key, fetch())
-    }
-
-    /// Writes `key` (write-allocate, write-through backing store).
-    pub fn put(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) {
-        self.stats.puts += 1;
-        if self.lru.touch(key).is_some() {
-            return;
-        }
-        self.admit(key, fetch());
-    }
-
-    fn admit(&mut self, key: u64, meta: ValueMeta) -> KvOutcome {
-        if u64::from(meta.bytes) > self.budget {
-            self.stats.bypassed += 1;
-            return KvOutcome::Bypass;
-        }
-        self.stats.admitted += 1;
-        self.stats.admitted_bytes += u64::from(meta.bytes);
-        self.stats.admitted_compressed_bytes += u64::from(meta.compressed);
-        self.lru.insert_front(key, meta);
-        if S::ENABLED {
-            self.sink.emit(CacheEvent::set_wide(
-                bucket(key),
-                EventKind::Fill {
-                    tag: key,
-                    size: lines(meta),
-                },
-            ));
-        }
-        while self.lru.sum_bytes() > self.budget {
-            let (victim, _) = self.lru.pop_lru().expect("over budget implies entries");
-            self.stats.evictions += 1;
-            if S::ENABLED {
-                self.sink.emit(CacheEvent::set_wide(
-                    bucket(victim),
-                    EventKind::Eviction {
-                        tag: victim,
-                        cause: EvictCause::Replacement,
-                    },
-                ));
-            }
-        }
-        KvOutcome::Miss
-    }
-
-    /// Counter snapshot.
-    #[must_use]
-    pub fn stats(&self) -> &KvStats {
-        &self.stats
-    }
-
-    /// Resets flow counters (end of warmup), keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = KvStats::default();
-    }
-
-    /// Point-in-time occupancy.
-    #[must_use]
-    pub fn occupancy(&self) -> KvOccupancy {
-        KvOccupancy {
-            resident_bytes: self.lru.sum_bytes(),
-            logical_bytes: self.lru.sum_bytes(),
-            entries: self.lru.len() as u64,
-            victim_bytes: 0,
-            victim_entries: 0,
-        }
-    }
-
-    /// Keys in recency order — the full decision state, for lockstep
-    /// comparison.
-    #[must_use]
-    pub fn keys_mru(&self) -> Vec<u64> {
-        self.lru.keys_mru()
-    }
-
-    /// The byte budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Drains captured events (empty for non-retaining sinks).
-    pub fn drain_events(&mut self) -> Vec<CacheEvent> {
-        self.sink.drain()
-    }
-
-    /// Events the sink overwrote.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-}
-
-/// The naive always-compress tier: LRU charged at compressed size.
-#[derive(Debug)]
-pub struct CompressedKv<S: EventSink = NoEventSink> {
-    lru: LruMap,
-    budget: u64,
-    stats: KvStats,
-    sink: S,
-}
-
-impl<S: EventSink> CompressedKv<S> {
-    /// An empty tier with `budget` bytes of capacity.
-    #[must_use]
-    pub fn new(budget: u64, sink: S) -> CompressedKv<S> {
-        CompressedKv {
-            lru: LruMap::new(),
-            budget,
-            stats: KvStats::default(),
-            sink,
-        }
-    }
-
-    /// Looks `key` up; admits on miss if the compressed value fits.
-    pub fn get(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) -> KvOutcome {
-        self.stats.gets += 1;
-        if self.lru.touch(key).is_some() {
-            self.stats.base_hits += 1;
-            if S::ENABLED {
-                self.sink.emit(CacheEvent::set_wide(
-                    bucket(key),
-                    EventKind::DemandHit { tag: key },
-                ));
-            }
-            return KvOutcome::BaseHit;
-        }
-        self.stats.misses += 1;
-        if S::ENABLED {
-            self.sink
-                .emit(CacheEvent::set_wide(bucket(key), EventKind::DemandMiss));
-        }
-        self.admit(key, fetch())
-    }
-
-    /// Writes `key` (write-allocate).
-    pub fn put(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) {
-        self.stats.puts += 1;
-        if self.lru.touch(key).is_some() {
-            return;
-        }
-        self.admit(key, fetch());
-    }
-
-    fn admit(&mut self, key: u64, meta: ValueMeta) -> KvOutcome {
-        if u64::from(meta.compressed) > self.budget {
-            self.stats.bypassed += 1;
-            return KvOutcome::Bypass;
-        }
-        self.stats.admitted += 1;
-        self.stats.admitted_bytes += u64::from(meta.bytes);
-        self.stats.admitted_compressed_bytes += u64::from(meta.compressed);
-        self.lru.insert_front(key, meta);
-        if S::ENABLED {
-            self.sink.emit(CacheEvent::set_wide(
-                bucket(key),
-                EventKind::Fill {
-                    tag: key,
-                    size: lines(meta),
-                },
-            ));
-        }
-        while self.lru.sum_compressed() > self.budget {
-            let (victim, _) = self.lru.pop_lru().expect("over budget implies entries");
-            self.stats.evictions += 1;
-            if S::ENABLED {
-                self.sink.emit(CacheEvent::set_wide(
-                    bucket(victim),
-                    EventKind::Eviction {
-                        tag: victim,
-                        cause: EvictCause::Replacement,
-                    },
-                ));
-            }
-        }
-        KvOutcome::Miss
-    }
-
-    /// Counter snapshot.
-    #[must_use]
-    pub fn stats(&self) -> &KvStats {
-        &self.stats
-    }
-
-    /// Resets flow counters (end of warmup), keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = KvStats::default();
-    }
-
-    /// Point-in-time occupancy.
-    #[must_use]
-    pub fn occupancy(&self) -> KvOccupancy {
-        KvOccupancy {
-            resident_bytes: self.lru.sum_compressed(),
-            logical_bytes: self.lru.sum_bytes(),
-            entries: self.lru.len() as u64,
-            victim_bytes: 0,
-            victim_entries: 0,
-        }
-    }
-
-    /// The byte budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Drains captured events (empty for non-retaining sinks).
-    pub fn drain_events(&mut self) -> Vec<CacheEvent> {
-        self.sink.drain()
-    }
-
-    /// Events the sink overwrote.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-}
-
-/// The Base-Victim tier: an uncompressed-mirror baseline area plus an
-/// opportunistic compressed victim area living in the slack that
-/// compression opens up.
+/// One byte-budgeted tier; its [`KvOrgKind`] is a data field (the
+/// untraced alias is [`KvCache`]; build either through
+/// [`KvOrgKind::build`] or [`KvOrgKind::build_traced`]).
 ///
-/// Two invariants hold after every operation (checked by
-/// [`BaseVictimKv::check_invariants`] in tests and the fuzz suite):
+/// Every organization makes its decisions in a *baseline area*: an LRU
+/// whose entries are charged against the budget, evicted from the LRU
+/// end whenever an admission puts it over. The kind decides two things
+/// only:
 ///
-/// 1. **Decision mirror** — the baseline area's keys and recency order
-///    are exactly the uncompressed tier's at the same request stream.
-/// 2. **Byte budget** — baseline compressed bytes + victim compressed
-///    bytes `<=` budget (the physical store never overflows).
+/// * the charge: compressed bytes for [`KvOrgKind::Compressed`],
+///   logical bytes otherwise;
+/// * whether displaced baseline entries are parked in a *victim area*
+///   in the slack that compressed storage opens up:
+///   [`KvOrgKind::BaseVictim`] only. Every other kind's victim area
+///   stays empty.
+///
+/// The victim area never influences a baseline decision, so a
+/// base-victim tier's baseline holds exactly the uncompressed tier's
+/// keys in its recency order (checked op by op by
+/// [`KvMirror`](crate::KvMirror)). [`KvCacheWith::check_invariants`]
+/// holds after every operation of every organization.
 #[derive(Debug)]
-pub struct BaseVictimKv<S: EventSink = NoEventSink> {
+pub struct KvCacheWith<S: EventSink = NoEventSink> {
+    kind: KvOrgKind,
     baseline: LruMap,
     victim: LruMap,
     budget: u64,
@@ -483,23 +242,39 @@ pub struct BaseVictimKv<S: EventSink = NoEventSink> {
     sink: S,
 }
 
-impl<S: EventSink> BaseVictimKv<S> {
-    /// An empty tier with `budget` bytes of capacity.
+/// The untraced tier (events compiled out).
+pub type KvCache = KvCacheWith<NoEventSink>;
+
+impl<S: EventSink> KvCacheWith<S> {
+    /// Which organization this is.
     #[must_use]
-    pub fn new(budget: u64, sink: S) -> BaseVictimKv<S> {
-        BaseVictimKv {
-            baseline: LruMap::new(),
-            victim: LruMap::new(),
-            budget,
-            stats: KvStats::default(),
-            sink,
+    pub fn kind(&self) -> KvOrgKind {
+        self.kind
+    }
+
+    /// The bytes `meta` is charged in the baseline area.
+    fn charge(&self, meta: ValueMeta) -> u64 {
+        u64::from(if self.kind == KvOrgKind::Compressed {
+            meta.compressed
+        } else {
+            meta.bytes
+        })
+    }
+
+    /// The bytes the whole baseline area is charged.
+    fn baseline_charge(&self) -> u64 {
+        if self.kind == KvOrgKind::Compressed {
+            self.baseline.sum_compressed()
+        } else {
+            self.baseline.sum_bytes()
         }
     }
 
-    /// Looks `key` up in the baseline, then the victim area; a victim
-    /// hit promotes the entry back into the baseline exactly as the
-    /// uncompressed tier would fill it after its (inevitable) miss, so
-    /// the mirror property is preserved.
+    /// Looks `key` up in the baseline, then the victim area; on a miss
+    /// the value is fetched (its metadata produced by `fetch`) and
+    /// admitted when it can ever fit. A victim hit promotes the entry
+    /// back into the baseline exactly as the uncompressed tier would
+    /// fill it after its (inevitable) miss, so the mirror holds.
     pub fn get(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) -> KvOutcome {
         self.stats.gets += 1;
         if self.baseline.touch(key).is_some() {
@@ -512,21 +287,25 @@ impl<S: EventSink> BaseVictimKv<S> {
             }
             return KvOutcome::BaseHit;
         }
-        if let Some(meta) = self.victim.remove(key) {
-            self.stats.victim_hits += 1;
-            if S::ENABLED {
-                self.sink.emit(CacheEvent::set_wide(
-                    bucket(key),
-                    EventKind::VictimHit {
-                        tag: key,
-                        size: lines(meta),
-                    },
-                ));
+        // Outside base-victim the area is always empty: skip its lookup.
+        if !self.victim.is_empty() {
+            if let Some(meta) = self.victim.remove(key) {
+                self.stats.victim_hits += 1;
+                if S::ENABLED {
+                    self.sink.emit(CacheEvent::set_wide(
+                        bucket(key),
+                        EventKind::VictimHit {
+                            tag: key,
+                            size: lines(meta),
+                        },
+                    ));
+                }
+                // The uncompressed mirror misses here and fills; replay
+                // the identical admission so the baselines stay in
+                // lockstep.
+                self.admit(key, meta);
+                return KvOutcome::VictimHit;
             }
-            // The uncompressed mirror misses here and fills; replay the
-            // identical admission so the baselines stay in lockstep.
-            self.admit(key, meta);
-            return KvOutcome::VictimHit;
         }
         self.stats.misses += 1;
         if S::ENABLED {
@@ -536,14 +315,15 @@ impl<S: EventSink> BaseVictimKv<S> {
         self.admit(key, fetch())
     }
 
-    /// Writes `key` (write-allocate). A stale victim copy is discarded
-    /// so the rewritten value cannot be served from the victim area.
+    /// Writes `key` (write-allocate, write-through backing store). A
+    /// stale victim copy is discarded so the rewritten value cannot be
+    /// served from the victim area.
     pub fn put(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) {
         self.stats.puts += 1;
         if self.baseline.touch(key).is_some() {
             return;
         }
-        if self.victim.remove(key).is_some() && S::ENABLED {
+        if !self.victim.is_empty() && self.victim.remove(key).is_some() && S::ENABLED {
             self.sink.emit(CacheEvent::set_wide(
                 bucket(key),
                 EventKind::SilentDrop {
@@ -555,11 +335,11 @@ impl<S: EventSink> BaseVictimKv<S> {
         self.admit(key, fetch());
     }
 
-    /// The shared fill path: baseline admission mirroring the
-    /// uncompressed tier, then opportunistic parking of what it
-    /// displaced.
+    /// The one fill path: baseline admission and eviction under the
+    /// kind's charge, then (base-victim only) opportunistic parking of
+    /// what it displaced.
     fn admit(&mut self, key: u64, meta: ValueMeta) -> KvOutcome {
-        if u64::from(meta.bytes) > self.budget {
+        if self.charge(meta) > self.budget {
             self.stats.bypassed += 1;
             return KvOutcome::Bypass;
         }
@@ -576,10 +356,9 @@ impl<S: EventSink> BaseVictimKv<S> {
                 },
             ));
         }
-        // Baseline decisions charge logical bytes — the uncompressed
-        // tier's exact rule.
+        let parks = self.kind == KvOrgKind::BaseVictim;
         let mut displaced = Vec::new();
-        while self.baseline.sum_bytes() > self.budget {
+        while self.baseline_charge() > self.budget {
             let (victim, vmeta) = self
                 .baseline
                 .pop_lru()
@@ -594,13 +373,17 @@ impl<S: EventSink> BaseVictimKv<S> {
                     },
                 ));
             }
-            displaced.push((victim, vmeta));
+            if parks {
+                displaced.push((victim, vmeta));
+            }
         }
-        // The new resident may compress worse than what left: shrink
-        // the victim area to the new slack before parking anything.
-        self.enforce_slack();
-        for (victim, vmeta) in displaced {
-            self.park(victim, vmeta);
+        if parks {
+            // The new resident may compress worse than what left: shrink
+            // the victim area to the new slack before parking anything.
+            self.enforce_slack();
+            for (victim, vmeta) in displaced {
+                self.park(victim, vmeta);
+            }
         }
         KvOutcome::Miss
     }
@@ -686,8 +469,15 @@ impl<S: EventSink> BaseVictimKv<S> {
     /// Point-in-time occupancy.
     #[must_use]
     pub fn occupancy(&self) -> KvOccupancy {
+        // The uncompressed tier stores values raw; the other two store
+        // them compressed.
+        let stored = if self.kind == KvOrgKind::Uncompressed {
+            self.baseline.sum_bytes()
+        } else {
+            self.baseline.sum_compressed()
+        };
         KvOccupancy {
-            resident_bytes: self.baseline.sum_compressed() + self.victim.sum_compressed(),
+            resident_bytes: stored + self.victim.sum_compressed(),
             logical_bytes: self.baseline.sum_bytes() + self.victim.sum_bytes(),
             entries: self.baseline.len() as u64,
             victim_bytes: self.victim.sum_compressed(),
@@ -695,10 +485,10 @@ impl<S: EventSink> BaseVictimKv<S> {
         }
     }
 
-    /// Baseline keys in recency order — compared against the
-    /// uncompressed tier by the lockstep auditor.
+    /// Baseline keys in recency order — the full decision state, which
+    /// the lockstep auditor compares across organizations.
     #[must_use]
-    pub fn baseline_keys_mru(&self) -> Vec<u64> {
+    pub fn keys_mru(&self) -> Vec<u64> {
         self.baseline.keys_mru()
     }
 
@@ -708,27 +498,43 @@ impl<S: EventSink> BaseVictimKv<S> {
         self.budget
     }
 
-    /// Asserts the byte-budget and area-disjointness invariants;
-    /// returns a description of the first violation instead of
+    /// Checks the byte-budget and area invariants: the baseline's
+    /// charge stays within budget, only base-victim holds victim
+    /// entries, the physical bytes stay within budget, and no key sits
+    /// in both areas.
+    /// Returns a description of the first violation instead of
     /// panicking so fuzz drivers can report context.
     ///
     /// # Errors
     ///
     /// Returns a human-readable violation description.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.baseline.sum_bytes() > self.budget {
+        let charged = self.baseline_charge();
+        if charged > self.budget {
+            let unit = if self.kind == KvOrgKind::Compressed {
+                "compressed"
+            } else {
+                "logical"
+            };
             return Err(format!(
-                "baseline logical bytes {} exceed budget {}",
-                self.baseline.sum_bytes(),
+                "baseline {unit} bytes {charged} exceed budget {}",
                 self.budget
             ));
         }
-        let physical = self.baseline.sum_compressed() + self.victim.sum_compressed();
-        if physical > self.budget {
+        if self.kind != KvOrgKind::BaseVictim && !self.victim.is_empty() {
             return Err(format!(
-                "physical bytes {physical} (baseline {} + victim {}) exceed budget {}",
-                self.baseline.sum_compressed(),
-                self.victim.sum_compressed(),
+                "{} tier holds {} victim entries",
+                self.kind.name(),
+                self.victim.len()
+            ));
+        }
+        let occ = self.occupancy();
+        if occ.resident_bytes > self.budget {
+            return Err(format!(
+                "physical bytes {} (baseline {} + victim {}) exceed budget {}",
+                occ.resident_bytes,
+                occ.resident_bytes - occ.victim_bytes,
+                occ.victim_bytes,
                 self.budget
             ));
         }
@@ -766,109 +572,6 @@ impl<S: EventSink> BaseVictimKv<S> {
     }
 }
 
-/// Enum dispatch over the three organizations (the untraced alias is
-/// [`KvCache`]).
-#[derive(Debug)]
-pub enum KvCacheWith<S: EventSink = NoEventSink> {
-    /// [`UncompressedKv`].
-    Uncompressed(UncompressedKv<S>),
-    /// [`CompressedKv`].
-    Compressed(CompressedKv<S>),
-    /// [`BaseVictimKv`].
-    BaseVictim(BaseVictimKv<S>),
-}
-
-/// The untraced tier (events compiled out).
-pub type KvCache = KvCacheWith<NoEventSink>;
-
-impl<S: EventSink> KvCacheWith<S> {
-    /// Which organization this is.
-    #[must_use]
-    pub fn kind(&self) -> KvOrgKind {
-        match self {
-            KvCacheWith::Uncompressed(_) => KvOrgKind::Uncompressed,
-            KvCacheWith::Compressed(_) => KvOrgKind::Compressed,
-            KvCacheWith::BaseVictim(_) => KvOrgKind::BaseVictim,
-        }
-    }
-
-    /// Looks `key` up; fetches and admits on miss.
-    pub fn get(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) -> KvOutcome {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.get(key, fetch),
-            KvCacheWith::Compressed(t) => t.get(key, fetch),
-            KvCacheWith::BaseVictim(t) => t.get(key, fetch),
-        }
-    }
-
-    /// Writes `key` (write-allocate).
-    pub fn put(&mut self, key: u64, fetch: impl FnOnce() -> ValueMeta) {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.put(key, fetch),
-            KvCacheWith::Compressed(t) => t.put(key, fetch),
-            KvCacheWith::BaseVictim(t) => t.put(key, fetch),
-        }
-    }
-
-    /// Counter snapshot.
-    #[must_use]
-    pub fn stats(&self) -> &KvStats {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.stats(),
-            KvCacheWith::Compressed(t) => t.stats(),
-            KvCacheWith::BaseVictim(t) => t.stats(),
-        }
-    }
-
-    /// Resets flow counters (end of warmup), keeping contents.
-    pub fn reset_stats(&mut self) {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.reset_stats(),
-            KvCacheWith::Compressed(t) => t.reset_stats(),
-            KvCacheWith::BaseVictim(t) => t.reset_stats(),
-        }
-    }
-
-    /// Point-in-time occupancy.
-    #[must_use]
-    pub fn occupancy(&self) -> KvOccupancy {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.occupancy(),
-            KvCacheWith::Compressed(t) => t.occupancy(),
-            KvCacheWith::BaseVictim(t) => t.occupancy(),
-        }
-    }
-
-    /// The byte budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.budget(),
-            KvCacheWith::Compressed(t) => t.budget(),
-            KvCacheWith::BaseVictim(t) => t.budget(),
-        }
-    }
-
-    /// Drains captured events (empty for non-retaining sinks).
-    pub fn drain_events(&mut self) -> Vec<CacheEvent> {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.drain_events(),
-            KvCacheWith::Compressed(t) => t.drain_events(),
-            KvCacheWith::BaseVictim(t) => t.drain_events(),
-        }
-    }
-
-    /// Events the sink overwrote.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        match self {
-            KvCacheWith::Uncompressed(t) => t.events_dropped(),
-            KvCacheWith::Compressed(t) => t.events_dropped(),
-            KvCacheWith::BaseVictim(t) => t.events_dropped(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,7 +582,7 @@ mod tests {
 
     #[test]
     fn uncompressed_evicts_lru_beyond_budget() {
-        let mut t: UncompressedKv = UncompressedKv::new(256, NoEventSink);
+        let mut t = KvOrgKind::Uncompressed.build(256);
         for key in 0..4 {
             t.get(key, || meta(128, 64));
         }
@@ -892,8 +595,8 @@ mod tests {
 
     #[test]
     fn compressed_holds_more_entries_at_equal_budget() {
-        let mut unc: UncompressedKv = UncompressedKv::new(512, NoEventSink);
-        let mut cmp: CompressedKv = CompressedKv::new(512, NoEventSink);
+        let mut unc = KvOrgKind::Uncompressed.build(512);
+        let mut cmp = KvOrgKind::Compressed.build(512);
         for key in 0..8 {
             unc.get(key, || meta(128, 32));
             cmp.get(key, || meta(128, 32));
@@ -906,7 +609,7 @@ mod tests {
     fn base_victim_rescues_evicted_entries_from_slack() {
         // Budget 256, values 128 logical / 32 compressed: baseline holds
         // 2 (logical charge), and slack hosts the rest compressed.
-        let mut t: BaseVictimKv = BaseVictimKv::new(256, NoEventSink);
+        let mut t = KvOrgKind::BaseVictim.build(256);
         for key in 0..4 {
             t.get(key, || meta(128, 32));
         }
@@ -921,7 +624,7 @@ mod tests {
 
     #[test]
     fn base_victim_incompressible_values_park_nothing() {
-        let mut t: BaseVictimKv = BaseVictimKv::new(256, NoEventSink);
+        let mut t = KvOrgKind::BaseVictim.build(256);
         for key in 0..4 {
             t.get(key, || meta(128, 128));
         }
@@ -933,7 +636,7 @@ mod tests {
 
     #[test]
     fn base_victim_slack_shrinks_when_baseline_compresses_worse() {
-        let mut t: BaseVictimKv = BaseVictimKv::new(256, NoEventSink);
+        let mut t = KvOrgKind::BaseVictim.build(256);
         // Fill with highly compressible entries, park victims.
         for key in 0..4 {
             t.get(key, || meta(128, 32));
@@ -964,7 +667,7 @@ mod tests {
 
     #[test]
     fn put_is_write_allocate_and_invalidates_victim_copies() {
-        let mut t: BaseVictimKv = BaseVictimKv::new(256, NoEventSink);
+        let mut t = KvOrgKind::BaseVictim.build(256);
         for key in 0..4 {
             t.get(key, || meta(128, 32));
         }
@@ -973,6 +676,29 @@ mod tests {
         t.put(0, || meta(128, 32));
         t.check_invariants().expect("invariants");
         assert_eq!(t.get(0, || meta(128, 32)), KvOutcome::BaseHit);
+    }
+
+    #[test]
+    fn invariant_checks_cover_every_organization() {
+        for kind in KvOrgKind::ALL {
+            let mut t = kind.build(256);
+            for key in 0..4 {
+                t.get(key, || meta(128, 32));
+            }
+            assert_eq!(t.check_invariants(), Ok(()), "{}", kind.name());
+            // A key parked while still in the baseline sits in both areas.
+            t.victim.insert_front(3, meta(128, 32));
+            let err = t.check_invariants().unwrap_err();
+            let want = match kind {
+                KvOrgKind::BaseVictim => "both areas",
+                _ => "victim entries",
+            };
+            assert!(err.contains(want), "{}: {err}", kind.name());
+        }
+        let mut t = KvOrgKind::Compressed.build(256);
+        t.baseline.insert_front(9, meta(512, 300));
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("baseline compressed bytes 300"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,4 @@ pub use hierarchy::{Hierarchy, LevelHit};
 pub use multicore::{MulticoreResult, MulticoreSystem};
 pub use prefetch::StreamPrefetcher;
 pub use system::{RunResult, System};
-pub use telemetry::{
-    Instrument, MulticoreInstrument, MulticoreTelemetry, NoInstrument, SimTelemetry,
-    DEFAULT_EPOCH_INSTS,
-};
+pub use telemetry::{Instrument, NoInstrument, SimTelemetry, DEFAULT_EPOCH_INSTS};

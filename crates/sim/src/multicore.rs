@@ -10,7 +10,6 @@ use crate::config::SimConfig;
 use crate::core_model::CoreModel;
 use crate::dram::DramStats;
 use crate::hierarchy::Hierarchy;
-use crate::telemetry::{MulticoreInstrument, MulticoreTelemetry, NoInstrument};
 use bv_core::LlcStats;
 use bv_trace::synth::WorkloadSpec;
 use bv_trace::TraceGenerator;
@@ -87,35 +86,6 @@ impl MulticoreSystem {
     /// Panics if `workloads` is empty.
     #[must_use]
     pub fn run(&self, workloads: &[WorkloadSpec], instructions_each: u64) -> MulticoreResult {
-        self.run_instrumented(workloads, instructions_each, &mut NoInstrument)
-    }
-
-    /// Like [`run`](MulticoreSystem::run), but samples `telemetry` every
-    /// epoch of *aggregate* committed instructions. The simulation is
-    /// unperturbed: the result is identical to the unsampled run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty.
-    #[must_use]
-    pub fn run_sampled(
-        &self,
-        workloads: &[WorkloadSpec],
-        instructions_each: u64,
-        telemetry: &mut MulticoreTelemetry,
-    ) -> MulticoreResult {
-        self.run_instrumented(workloads, instructions_each, telemetry)
-    }
-
-    /// The generic driver under both entry points. With
-    /// [`NoInstrument`] the observer bookkeeping monomorphizes away.
-    #[must_use]
-    pub fn run_instrumented<I: MulticoreInstrument>(
-        &self,
-        workloads: &[WorkloadSpec],
-        instructions_each: u64,
-        instr: &mut I,
-    ) -> MulticoreResult {
         assert!(!workloads.is_empty(), "need at least one workload");
         let n = workloads.len();
         let mut hierarchy = Hierarchy::new(self.cfg, n);
@@ -130,10 +100,6 @@ impl MulticoreSystem {
         // is bit-identical to per-iteration `next_event`.
         let mut batches: Vec<crate::batch::EventBatch> =
             (0..n).map(|_| crate::batch::EventBatch::new()).collect();
-        instr.begin(&cores, &hierarchy);
-        // Cached locally so the hot loop compares against a register
-        // instead of re-reading the observer through `&mut` every event.
-        let mut boundary = instr.next_boundary();
 
         // Cycle-ordered interleaving: always step the thread whose local
         // clock is furthest behind, so shared-resource contention is
@@ -150,15 +116,7 @@ impl MulticoreSystem {
             if finished_cycles[tid].is_none() && cores[tid].instructions() >= instructions_each {
                 finished_cycles[tid] = Some(cores[tid].cycles());
             }
-            if I::ENABLED {
-                let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-                if retired >= boundary {
-                    instr.sample(&cores, &hierarchy);
-                    boundary = instr.next_boundary();
-                }
-            }
         }
-        instr.finish(&cores, &hierarchy);
 
         let thread_ipc = finished_cycles
             .iter()
@@ -238,28 +196,6 @@ mod tests {
             "hit-rate guarantee violated in the mix"
         );
         assert!(bv.llc.victim_hits > 0, "victim cache unused in the mix");
-    }
-
-    #[test]
-    fn sampled_run_matches_unsampled_run_exactly() {
-        let ws: Vec<WorkloadSpec> = (0..2)
-            .map(|i| workload(i, DataProfile::PointerLike))
-            .collect();
-        let sys = MulticoreSystem::new(SimConfig::multi_program(LlcKind::BaseVictim));
-        let plain = sys.run(&ws, 40_000);
-        let mut tel = MulticoreTelemetry::new(20_000);
-        let sampled = sys.run_sampled(&ws, 40_000, &mut tel);
-        assert_eq!(plain.thread_ipc, sampled.thread_ipc);
-        assert_eq!(plain.llc, sampled.llc);
-        assert_eq!(plain.dram, sampled.dram);
-        let report = tel.into_report();
-        // Aggregate budget is >= 80k: at least three 20k epochs, with
-        // one per-thread IPC column each.
-        assert!(report.series.rows() >= 3, "{} rows", report.series.rows());
-        for t in 0..2 {
-            let ipc = report.series.f64s(&format!("ipc.t{t}")).expect("column");
-            assert!(ipc.iter().all(|&v| v >= 0.0));
-        }
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Epoch-sampled instrumentation of the run loops.
 //!
-//! The drivers in [`system`](crate::system) and
-//! [`multicore`](crate::multicore) are generic over an observer —
-//! [`Instrument`] for the single-core loop, [`MulticoreInstrument`] for
-//! the shared-LLC loop. The default observer, [`NoInstrument`], compiles
-//! to nothing: `next_boundary` is `u64::MAX` (one dead compare per
-//! event) and [`Instrument::ENABLED`] is `false`, so monomorphization
-//! removes even the boundary bookkeeping from the uninstrumented path.
+//! The single-core driver in [`system`](crate::system) is generic over
+//! an [`Instrument`] observer. The default observer, [`NoInstrument`],
+//! compiles to nothing: `next_boundary` is `u64::MAX` (one dead compare
+//! per event) and [`Instrument::ENABLED`] is `false`, so
+//! monomorphization removes even the boundary bookkeeping from the
+//! uninstrumented path. The multi-program driver is not instrumented.
 //! Goldens and benchmarks therefore stay bit-identical with telemetry
 //! off.
 //!
-//! [`SimTelemetry`] and [`MulticoreTelemetry`] are the real observers:
-//! every `epoch_insts` committed instructions they snapshot the uncore
-//! counters, push one row of per-epoch deltas into a
-//! [`TimeSeries`], and on `finish` harvest whole-run counters
+//! [`SimTelemetry`] is the real observer: every `epoch_insts`
+//! committed instructions it snapshots the uncore counters, pushes one
+//! row of per-epoch deltas into a [`TimeSeries`], and on `finish`
+//! harvests whole-run counters
 //! (LLC events, DRAM traffic, compressed-size distribution, per-encoder
 //! selection counts). The result is a [`TelemetryReport`] ready for the
 //! `bvsim-telemetry-v1` JSONL sink.
@@ -28,7 +27,6 @@ use bv_compress::{CompressionStats, SEGMENTS_PER_LINE};
 use bv_core::LlcStats;
 use bv_telemetry::{ColumnId, Log2Histogram, TelemetryReport, TimeSeries};
 
-use crate::core_model::CoreModel;
 use crate::dram::DramStats;
 use crate::hierarchy::Hierarchy;
 
@@ -69,47 +67,11 @@ pub trait Instrument {
     }
 }
 
-/// Observer hooks for the multi-program run loop.
-///
-/// The shared-LLC driver has no single clock, so the hooks see the
-/// per-thread [`CoreModel`]s and sampling is keyed on the *aggregate*
-/// committed-instruction count across threads.
-pub trait MulticoreInstrument {
-    /// `false` only for [`NoInstrument`]; drops the aggregate-retired
-    /// bookkeeping from the monomorphized uninstrumented loop.
-    const ENABLED: bool = true;
-
-    /// The run is starting.
-    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-
-    /// The aggregate committed-instruction count at which the driver
-    /// should call [`sample`](MulticoreInstrument::sample) next.
-    fn next_boundary(&self) -> u64 {
-        u64::MAX
-    }
-
-    /// An epoch boundary was crossed.
-    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-
-    /// The run ended.
-    fn finish(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-}
-
 /// The do-nothing observer the plain `run` entry points use.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoInstrument;
 
 impl Instrument for NoInstrument {
-    const ENABLED: bool = false;
-}
-
-impl MulticoreInstrument for NoInstrument {
     const ENABLED: bool = false;
 }
 
@@ -143,8 +105,8 @@ fn effective_kib(hierarchy: &Hierarchy) -> f64 {
     (lines * llc.geometry().line_bytes()) as f64 / 1024.0
 }
 
-/// The per-epoch columns shared by the single-core and multicore
-/// samplers, plus the two epoch histograms.
+/// The per-epoch columns of [`SimTelemetry`], plus the two epoch
+/// histograms.
 #[derive(Clone, Debug)]
 struct EpochSeries {
     series: TimeSeries,
@@ -180,9 +142,8 @@ impl EpochSeries {
         }
     }
 
-    /// Pushes the shared columns of one epoch row from measured deltas.
-    /// The caller appends any extra columns and seals the row.
-    fn push_shared(
+    /// Pushes one epoch row from measured deltas.
+    fn push(
         &mut self,
         measured_insts: u64,
         d_insts: u64,
@@ -220,6 +181,8 @@ impl EpochSeries {
             .push_f64(self.effective_kib, effective_kib(hierarchy));
         self.series.push_u64(self.dram_reads, dram.reads);
         self.series.push_u64(self.dram_writes, dram.writes);
+
+        self.series.end_row();
 
         self.epoch_dram_reads.record(dram.reads);
         self.epoch_victim_drops.record(llc.victim_drops());
@@ -340,7 +303,7 @@ impl SimTelemetry {
         let (begin_insts, _, _) = self.begin.as_ref().expect("begin() not called");
         let measured = insts - begin_insts;
         let (prev_insts, prev_cycles, prev) = self.prev.as_ref().expect("begin() not called");
-        self.epochs.push_shared(
+        self.epochs.push(
             measured,
             insts - prev_insts,
             cycles - prev_cycles,
@@ -348,7 +311,6 @@ impl SimTelemetry {
             &cur,
             hierarchy,
         );
-        self.epochs.series.end_row();
         self.prev = Some((insts, cycles, cur));
     }
 
@@ -403,162 +365,6 @@ impl Instrument for SimTelemetry {
             self.push_row(insts, cycles, hierarchy);
         }
         let (_, _, begin) = self.begin.as_ref().expect("begin() not called");
-        let end = UncoreSnapshot::capture(hierarchy);
-        self.counters = EpochSeries::harvest_counters(begin, &end);
-        self.next = u64::MAX;
-    }
-}
-
-/// The epoch sampler for shared-LLC multi-program runs.
-///
-/// Like [`SimTelemetry`], plus one `ipc.t<i>` column per thread; the
-/// `insts` column and the epoch clock are the *aggregate* committed
-/// instructions across threads, and `ipc` is the aggregate count over
-/// the furthest-ahead core clock. Columns are created when the run
-/// starts (thread count known), so one sampler serves one run.
-///
-/// # Examples
-///
-/// ```no_run
-/// use bv_sim::{LlcKind, MulticoreSystem, MulticoreTelemetry, SimConfig};
-/// use bv_trace::{mix::paper_mixes, TraceRegistry};
-///
-/// let reg = TraceRegistry::paper_default();
-/// let members = paper_mixes(&reg)[0].resolve(&reg);
-/// let workloads: Vec<_> = members.iter().map(|t| t.workload.clone()).collect();
-/// let mut telemetry = MulticoreTelemetry::new(100_000);
-/// MulticoreSystem::new(SimConfig::multi_program(LlcKind::BaseVictim))
-///     .run_sampled(&workloads, 500_000, &mut telemetry);
-/// let report = telemetry.into_report();
-/// assert!(report.series.column("ipc.t0").is_some());
-/// ```
-#[derive(Clone, Debug)]
-pub struct MulticoreTelemetry {
-    epoch_insts: u64,
-    meta: BTreeMap<String, String>,
-    epochs: EpochSeries,
-    thread_ipc: Vec<ColumnId>,
-    next: u64,
-    begin: Option<UncoreSnapshot>,
-    prev: Option<(Vec<(u64, u64)>, UncoreSnapshot)>,
-    counters: Vec<(String, u64)>,
-}
-
-impl MulticoreTelemetry {
-    /// Creates a sampler that fires every `epoch_insts` aggregate
-    /// committed instructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_insts` is zero.
-    #[must_use]
-    pub fn new(epoch_insts: u64) -> MulticoreTelemetry {
-        assert!(epoch_insts > 0, "epoch must be at least one instruction");
-        MulticoreTelemetry {
-            epoch_insts,
-            meta: BTreeMap::new(),
-            epochs: EpochSeries::new(),
-            thread_ipc: Vec::new(),
-            next: u64::MAX,
-            begin: None,
-            prev: None,
-            counters: Vec::new(),
-        }
-    }
-
-    /// Attaches a run-identity key to the report header.
-    #[must_use]
-    pub fn with_meta(mut self, key: &str, value: &str) -> MulticoreTelemetry {
-        self.meta.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    fn push_row(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let cur = UncoreSnapshot::capture(hierarchy);
-        let clocks: Vec<(u64, u64)> = cores
-            .iter()
-            .map(|c| (c.instructions(), c.cycles()))
-            .collect();
-        let (prev_clocks, prev) = self.prev.as_ref().expect("begin() not called");
-
-        let retired: u64 = clocks.iter().map(|(i, _)| i).sum();
-        let d_insts = retired - prev_clocks.iter().map(|(i, _)| i).sum::<u64>();
-        let lead = clocks.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        let d_cycles = lead - prev_clocks.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        self.epochs
-            .push_shared(retired, d_insts, d_cycles, prev, &cur, hierarchy);
-        for (t, &col) in self.thread_ipc.iter().enumerate() {
-            let di = clocks[t].0 - prev_clocks[t].0;
-            let dc = clocks[t].1 - prev_clocks[t].1;
-            self.epochs
-                .series
-                .push_f64(col, if dc == 0 { 0.0 } else { di as f64 / dc as f64 });
-        }
-        self.epochs.series.end_row();
-        self.prev = Some((clocks, cur));
-    }
-
-    /// Consumes the sampler into the serializable report.
-    #[must_use]
-    pub fn into_report(self) -> TelemetryReport {
-        TelemetryReport {
-            epoch_insts: self.epoch_insts,
-            meta: self.meta,
-            series: self.epochs.series,
-            histograms: vec![
-                ("epoch_dram_reads".to_string(), self.epochs.epoch_dram_reads),
-                (
-                    "epoch_victim_drops".to_string(),
-                    self.epochs.epoch_victim_drops,
-                ),
-            ],
-            counters: self.counters,
-        }
-    }
-}
-
-impl MulticoreInstrument for MulticoreTelemetry {
-    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        assert!(
-            self.thread_ipc.is_empty(),
-            "a MulticoreTelemetry samples one run"
-        );
-        for t in 0..cores.len() {
-            let col = self.epochs.series.f64_column(&format!("ipc.t{t}"));
-            self.thread_ipc.push(col);
-        }
-        let snap = UncoreSnapshot::capture(hierarchy);
-        self.begin = Some(snap.clone());
-        let clocks = cores
-            .iter()
-            .map(|c| (c.instructions(), c.cycles()))
-            .collect();
-        self.prev = Some((clocks, snap));
-        self.next = self.epoch_insts;
-    }
-
-    fn next_boundary(&self) -> u64 {
-        self.next
-    }
-
-    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        self.push_row(cores, hierarchy);
-        let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-        while self.next <= retired {
-            self.next += self.epoch_insts;
-        }
-    }
-
-    fn finish(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-        let sampled = self
-            .prev
-            .as_ref()
-            .map_or(0, |(clocks, _)| clocks.iter().map(|(i, _)| i).sum());
-        if retired > sampled {
-            self.push_row(cores, hierarchy);
-        }
-        let begin = self.begin.as_ref().expect("begin() not called");
         let end = UncoreSnapshot::capture(hierarchy);
         self.counters = EpochSeries::harvest_counters(begin, &end);
         self.next = u64::MAX;

@@ -444,18 +444,19 @@ fn mirror_exit<X>(who: &str, report: &MirrorReport<X>, clean: &str, diverged: &s
 }
 
 fn run_kv(args: &KvArgs) -> ExitCode {
-    if args.lockstep {
-        return run_kv_lockstep(args);
-    }
-    if args.sweep {
-        return run_kv_sweep(args);
-    }
     let profile = RequestProfile::by_name(&args.dist).expect("dist validated at parse time");
     let mut cfg = KvConfig::new(args.org, profile);
+    // The parser rejects budgets whose byte count overflows.
     cfg.budget = args.budget_kib * 1024;
     cfg.requests = args.requests;
     cfg.warmup = args.warmup;
     cfg.seed = args.seed;
+    if args.lockstep {
+        return run_kv_lockstep(args, &cfg);
+    }
+    if args.sweep {
+        return run_kv_sweep(args, &cfg);
+    }
 
     if args.compare {
         println!(
@@ -572,19 +573,21 @@ fn print_kv_row(r: &KvRunResult) {
     );
 }
 
-fn run_kv_sweep(args: &KvArgs) -> ExitCode {
+/// Replays every organization x profile at `base`'s budget, request
+/// counts and seed.
+fn run_kv_sweep(args: &KvArgs, base: &KvConfig) -> ExitCode {
     let workers = args
         .jobs
         .unwrap_or_else(base_victim::runner::pool::default_workers);
     let mut jobs = Vec::new();
     for name in RequestProfile::NAMES {
         for org in KvOrgKind::ALL {
-            let mut cfg = KvConfig::new(org, RequestProfile::by_name(name).expect("preset name"));
-            cfg.budget = args.budget_kib * 1024;
-            cfg.requests = args.requests;
-            cfg.warmup = args.warmup;
-            cfg.seed = args.seed;
-            jobs.push(cfg);
+            let profile = RequestProfile::by_name(name).expect("preset name");
+            jobs.push(KvConfig {
+                org,
+                profile,
+                ..base.clone()
+            });
         }
     }
     println!(
@@ -627,8 +630,8 @@ fn run_kv_sweep(args: &KvArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_kv_lockstep(args: &KvArgs) -> ExitCode {
-    let profile = RequestProfile::by_name(&args.dist).expect("dist validated at parse time");
+fn run_kv_lockstep(args: &KvArgs, cfg: &KvConfig) -> ExitCode {
+    let profile = &cfg.profile;
     println!(
         "kv lockstep: dist {}, budget {} KiB, {} requests, seed {}{}",
         args.dist,
@@ -639,7 +642,7 @@ fn run_kv_lockstep(args: &KvArgs) -> ExitCode {
             ", injecting a baseline perturbation after request {op}"
         ))
     );
-    let mut kv = KvMirror::new(args.budget_kib * 1024, |key| {
+    let mut kv = KvMirror::new(cfg.budget, |key| {
         compress_value(key, profile.value_spec(key))
     });
     let requests = || RequestStream::new(profile.clone(), args.seed);

@@ -383,7 +383,8 @@ pub struct KvArgs {
     /// Request-profile name (validated at parse time; resolved by the
     /// binary).
     pub dist: String,
-    /// Tier byte budget in KiB.
+    /// Tier byte budget in KiB (the parser rejects values whose byte
+    /// count overflows a `u64`).
     pub budget_kib: u64,
     /// Measured requests.
     pub requests: u64,
@@ -943,6 +944,12 @@ fn parse_kv(mut f: Flags) -> Result<Command, String> {
             _ => return f.other(),
         }
     }
+    if kv.budget_kib.checked_mul(1024).is_none() {
+        return Err(format!(
+            "--budget-kib {} overflows a byte count",
+            kv.budget_kib
+        ));
+    }
     if u8::from(kv.compare) + u8::from(kv.sweep) + u8::from(kv.lockstep) > 1 {
         return Err("--compare, --sweep and --lockstep each run alone".into());
     }
@@ -1244,6 +1251,19 @@ mod tests {
         assert!(parse(&argv("kv --requests soon")).is_err());
         assert!(parse(&argv("kv --bogus")).is_err());
         assert!(parse(&argv("kv --dist")).is_err());
+    }
+
+    #[test]
+    fn kv_budget_whose_byte_count_overflows_is_an_error() {
+        let max = u64::MAX / 1024;
+        let Command::Kv(kv) = parse(&argv(&format!("kv --budget-kib {max}"))).expect("parse")
+        else {
+            panic!("expected Kv")
+        };
+        assert_eq!(kv.budget_kib, max);
+        let err = parse(&argv(&format!("kv --budget-kib {}", max + 1))).unwrap_err();
+        assert!(err.contains("--budget-kib"), "{err}");
+        assert!(parse(&argv("kv --budget-kib 18014398509481984")).is_err());
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! keyspaces that force constant eviction, values spanning 1 byte to
 //! larger-than-budget (exercising the bypass path), and per-key
 //! compressibility from incompressible to 32x.
+//!
+//! All three organizations share one code path, which the mirror cannot
+//! see wrong on both sides at once, so each organization's full event
+//! stream is also pinned by digest.
 
-use base_victim::kvcache::{
-    run_kv, BaseVictimKv, CompressedKv, KvConfig, KvMirror, KvOrgKind, UncompressedKv, ValueMeta,
-};
+use base_victim::events::{CacheEvent, EventKind, RingSink};
+use base_victim::kvcache::{run_kv, run_kv_traced, KvConfig, KvMirror, KvOrgKind, ValueMeta};
+use base_victim::runner::fnv1a;
 use base_victim::trace::request::{KvOp, KvRequest, RequestProfile, SplitMix64};
 use bv_testkit::mirror::run;
 
@@ -69,55 +73,43 @@ fn fuzzed_mixtures_uphold_the_baseline_mirror() {
     }
 }
 
+/// Every organization runs the same request draws, and its invariants
+/// (charged and physical bytes within budget, victim area disjoint and
+/// empty outside base-victim) are checked after every op.
 #[test]
 fn fuzzed_mixtures_never_exceed_the_byte_budget() {
     for seed in SEEDS {
-        let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut unc: UncompressedKv = UncompressedKv::new(BUDGET, bv_events::NoEventSink);
-        let mut comp: CompressedKv = CompressedKv::new(BUDGET, bv_events::NoEventSink);
-        let mut bv: BaseVictimKv = BaseVictimKv::new(BUDGET, bv_events::NoEventSink);
-        for op in 0..OPS_PER_SEED {
-            let (is_get, key) = next_request(&mut rng, 256);
-            for occ in [
-                {
-                    if is_get {
-                        unc.get(key, || meta_for(key, BUDGET));
-                    } else {
-                        unc.put(key, || meta_for(key, BUDGET));
-                    }
-                    unc.occupancy()
-                },
-                {
-                    if is_get {
-                        comp.get(key, || meta_for(key, BUDGET));
-                    } else {
-                        comp.put(key, || meta_for(key, BUDGET));
-                    }
-                    comp.occupancy()
-                },
-                {
-                    if is_get {
-                        bv.get(key, || meta_for(key, BUDGET));
-                    } else {
-                        bv.put(key, || meta_for(key, BUDGET));
-                    }
-                    bv.occupancy()
-                },
-            ] {
+        let mut bypassed = Vec::new();
+        for org in KvOrgKind::ALL {
+            let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut tier = org.build(BUDGET);
+            for op in 0..OPS_PER_SEED {
+                let (is_get, key) = next_request(&mut rng, 256);
+                if is_get {
+                    tier.get(key, || meta_for(key, BUDGET));
+                } else {
+                    tier.put(key, || meta_for(key, BUDGET));
+                }
+                let occ = tier.occupancy();
                 assert!(
                     occ.resident_bytes <= BUDGET,
-                    "seed {seed}, op {op}: {} resident bytes > {BUDGET} budget",
+                    "{} seed {seed}, op {op}: {} resident bytes > {BUDGET} budget",
+                    org.name(),
                     occ.resident_bytes
                 );
+                if let Err(e) = tier.check_invariants() {
+                    panic!("{} seed {seed}, op {op}: {e}", org.name());
+                }
             }
+            bypassed.push(tier.stats().bypassed);
         }
         // The oversized values must have gone through the bypass path,
-        // not been force-fit.
-        assert!(
-            bv.stats().bypassed > 0,
-            "seed {seed}: bypass never exercised"
-        );
-        assert_eq!(bv.stats().bypassed, unc.stats().bypassed, "seed {seed}");
+        // not been force-fit; both logical-charge orgs bypass the same.
+        let [unc, _, bv] = bypassed[..] else {
+            unreachable!("three organizations")
+        };
+        assert!(bv > 0, "seed {seed}: bypass never exercised");
+        assert_eq!(bv, unc, "seed {seed}");
     }
 }
 
@@ -157,4 +149,77 @@ fn preset_profiles_order_the_organizations() {
             );
         }
     }
+}
+
+/// (profile, organization, event count, FNV-1a digest) of each full
+/// event stream on [`event_config`]. Any change to event order, kind,
+/// bucket, tag, size or cause changes them; update them only for an
+/// intentional change to what a tier emits.
+const EVENT_DIGESTS: [(&str, &str, usize, u64); 9] = [
+    ("web", "uncompressed", 26154, 0xc6c9f2ba678edbc7),
+    ("web", "compressed", 24723, 0x245fab6a4453e44f),
+    ("web", "base-victim", 42090, 0x94cfea0f0161daf0),
+    ("analytics", "uncompressed", 27926, 0xe2c94bbc902e86bc),
+    ("analytics", "compressed", 27915, 0x10a38fbc65c5d83b),
+    ("analytics", "base-victim", 46297, 0x7887fd0d519adb46),
+    ("social", "uncompressed", 16759, 0x96dff4dd065830ff),
+    ("social", "compressed", 15066, 0x44a9ecb5ce32dece),
+    ("social", "base-victim", 23582, 0x4bd82e4e94550c7c),
+];
+
+/// A 16 KiB tier: small enough that analytics traffic also fails to
+/// park some displaced entries.
+fn event_config(org: KvOrgKind, dist: &str) -> KvConfig {
+    let mut cfg = KvConfig::new(org, RequestProfile::by_name(dist).expect("preset"));
+    cfg.budget = 16 * 1024;
+    cfg.warmup = 2_000;
+    cfg.requests = 8_000;
+    cfg.seed = 17;
+    cfg
+}
+
+/// Folds each event's (kind name, set, tag, size) into one FNV-1a digest.
+/// Drops and evictions carry their cause in the size slot.
+fn event_digest(events: &[CacheEvent]) -> u64 {
+    let mut bytes = Vec::new();
+    for ev in events {
+        let size = match ev.kind {
+            EventKind::Fill { size, .. }
+            | EventKind::PrefetchFill { size, .. }
+            | EventKind::VictimHit { size, .. }
+            | EventKind::VictimInsert { size, .. }
+            | EventKind::VictimInsertFail { size, .. }
+            | EventKind::Writeback { size, .. }
+            | EventKind::Compression { size, .. } => size,
+            EventKind::SilentDrop { cause, .. } => cause as u8,
+            EventKind::Eviction { cause, .. } => cause as u8,
+            EventKind::DemandHit { .. } | EventKind::DemandMiss => 0,
+        };
+        bytes.extend_from_slice(ev.kind.name().as_bytes());
+        bytes.extend_from_slice(&ev.set.to_le_bytes());
+        bytes.extend_from_slice(&ev.kind.tag().unwrap_or(u64::MAX).to_le_bytes());
+        bytes.push(size);
+    }
+    fnv1a(&bytes)
+}
+
+/// Pins the order and content of every organization's event stream, not
+/// only the counters the goldens cover.
+#[test]
+fn event_streams_match_the_recorded_digests() {
+    let mut got = Vec::new();
+    for dist in RequestProfile::NAMES {
+        for org in KvOrgKind::ALL {
+            let cfg = event_config(org, dist);
+            let (_, events, dropped) = run_kv_traced(&cfg, RingSink::new(1 << 20));
+            assert_eq!(
+                dropped,
+                0,
+                "{dist}/{}: the ring must hold every event",
+                org.name()
+            );
+            got.push((dist, org.name(), events.len(), event_digest(&events)));
+        }
+    }
+    assert_eq!(got, EVENT_DIGESTS, "an event stream changed");
 }
