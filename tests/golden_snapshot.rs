@@ -1,7 +1,8 @@
 //! Golden end-to-end snapshots: every counter the simulator emits, for the
-//! paper-guarantee sample traces under the three headline organizations
-//! plus the VSC and DCC prior-work baselines, pinned byte-for-byte against
-//! committed JSON files.
+//! paper-guarantee sample traces under every organization `--llc` can
+//! name (the headline organizations, the VSC and DCC prior-work
+//! baselines, and the two-tag and Base-Victim variants), pinned
+//! byte-for-byte against committed JSON files.
 //!
 //! Any change to the kernels, the cache organizations, or the timing model
 //! that shifts a single counter fails here — the size-cache memoization and
@@ -33,12 +34,17 @@ const TRACES: [&str; 7] = [
     "client.speech.13",
 ];
 
-const LLCS: [LlcKind; 5] = [
-    LlcKind::Uncompressed,
-    LlcKind::BaseVictim,
-    LlcKind::TwoTag,
-    LlcKind::Vsc,
-    LlcKind::Dcc,
+/// Every organization `--llc` can name, by the name its goldens are
+/// filed under.
+const LLCS: [&str; 8] = [
+    "uncompressed",
+    "base-victim",
+    "two-tag",
+    "vsc-2x",
+    "dcc",
+    "two-tag-ecm",
+    "base-victim-ni",
+    "base-victim-random-fit",
 ];
 
 /// Replacement-policy dimension, pinned for base-victim only: the default
@@ -167,11 +173,12 @@ fn end_to_end_counters_match_committed_goldens() {
     let registry = TraceRegistry::paper_default();
     let mut failures = Vec::new();
     for trace_name in TRACES {
-        for kind in LLCS {
+        for name in LLCS {
+            let kind = LlcKind::from_name(name).expect("nameable organization");
             check_one(
                 SimConfig::single_thread(kind),
                 trace_name,
-                &format!("{}.{}", trace_name, kind.name()),
+                &format!("{trace_name}.{name}"),
                 &registry,
                 update,
                 &mut failures,
