@@ -4,7 +4,7 @@
 
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_core::{
-    BaseVictimLlc, LlcOrganization, NoInner, TwoTagEcmLlc, TwoTagLlc, UncompressedLlc,
+    BaseVictimLlc, LlcOrganization, NoInner, TwoTagFlavor, TwoTagLlc, UncompressedLlc,
     VictimPolicyKind, VscLlc,
 };
 use bv_testkit::bench::time;
@@ -46,11 +46,11 @@ fn bench_organizations() {
         black_box(drive(&mut org, accesses))
     });
     time("llc_access", "two_tag", 10, || {
-        let mut org = TwoTagLlc::new(geom, PolicyKind::Nru);
+        let mut org = TwoTagLlc::new(geom, PolicyKind::Nru, TwoTagFlavor::PartnerVictimization);
         black_box(drive(&mut org, accesses))
     });
     time("llc_access", "two_tag_ecm", 10, || {
-        let mut org = TwoTagEcmLlc::new(geom, PolicyKind::Nru);
+        let mut org = TwoTagLlc::new(geom, PolicyKind::Nru, TwoTagFlavor::EcmSizeAware);
         black_box(drive(&mut org, accesses))
     });
     time("llc_access", "base_victim", 10, || {

@@ -218,21 +218,21 @@ pub fn fig10(ctx: &Ctx) -> String {
         // to the NRU uncompressed baseline, as in the paper's figure.
         let plain = sweep(
             ctx,
-            configs::with_policy(configs::base2mb(), policy),
+            configs::base2mb().with_policy(policy),
             configs::base2mb(),
             false,
         );
         let comp = sweep(
             ctx,
-            configs::with_policy(configs::bv2mb(), policy),
+            configs::bv2mb().with_policy(policy),
             configs::base2mb(),
             false,
         );
         // Gain of compression on top of the policy-managed baseline.
         let on_top = sweep(
             ctx,
-            configs::with_policy(configs::bv2mb(), policy),
-            configs::with_policy(configs::base2mb(), policy),
+            configs::bv2mb().with_policy(policy),
+            configs::base2mb().with_policy(policy),
             false,
         );
         let _ = writeln!(
@@ -787,8 +787,8 @@ pub fn ablation_prefetch(ctx: &Ctx) -> String {
 /// Baseline cache, on top of Base-Victim compression.
 #[must_use]
 pub fn future_work_camp(ctx: &Ctx) -> String {
-    let camp_base = configs::with_policy(configs::base2mb(), PolicyKind::CampLite);
-    let camp_bv = configs::with_policy(configs::bv2mb(), PolicyKind::CampLite);
+    let camp_base = configs::base2mb().with_policy(PolicyKind::CampLite);
+    let camp_bv = configs::bv2mb().with_policy(PolicyKind::CampLite);
     // All normalized to the NRU uncompressed baseline.
     let camp_alone = sweep(ctx, camp_base, configs::base2mb(), false);
     let camp_plus_bv = sweep(ctx, camp_bv, configs::base2mb(), false);
@@ -867,8 +867,8 @@ pub fn plan_suite(ctx: &Ctx) -> bv_runner::ExecutionReport {
         PolicyKind::CharLite,
         PolicyKind::CampLite,
     ] {
-        sensitive_cfgs.push(configs::with_policy(configs::base2mb(), policy));
-        sensitive_cfgs.push(configs::with_policy(configs::bv2mb(), policy));
+        sensitive_cfgs.push(configs::base2mb().with_policy(policy));
+        sensitive_cfgs.push(configs::bv2mb().with_policy(policy));
     }
     for vp in VictimPolicyKind::ALL {
         sensitive_cfgs.push(SimConfig::single_thread(LlcKind::BaseVictimWith(vp)));

@@ -21,7 +21,6 @@
 //! Setting `BV_JOURNAL=<dir>` additionally checkpoints each completed
 //! run on disk and resumes an interrupted sweep from those checkpoints.
 
-use bv_cache::PolicyKind;
 use bv_runner::{ExecutionReport, JobSpec, Runner};
 use bv_sim::report::geomean;
 use bv_sim::{LlcKind, MulticoreResult, MulticoreSystem, RunResult, SimConfig};
@@ -329,12 +328,6 @@ pub mod configs {
     #[must_use]
     pub fn unc3mb() -> SimConfig {
         base2mb().with_llc_size(3 * 1024 * 1024, 24)
-    }
-
-    /// Applies a replacement policy to a configuration.
-    #[must_use]
-    pub fn with_policy(cfg: SimConfig, policy: PolicyKind) -> SimConfig {
-        cfg.with_policy(policy)
     }
 }
 

@@ -17,7 +17,7 @@
 //! serde) so the same reader that parses run journals parses `BENCH.json`.
 
 use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::{Policy, PolicyKind};
+use bv_cache::PolicyKind;
 use bv_compress::reference::{RefBdi, RefCPack, RefFpc};
 use bv_compress::{Bdi, CPack, CacheLine, Compressor, Fpc, SegmentCount};
 use bv_kvcache::{run_kv as run_kv_tier, KvConfig, KvOrgKind};
@@ -276,11 +276,7 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         out
     };
-    let mut engine: SetEngine<Policy, NoMeta> = SetEngine::new(
-        PROBE_SETS,
-        PROBE_WAYS,
-        PolicyKind::Lru.instantiate(PROBE_SETS, PROBE_WAYS),
-    );
+    let mut engine: SetEngine<NoMeta> = SetEngine::new(PROBE_SETS, PROBE_WAYS, PolicyKind::Lru);
     let mut resident = vec![0u64; PROBE_SETS * PROBE_WAYS];
     for set in 0..PROBE_SETS {
         for way in 0..PROBE_WAYS {

@@ -28,11 +28,11 @@
 //! [`SetEngine::find_reference`] is the differential oracle for the
 //! vector-friendly probe (property-tested in `tests/probe_differential.rs`).
 //!
-//! The engine is generic over the concrete [`ReplacementPolicy`], so the
-//! per-access hot path is monomorphized: organizations instantiated through
-//! [`PolicyKind::dispatch`](crate::replacement::PolicyVisitor) carry zero
-//! dynamic dispatch, and the default [`Policy`](crate::replacement::Policy)
-//! parameter reduces a runtime-selected policy to one enum branch.
+//! The engine builds its own replacement policy from a [`PolicyKind`] for
+//! its `sets x ways` array, so a policy can never disagree with the tag
+//! array about its dimensions. The policy is the enum-dispatched
+//! [`Policy`]: a runtime-selected policy costs one branch on the enum
+//! discriminant per call, with no vtable or allocation.
 //!
 //! What the engine deliberately does *not* do is map addresses to sets:
 //! most organizations index sets by geometry bit-extraction, but DCC
@@ -53,13 +53,13 @@
 //!     }
 //! }
 //!
-//! let mut engine: SetEngine<_, Plain> = SetEngine::new(16, 4, PolicyKind::Lru.instantiate(16, 4));
+//! let mut engine: SetEngine<Plain> = SetEngine::new(16, 4, PolicyKind::Lru);
 //! let way = engine.fill_way(3);
 //! engine.install(3, way, 0x7, Plain, bv_compress::SegmentCount::FULL);
 //! assert_eq!(engine.find(3, 0x7), Some(way));
 //! ```
 
-use crate::replacement::ReplacementPolicy;
+use crate::replacement::{Policy, PolicyKind, ReplacementPolicy};
 use crate::stats::{Effects, LlcStats};
 use bv_compress::SegmentCount;
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
@@ -166,7 +166,7 @@ impl<S> SlotViewMut<'_, S> {
 /// guarded by `E::ENABLED`, a compile-time constant, so the default
 /// build carries no event cost at all.
 #[derive(Clone, Debug)]
-pub struct SetEngine<P, S, E = NoEventSink> {
+pub struct SetEngine<S, E = NoEventSink> {
     sets: usize,
     ways: usize,
     /// `sets * ways` tags, row-major: set `s` owns `tags[s*ways..(s+1)*ways]`.
@@ -177,35 +177,32 @@ pub struct SetEngine<P, S, E = NoEventSink> {
     valid: Vec<u64>,
     /// `sets * ways` organization payloads, parallel to `tags`.
     metas: Vec<S>,
-    policy: P,
+    policy: Policy,
     stats: LlcStats,
     sink: E,
 }
 
-impl<P: ReplacementPolicy, S: SlotMeta + Clone> SetEngine<P, S> {
-    /// Creates an empty engine over a `sets x ways` logical tag array.
+impl<S: SlotMeta + Clone> SetEngine<S> {
+    /// Creates an empty engine over a `sets x ways` logical tag array,
+    /// replaced by `policy`.
     ///
     /// # Panics
     ///
-    /// Panics if the policy was built for different dimensions or if
-    /// `ways > 64`.
+    /// Panics if `ways > 64`.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, policy: P) -> SetEngine<P, S> {
+    pub fn new(sets: usize, ways: usize, policy: PolicyKind) -> SetEngine<S> {
         SetEngine::with_sink(sets, ways, policy, NoEventSink)
     }
 }
 
-impl<P: ReplacementPolicy, S: SlotMeta + Clone, E: EventSink> SetEngine<P, S, E> {
+impl<S: SlotMeta + Clone, E: EventSink> SetEngine<S, E> {
     /// Creates an empty engine emitting events into `sink`.
     ///
     /// # Panics
     ///
-    /// Panics if the policy was built for different dimensions or if
-    /// `ways > 64`.
+    /// Panics if `ways > 64`.
     #[must_use]
-    pub fn with_sink(sets: usize, ways: usize, policy: P, sink: E) -> SetEngine<P, S, E> {
-        assert_eq!(policy.sets(), sets, "policy built for wrong set count");
-        assert_eq!(policy.ways(), ways, "policy built for wrong way count");
+    pub fn with_sink(sets: usize, ways: usize, policy: PolicyKind, sink: E) -> SetEngine<S, E> {
         assert!(ways <= 64, "engine validity mask covers at most 64 ways");
         SetEngine {
             sets,
@@ -213,14 +210,14 @@ impl<P: ReplacementPolicy, S: SlotMeta + Clone, E: EventSink> SetEngine<P, S, E>
             tags: vec![0; sets * ways],
             valid: vec![0; sets],
             metas: vec![S::empty(); sets * ways],
-            policy,
+            policy: policy.instantiate(sets, ways),
             stats: LlcStats::default(),
             sink,
         }
     }
 }
 
-impl<P: ReplacementPolicy, S, E: EventSink> SetEngine<P, S, E> {
+impl<S, E: EventSink> SetEngine<S, E> {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
@@ -500,15 +497,9 @@ impl<P: ReplacementPolicy, S, E: EventSink> SetEngine<P, S, E> {
         self.stats.absorb_effects(effects);
     }
 
-    /// Read access to the policy, for organization-specific victim scans.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
     /// Mutable access to the policy, for organization-specific sequences
     /// the engine has no verb for.
-    pub fn policy_mut(&mut self) -> &mut P {
+    pub fn policy_mut(&mut self) -> &mut Policy {
         &mut self.policy
     }
 }
@@ -516,7 +507,6 @@ impl<P: ReplacementPolicy, S, E: EventSink> SetEngine<P, S, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replacement::PolicyKind;
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     struct Tagged(u32);
@@ -527,8 +517,8 @@ mod tests {
         }
     }
 
-    fn engine() -> SetEngine<crate::replacement::Policy, Tagged> {
-        SetEngine::new(4, 2, PolicyKind::Lru.instantiate(4, 2))
+    fn engine() -> SetEngine<Tagged> {
+        SetEngine::new(4, 2, PolicyKind::Lru)
     }
 
     #[test]
@@ -640,16 +630,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wrong set count")]
-    fn dimension_mismatch_is_rejected() {
-        let _: SetEngine<_, Tagged> = SetEngine::new(8, 2, PolicyKind::Lru.instantiate(4, 2));
-    }
-
-    #[test]
     fn traced_engine_emits_hits_misses_and_invalidations() {
         use bv_events::RingSink;
-        let mut e: SetEngine<_, Tagged, RingSink> =
-            SetEngine::with_sink(4, 2, PolicyKind::Lru.instantiate(4, 2), RingSink::new(16));
+        let mut e: SetEngine<Tagged, RingSink> =
+            SetEngine::with_sink(4, 2, PolicyKind::Lru, RingSink::new(16));
         assert!(e.events_enabled());
         e.install(1, 0, 7, Tagged(0), SegmentCount::FULL);
         e.demand_hit(1, 0);

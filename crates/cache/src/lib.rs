@@ -39,5 +39,5 @@ mod stats;
 pub use addr::LineAddr;
 pub use basic::{BasicCache, Eviction};
 pub use geometry::{CacheGeometry, MAX_WAYS};
-pub use replacement::{Policy, PolicyKind, PolicyVisitor, ReplacementPolicy};
+pub use replacement::{Policy, PolicyKind, ReplacementPolicy};
 pub use stats::{CacheStats, Effects, LlcStats};

@@ -95,9 +95,9 @@ pub trait ReplacementPolicy: fmt::Debug {
 /// # Examples
 ///
 /// ```
-/// use bv_cache::PolicyKind;
+/// use bv_cache::{PolicyKind, ReplacementPolicy};
 ///
-/// let policy = PolicyKind::Nru.build(2048, 16);
+/// let policy = PolicyKind::Nru.instantiate(2048, 16);
 /// assert_eq!(policy.sets(), 2048);
 /// assert_eq!(policy.ways(), 16);
 /// ```
@@ -131,19 +131,6 @@ impl PolicyKind {
         PolicyKind::Random,
     ];
 
-    /// Builds a policy instance for a `sets x ways` array.
-    #[must_use]
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Nru => Box::new(Nru::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::CharLite => Box::new(CharLite::new(sets, ways)),
-            PolicyKind::CampLite => Box::new(CampLite::new(sets, ways)),
-            PolicyKind::Random => Box::new(Random::new(sets, ways, RANDOM_SEED)),
-        }
-    }
-
     /// Short stable name for reports.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -176,13 +163,11 @@ impl fmt::Display for PolicyKind {
 /// Every concrete policy in one enum, dispatched by `match` instead of a
 /// vtable.
 ///
-/// This is the default policy parameter of the cache organizations: call
-/// sites that select a policy at runtime (`PolicyKind` from a CLI flag)
-/// get static dispatch on the per-access hot path, with one branch on the
-/// enum discriminant instead of an indirect call. Code that knows the
-/// policy at compile time can instantiate the organizations directly with
-/// a concrete policy type and skip even that branch — see
-/// [`PolicyKind::dispatch`].
+/// This is the policy every cache level runs: [`BasicCache`](crate::BasicCache)
+/// and the LLC [`SetEngine`](crate::engine::SetEngine) build one from a
+/// [`PolicyKind`] with [`PolicyKind::instantiate`]. A policy selected at
+/// runtime (a CLI flag) costs one branch on the enum discriminant per
+/// call on the hot path, instead of an indirect call.
 #[derive(Debug, Clone)]
 pub enum Policy {
     /// See [`Lru`].
@@ -259,41 +244,8 @@ impl ReplacementPolicy for Policy {
     }
 }
 
-/// Monomorphic consumer of a policy chosen at runtime.
-///
-/// `PolicyKind` erases the concrete policy type; this visitor restores it.
-/// [`PolicyKind::dispatch`] constructs the concrete policy and hands it to
-/// [`visit`](PolicyVisitor::visit), which is instantiated once per policy
-/// type — so whatever the visitor builds (typically a cache organization)
-/// is fully monomorphized over the policy, with no boxing anywhere on its
-/// hot path.
-pub trait PolicyVisitor {
-    /// What the visitor produces (typically `Box<dyn LlcOrganization>` or
-    /// a benchmark result).
-    type Out;
-
-    /// Receives the concrete policy instance.
-    fn visit<P: ReplacementPolicy + 'static>(self, policy: P) -> Self::Out;
-}
-
 impl PolicyKind {
-    /// Builds the concrete policy for a `sets x ways` array and passes it
-    /// to `visitor` — the monomorphic twin of [`PolicyKind::build`].
-    pub fn dispatch<V: PolicyVisitor>(self, sets: usize, ways: usize, visitor: V) -> V::Out {
-        match self {
-            PolicyKind::Lru => visitor.visit(Lru::new(sets, ways)),
-            PolicyKind::Nru => visitor.visit(Nru::new(sets, ways)),
-            PolicyKind::Srrip => visitor.visit(Srrip::new(sets, ways)),
-            PolicyKind::CharLite => visitor.visit(CharLite::new(sets, ways)),
-            PolicyKind::CampLite => visitor.visit(CampLite::new(sets, ways)),
-            PolicyKind::Random => visitor.visit(Random::new(sets, ways, RANDOM_SEED)),
-        }
-    }
-
     /// Builds the enum-dispatched [`Policy`] for a `sets x ways` array.
-    ///
-    /// Same construction as [`PolicyKind::build`] (identical seeds and
-    /// initial state) without the allocation or the vtable.
     #[must_use]
     pub fn instantiate(self, sets: usize, ways: usize) -> Policy {
         match self {
@@ -307,9 +259,8 @@ impl PolicyKind {
     }
 }
 
-/// Seed for [`PolicyKind::Random`] construction, shared by every
-/// construction path so `build`, `instantiate`, and `dispatch` produce
-/// identical victim streams.
+/// Seed for [`PolicyKind::Random`] construction, so every instance
+/// produces the same victim stream.
 const RANDOM_SEED: u64 = 0x9e37_79b9;
 
 #[cfg(test)]
@@ -321,7 +272,7 @@ mod tests {
     #[test]
     fn policies_return_valid_victims() {
         for kind in PolicyKind::ALL {
-            let mut p = kind.build(4, 8);
+            let mut p = kind.instantiate(4, 8);
             for way in 0..8 {
                 p.on_fill(1, way);
             }
@@ -333,7 +284,7 @@ mod tests {
     #[test]
     fn recency_policies_protect_the_mru_line() {
         for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Srrip] {
-            let mut p = kind.build(1, 4);
+            let mut p = kind.instantiate(1, 4);
             for way in 0..4 {
                 p.on_fill(0, way);
             }

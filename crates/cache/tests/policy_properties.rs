@@ -40,7 +40,7 @@ fn policies_stay_in_bounds() {
     cases(128, |rng| {
         let ops = random_ops(rng, 8, 300);
         let kind = *rng.choose(&PolicyKind::ALL);
-        let mut p = kind.build(4, 8);
+        let mut p = kind.instantiate(4, 8);
         for op in ops {
             match op {
                 PolicyOp::Fill(w) => p.on_fill(2, w as usize),

@@ -41,9 +41,8 @@ impl Shadow {
 /// Builds a random engine/shadow pair: a churn of installs and
 /// invalidations, with tags drawn from a small pool so stale tags of
 /// invalidated slots frequently collide with live probes.
-fn churn(rng: &mut Rng, sets: usize, ways: usize) -> (SetEngine<bv_cache::Policy, Meta>, Shadow) {
-    let mut engine: SetEngine<bv_cache::Policy, Meta> =
-        SetEngine::new(sets, ways, PolicyKind::Lru.instantiate(sets, ways));
+fn churn(rng: &mut Rng, sets: usize, ways: usize) -> (SetEngine<Meta>, Shadow) {
+    let mut engine: SetEngine<Meta> = SetEngine::new(sets, ways, PolicyKind::Lru);
     let mut shadow = Shadow::new(sets, ways);
     let tag_pool: Vec<u64> = (0..16).map(|_| rng.next_u64() | 1).collect();
     let ops = rng.range_u64(1, (sets * ways * 2) as u64);
@@ -124,8 +123,7 @@ fn soa_probe_matches_reference_walk_and_shadow_model() {
 fn invalidated_slots_never_hit() {
     cases(1_000, |rng| {
         let ways = *rng.choose(&[2usize, 8, 32]);
-        let mut engine: SetEngine<bv_cache::Policy, Meta> =
-            SetEngine::new(1, ways, PolicyKind::Lru.instantiate(1, ways));
+        let mut engine: SetEngine<Meta> = SetEngine::new(1, ways, PolicyKind::Lru);
         let tag = rng.next_u64() | 1;
         let way = rng.below(ways as u64) as usize;
         engine.install(0, way, tag, Meta(7), SegmentCount::FULL);

@@ -26,7 +26,7 @@ use crate::{
     BaseVictimLlc, HitKind, InclusionMode, LlcOrganization, LlcStats, NoInner, UncompressedLlc,
     VictimPolicyKind,
 };
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::{Bdi, CacheLine};
 use bv_events::{CacheEvent, RingSink};
 use bv_testkit::mirror::Mirror;
@@ -166,7 +166,7 @@ fn absent(lines: &[LineAddr], other: &[LineAddr]) -> Vec<LineAddr> {
 /// event log; on divergence the log is filtered to the offending set.
 pub struct LlcMirror<F> {
     unc: UncompressedLlc,
-    bv: BaseVictimLlc<Policy, RingSink>,
+    bv: BaseVictimLlc<RingSink>,
     data_for: F,
     context: usize,
     log: Vec<CacheEvent>,
@@ -190,7 +190,7 @@ impl<F: Fn(u64) -> CacheLine> LlcMirror<F> {
             unc: UncompressedLlc::new(geom, policy),
             bv: BaseVictimLlc::with_sink(
                 geom,
-                policy.instantiate(geom.sets(), geom.ways()),
+                policy,
                 victim,
                 InclusionMode::Inclusive,
                 Box::new(Bdi::new()),

@@ -21,7 +21,7 @@ use crate::slot::{line_addr, LineMeta, Slot};
 use crate::victim_policy::{VictimCandidate, VictimPolicyKind};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind, ReplacementPolicy};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind, ReplacementPolicy};
 use bv_compress::{
     Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
 };
@@ -72,11 +72,11 @@ struct DisplacedLine {
 /// llc.fill(LineAddr::new(1), CacheLine::zeroed(), &mut inner);
 /// assert!(llc.read(LineAddr::new(1), &mut inner).is_hit());
 /// ```
-pub struct BaseVictimLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
+pub struct BaseVictimLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     /// The Baseline cache: one engine slot per physical way, driven by the
     /// unmodified baseline replacement policy.
-    engine: SetEngine<P, LineMeta, E>,
+    engine: SetEngine<LineMeta, E>,
     victim: Vec<Slot>,
     /// Insertion sequence numbers for victim slots (LruFit variant).
     victim_birth: Vec<u64>,
@@ -89,7 +89,7 @@ pub struct BaseVictimLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSi
     rng: u64,
 }
 
-impl<P: ReplacementPolicy, E: EventSink> core::fmt::Debug for BaseVictimLlc<P, E> {
+impl<E: EventSink> core::fmt::Debug for BaseVictimLlc<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("BaseVictimLlc")
             .field("geom", &self.geom)
@@ -102,90 +102,55 @@ impl<P: ReplacementPolicy, E: EventSink> core::fmt::Debug for BaseVictimLlc<P, E
 }
 
 impl BaseVictimLlc {
-    /// Creates an empty Base-Victim LLC over the given *physical* geometry
-    /// (`geom.ways()` data ways per set, each carrying two tags).
+    /// Engine tag slots per physical way: the Baseline cache's one tag.
+    /// The second tag of each way (the Victim cache) lives outside the
+    /// engine, so the baseline policy never sees it.
+    pub const SLOTS_PER_WAY: usize = 1;
+
+    /// Creates an empty inclusive Base-Victim LLC compressing with BDI
+    /// over the given *physical* geometry (`geom.ways()` data ways per
+    /// set, each carrying two tags).
     #[must_use]
     pub fn new(
         geom: CacheGeometry,
         policy: PolicyKind,
         victim_kind: VictimPolicyKind,
     ) -> BaseVictimLlc {
-        BaseVictimLlc::with_compressor(
+        BaseVictimLlc::with_sink(
             geom,
             policy,
             victim_kind,
             InclusionMode::Inclusive,
             Box::new(Bdi::new()),
+            NoEventSink,
         )
     }
+}
 
-    /// Creates the non-inclusive variant of Section IV.B.3: victim lines
-    /// may be dirty (saving writebacks), and writes that hit the Victim
-    /// cache promote the line instead of being a protocol violation.
-    #[must_use]
-    pub fn new_non_inclusive(
-        geom: CacheGeometry,
-        policy: PolicyKind,
-        victim_kind: VictimPolicyKind,
-    ) -> BaseVictimLlc {
-        BaseVictimLlc::with_compressor(
-            geom,
-            policy,
-            victim_kind,
-            InclusionMode::NonInclusive,
-            Box::new(Bdi::new()),
-        )
-    }
-
+impl<E: EventSink> BaseVictimLlc<E> {
     /// Creates a Base-Victim LLC with an explicit inclusion mode and
-    /// compression algorithm (the paper uses BDI; FPC and C-Pack plug in
-    /// here for ablation studies) and a runtime-selected policy.
-    #[must_use]
-    pub fn with_compressor(
-        geom: CacheGeometry,
-        policy: PolicyKind,
-        victim_kind: VictimPolicyKind,
-        mode: InclusionMode,
-        compressor: Box<dyn Compressor>,
-    ) -> BaseVictimLlc {
-        let policy = policy.instantiate(geom.sets(), geom.ways());
-        BaseVictimLlc::with_policy(geom, policy, victim_kind, mode, compressor)
-    }
-}
-
-impl<P: ReplacementPolicy> BaseVictimLlc<P> {
-    /// Creates a Base-Victim LLC around a concrete baseline-policy
-    /// instance, monomorphizing the lookup/fill path over it.
-    #[must_use]
-    pub fn with_policy(
-        geom: CacheGeometry,
-        policy: P,
-        victim_kind: VictimPolicyKind,
-        mode: InclusionMode,
-        compressor: Box<dyn Compressor>,
-    ) -> BaseVictimLlc<P> {
-        BaseVictimLlc::with_sink(geom, policy, victim_kind, mode, compressor, NoEventSink)
-    }
-}
-
-impl<P: ReplacementPolicy, E: EventSink> BaseVictimLlc<P, E> {
-    /// Creates a Base-Victim LLC that reports cache events to `sink`.
-    /// The untraced constructors route here with [`NoEventSink`], which
-    /// compiles the event path out entirely.
+    /// compression algorithm that reports cache events to `sink`.
+    ///
+    /// [`InclusionMode::NonInclusive`] is the variant of Section IV.B.3:
+    /// victim lines may be dirty (saving writebacks), and writes that hit
+    /// the Victim cache promote the line instead of being a protocol
+    /// violation. The paper compresses with BDI; FPC and C-Pack plug in
+    /// here for ablation studies. [`BaseVictimLlc::new`] routes here with
+    /// [`NoEventSink`], which compiles the event path out entirely.
     #[must_use]
     pub fn with_sink(
         geom: CacheGeometry,
-        policy: P,
+        policy: PolicyKind,
         victim_kind: VictimPolicyKind,
         mode: InclusionMode,
         compressor: Box<dyn Compressor>,
         sink: E,
-    ) -> BaseVictimLlc<P, E> {
+    ) -> BaseVictimLlc<E> {
         let sets = geom.sets();
         let ways = geom.ways();
         BaseVictimLlc {
             geom,
-            engine: SetEngine::with_sink(sets, ways, policy, sink),
+            engine: SetEngine::with_sink(sets, ways * BaseVictimLlc::SLOTS_PER_WAY, policy, sink),
             victim: vec![Slot::empty(); sets * ways],
             victim_birth: vec![0; sets * ways],
             victim_kind,
@@ -565,7 +530,7 @@ impl<P: ReplacementPolicy, E: EventSink> BaseVictimLlc<P, E> {
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> LlcOrganization for BaseVictimLlc<P, E> {
+impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     fn name(&self) -> &'static str {
         "base-victim"
     }
@@ -1138,10 +1103,13 @@ mod tests {
     }
 
     fn toy_non_inclusive() -> BaseVictimLlc {
-        BaseVictimLlc::new_non_inclusive(
+        BaseVictimLlc::with_sink(
             fixtures::toy_geometry(),
             fixtures::toy_policy(),
             VictimPolicyKind::EcmLargestBase,
+            InclusionMode::NonInclusive,
+            Box::new(Bdi::new()),
+            NoEventSink,
         )
     }
 
@@ -1232,12 +1200,13 @@ mod tests {
             Box::new(Fpc::new()) as Box<dyn Compressor>,
             Box::new(ZeroOnly::new()),
         ] {
-            let mut c = BaseVictimLlc::with_compressor(
+            let mut c = BaseVictimLlc::with_sink(
                 geom,
                 fixtures::toy_policy(),
                 VictimPolicyKind::EcmLargestBase,
                 InclusionMode::Inclusive,
                 compressor,
+                NoEventSink,
             );
             // Zero lines compress to one segment under both algorithms:
             // five of them share four physical ways.
@@ -1259,30 +1228,5 @@ mod tests {
         assert_eq!(c.stats().migrations, 1); // one base->victim move
         c.read(addr(0, 0), &mut inner); // victim hit: promote + park
         assert_eq!(c.stats().migrations, 3);
-    }
-
-    #[test]
-    fn monomorphic_construction_matches_runtime_selection() {
-        let geom = fixtures::toy_geometry();
-        let mut by_kind = toy();
-        let mut by_type = BaseVictimLlc::with_policy(
-            geom,
-            bv_cache::replacement::Lru::new(geom.sets(), geom.ways()),
-            VictimPolicyKind::EcmLargestBase,
-            InclusionMode::Inclusive,
-            Box::new(Bdi::new()),
-        );
-        let mut inner = NoInner;
-        for i in 0..300 {
-            let a = addr(i % 4, (i * 7) % 9);
-            let hit_kind = by_kind.read(a, &mut inner).is_hit();
-            let hit_type = by_type.read(a, &mut inner).is_hit();
-            assert_eq!(hit_kind, hit_type);
-            if !hit_kind {
-                by_kind.fill(a, line_with_segments(5), &mut inner);
-                by_type.fill(a, line_with_segments(5), &mut inner);
-            }
-        }
-        assert_eq!(by_kind.stats(), by_type.stats());
     }
 }

@@ -18,7 +18,7 @@
 use crate::slot::Slot;
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind, ReplacementPolicy};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 
@@ -79,11 +79,11 @@ impl SuperLines {
 /// assert!(dcc.contains(LineAddr::new(8)));
 /// ```
 #[derive(Debug)]
-pub struct DccLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
+pub struct DccLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     /// `sets x 2*ways` super-block tags (DCC doubles tag reach like the
     /// other compressed organizations; each tag covers 4 lines).
-    engine: SetEngine<P, SuperLines, E>,
+    engine: SetEngine<SuperLines, E>,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
@@ -95,31 +95,23 @@ pub struct DccLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
 }
 
 impl DccLlc {
-    /// Creates an empty functional DCC over the given physical geometry
-    /// with a runtime-selected policy.
+    /// Engine tag slots per physical way: two super-block tags per data way.
+    pub const SLOTS_PER_WAY: usize = 2;
+
+    /// Creates an empty functional DCC over the given physical geometry.
     #[must_use]
     pub fn new(geom: CacheGeometry, policy: PolicyKind) -> DccLlc {
-        let tags = geom.ways() * 2;
-        DccLlc::with_policy(geom, policy.instantiate(geom.sets(), tags))
-    }
-}
-
-impl<P: ReplacementPolicy> DccLlc<P> {
-    /// Creates an empty functional DCC around a concrete policy instance
-    /// covering all `2N` super-block tags per set.
-    #[must_use]
-    pub fn with_policy(geom: CacheGeometry, policy: P) -> DccLlc<P> {
         DccLlc::with_sink(geom, policy, NoEventSink)
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> DccLlc<P, E> {
+impl<E: EventSink> DccLlc<E> {
     /// Creates an empty functional DCC that reports cache events to
-    /// `sink`. The untraced constructors route here with [`NoEventSink`],
-    /// which compiles the event path out entirely.
+    /// `sink`. [`DccLlc::new`] routes here with [`NoEventSink`], which
+    /// compiles the event path out entirely.
     #[must_use]
-    pub fn with_sink(geom: CacheGeometry, policy: P, sink: E) -> DccLlc<P, E> {
-        let tags = geom.ways() * 2;
+    pub fn with_sink(geom: CacheGeometry, policy: PolicyKind, sink: E) -> DccLlc<E> {
+        let tags = geom.ways() * DccLlc::SLOTS_PER_WAY;
         DccLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), tags, policy, sink),
@@ -378,7 +370,7 @@ impl<P: ReplacementPolicy, E: EventSink> DccLlc<P, E> {
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> LlcOrganization for DccLlc<P, E> {
+impl<E: EventSink> LlcOrganization for DccLlc<E> {
     fn name(&self) -> &'static str {
         "dcc"
     }

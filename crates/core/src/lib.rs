@@ -7,10 +7,10 @@
 //! paper compares it to:
 //!
 //! * [`UncompressedLlc`] — the baseline cache every figure normalizes to.
-//! * [`TwoTagLlc`] — the naive two-tags-per-way design of Section III that
-//!   victimizes partner lines (Figure 6; loses 12% on average).
-//! * [`TwoTagEcmLlc`] — the modified two-tag design with ECM-style
-//!   size-aware victim selection (Figure 7; still has heavy outliers).
+//! * [`TwoTagLlc`] — the two-tags-per-way design of Section III, in two
+//!   [`TwoTagFlavor`]s: the naive one victimizes partner lines (Figure 6;
+//!   loses 12% on average), the modified one selects victims ECM-style by
+//!   size (Figure 7; still has heavy outliers).
 //! * [`BaseVictimLlc`] — the paper's proposal (Section IV): the Baseline
 //!   cache mirrors the uncompressed cache exactly, and replacement victims
 //!   are *opportunistically* retained in a always-clean Victim cache when
@@ -23,7 +23,10 @@
 //!
 //! All organizations speak the same [`LlcOrganization`] interface so the
 //! timing simulator (`bv-sim`) and the experiment harness can swap them
-//! freely.
+//! freely. Each is built the same way: `new(geom, policy, ..)` with a
+//! [`PolicyKind`](bv_cache::PolicyKind), or `with_sink(.., sink)` to
+//! report cache events, and each states its engine tag slots per
+//! physical way as `SLOTS_PER_WAY`.
 //!
 //! # Examples
 //!
@@ -57,7 +60,7 @@ mod vsc;
 
 pub use base_victim::{BaseVictimLlc, InclusionMode};
 pub use dcc::DccLlc;
-pub use two_tag::{TwoTagEcmLlc, TwoTagLlc};
+pub use two_tag::{TwoTagFlavor, TwoTagLlc};
 pub use uncompressed::UncompressedLlc;
 pub use victim_policy::VictimPolicyKind;
 pub use vsc::VscLlc;

@@ -2,14 +2,16 @@
 //!
 //! These organizations demonstrate the paper's negative result: doubling
 //! tags and pairing compressed lines in physical ways *without* the
-//! Base-Victim split interacts badly with the replacement policy.
+//! Base-Victim split interacts badly with the replacement policy. Both
+//! are one [`TwoTagLlc`] type; its [`TwoTagFlavor`] picks the eviction.
 //!
-//! * [`TwoTagLlc`] treats all `2N` logical slots of a set as peers of one
-//!   replacement policy. When the incoming line does not fit with the
-//!   victim slot's partner, the partner is evicted too ("partner line
-//!   victimization") — even if it is the MRU line. Figure 6 shows this
-//!   losing 12% on average.
-//! * [`TwoTagEcmLlc`] adds the ECM-inspired fix evaluated in Figure 7: it
+//! * [`TwoTagFlavor::PartnerVictimization`] treats all `2N` logical slots
+//!   of a set as peers of one replacement policy. When the incoming line
+//!   does not fit with the victim slot's partner, the partner is evicted
+//!   too ("partner line victimization") — even if it is the MRU line.
+//!   Figure 6 shows this losing 12% on average.
+//! * [`TwoTagFlavor::EcmSizeAware`] adds the ECM-inspired fix evaluated in
+//!   Figure 7: it
 //!   searches for an eviction candidate (per the policy's candidate
 //!   predicate) whose removal alone frees enough space, choosing the one
 //!   with the largest compressed size; partner victimization remains the
@@ -19,44 +21,82 @@
 use crate::slot::{line_addr, LineMeta};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind, ReplacementPolicy};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::{
     Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
 };
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 
-/// Victim-search flavor for the shared two-tag machinery.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Flavor {
-    /// Naive: policy victim + partner victimization (Figure 6).
+/// How a two-tag organization picks its eviction when no free slot fits.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum TwoTagFlavor {
+    /// Naive: policy victim + partner victimization (Figure 6), reported
+    /// as `two-tag`.
     PartnerVictimization,
-    /// Modified: ECM-style size-aware candidate search (Figure 7).
+    /// Modified: ECM-style size-aware candidate search (Figure 7),
+    /// reported as `two-tag-ecm`.
     EcmSizeAware,
 }
 
-/// Shared implementation of both two-tag organizations.
+/// The two-tags-per-way compressed LLC of Section III, in either
+/// [`TwoTagFlavor`].
 ///
 /// The set engine holds `sets x 2N` logical slots; slot `l` lives in
 /// physical way `l / 2`, its partner is `l ^ 1`. The two-tag delta over
 /// the engine is purely the pairing rule: a line may only be installed
 /// where it fits with its partner, and lines that stop fitting victimize
 /// the partner.
+///
+/// # Examples
+///
+/// ```
+/// use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
+/// use bv_compress::CacheLine;
+/// use bv_core::{LlcOrganization, NoInner, TwoTagFlavor, TwoTagLlc};
+///
+/// let geom = CacheGeometry::new(4096, 4, 64);
+/// let mut llc = TwoTagLlc::new(geom, PolicyKind::Nru, TwoTagFlavor::EcmSizeAware);
+/// llc.fill(LineAddr::new(3), CacheLine::zeroed(), &mut NoInner);
+/// assert!(llc.contains(LineAddr::new(3)));
+/// assert_eq!(llc.name(), "two-tag-ecm");
+/// ```
 #[derive(Debug)]
-pub struct TwoTagCore<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
+pub struct TwoTagLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<P, LineMeta, E>,
-    flavor: Flavor,
+    engine: SetEngine<LineMeta, E>,
+    flavor: TwoTagFlavor,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
 }
 
-impl<P: ReplacementPolicy, E: EventSink> TwoTagCore<P, E> {
-    fn new(geom: CacheGeometry, policy: P, flavor: Flavor, sink: E) -> TwoTagCore<P, E> {
-        let logical = geom.ways() * 2;
-        TwoTagCore {
+impl TwoTagLlc {
+    /// Engine tag slots per physical way: two tags per data way.
+    pub const SLOTS_PER_WAY: usize = 2;
+
+    /// Creates an empty organization over the given physical geometry
+    /// (each data way carries two tags).
+    #[must_use]
+    pub fn new(geom: CacheGeometry, policy: PolicyKind, flavor: TwoTagFlavor) -> TwoTagLlc {
+        TwoTagLlc::with_sink(geom, policy, flavor, NoEventSink)
+    }
+}
+
+impl<E: EventSink> TwoTagLlc<E> {
+    /// Creates an empty organization that reports cache events to
+    /// `sink`. [`TwoTagLlc::new`] routes here with [`NoEventSink`], which
+    /// compiles the event path out entirely.
+    #[must_use]
+    pub fn with_sink(
+        geom: CacheGeometry,
+        policy: PolicyKind,
+        flavor: TwoTagFlavor,
+        sink: E,
+    ) -> TwoTagLlc<E> {
+        let slots = geom.ways() * TwoTagLlc::SLOTS_PER_WAY;
+        TwoTagLlc {
             geom,
-            engine: SetEngine::with_sink(geom.sets(), logical, policy, sink),
+            engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
             flavor,
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
@@ -125,7 +165,7 @@ impl<P: ReplacementPolicy, E: EventSink> TwoTagCore<P, E> {
         let l = match target {
             Some(l) => l,
             None => match self.flavor {
-                Flavor::PartnerVictimization => {
+                TwoTagFlavor::PartnerVictimization => {
                     // Evict the policy's victim; if the incoming line does
                     // not fit with its partner, victimize the partner too —
                     // even if the partner is the MRU line.
@@ -137,7 +177,7 @@ impl<P: ReplacementPolicy, E: EventSink> TwoTagCore<P, E> {
                     }
                     v
                 }
-                Flavor::EcmSizeAware => {
+                TwoTagFlavor::EcmSizeAware => {
                     // Candidates: valid slots whose sole removal frees
                     // enough space. Prefer the policy's eviction
                     // candidates (e.g. NRU bit clear), then the largest
@@ -285,198 +325,128 @@ impl<P: ReplacementPolicy, E: EventSink> TwoTagCore<P, E> {
         }
     }
 }
-
-macro_rules! two_tag_llc {
-    ($(#[$doc:meta])* $name:ident, $flavor:expr, $org_name:literal) => {
-        $(#[$doc])*
-        #[derive(Debug)]
-        pub struct $name<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
-            core: TwoTagCore<P, E>,
+impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
+    fn name(&self) -> &'static str {
+        match self.flavor {
+            TwoTagFlavor::PartnerVictimization => "two-tag",
+            TwoTagFlavor::EcmSizeAware => "two-tag-ecm",
         }
+    }
 
-        impl $name {
-            /// Creates an empty organization over the given physical
-            /// geometry (each data way carries two tags) with a
-            /// runtime-selected policy.
-            #[must_use]
-            pub fn new(geom: CacheGeometry, policy: PolicyKind) -> $name {
-                let logical = geom.ways() * 2;
-                $name::with_policy(geom, policy.instantiate(geom.sets(), logical))
-            }
-        }
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
 
-        impl<P: ReplacementPolicy> $name<P> {
-            /// Creates an empty organization around a concrete policy
-            /// instance covering all `2N` logical slots per set.
-            #[must_use]
-            pub fn with_policy(geom: CacheGeometry, policy: P) -> $name<P> {
-                $name::with_sink(geom, policy, NoEventSink)
-            }
-        }
+    fn contains(&self, addr: LineAddr) -> bool {
+        self.find(addr).is_some()
+    }
 
-        impl<P: ReplacementPolicy, E: EventSink> $name<P, E> {
-            /// Creates an empty organization that reports cache events to
-            /// `sink`. The untraced constructors route here with
-            /// [`NoEventSink`](bv_events::NoEventSink), which compiles the
-            /// event path out entirely.
-            #[must_use]
-            pub fn with_sink(geom: CacheGeometry, policy: P, sink: E) -> $name<P, E> {
-                $name {
-                    core: TwoTagCore::new(geom, policy, $flavor, sink),
+    fn read(&mut self, addr: LineAddr, _inner: &mut dyn InclusionAgent) -> ReadOutcome {
+        match self.find(addr) {
+            Some((set, l)) => {
+                self.engine.demand_hit(set, l);
+                let size = self.engine.slot(set, l).meta.size;
+                ReadOutcome {
+                    kind: HitKind::Base(size),
+                    effects: Effects::default(),
                 }
             }
-
-            /// Verifies the pairing invariant; used by tests.
-            ///
-            /// # Panics
-            ///
-            /// Panics if two paired lines exceed the physical way capacity.
-            pub fn assert_invariants(&self) {
-                self.core.assert_invariants();
+            None => {
+                let set = self.geom.set_index(addr.get());
+                self.engine.demand_miss(set);
+                ReadOutcome {
+                    kind: HitKind::Miss,
+                    effects: Effects::default(),
+                }
             }
         }
+    }
 
-        impl<P: ReplacementPolicy, E: EventSink> LlcOrganization for $name<P, E> {
-            fn name(&self) -> &'static str {
-                $org_name
-            }
+    fn writeback(
+        &mut self,
+        addr: LineAddr,
+        data: CacheLine,
+        inner: &mut dyn InclusionAgent,
+    ) -> OpOutcome {
+        let effects = self.do_writeback(addr, data, inner);
+        self.engine.absorb(effects);
+        OpOutcome { effects }
+    }
 
-            fn geometry(&self) -> CacheGeometry {
-                self.core.geom
-            }
+    fn fill(
+        &mut self,
+        addr: LineAddr,
+        data: CacheLine,
+        inner: &mut dyn InclusionAgent,
+    ) -> OpOutcome {
+        let effects = self.install(addr, data, inner, false);
+        self.engine.stats_mut().demand_fills += 1;
+        self.engine.absorb(effects);
+        OpOutcome { effects }
+    }
 
-            fn contains(&self, addr: LineAddr) -> bool {
-                self.core.find(addr).is_some()
-            }
-
-            fn read(&mut self, addr: LineAddr, _inner: &mut dyn InclusionAgent) -> ReadOutcome {
-                match self.core.find(addr) {
-                    Some((set, l)) => {
-                        self.core.engine.demand_hit(set, l);
-                        let size = self.core.engine.slot(set, l).meta.size;
-                        ReadOutcome {
-                            kind: HitKind::Base(size),
-                            effects: Effects::default(),
-                        }
-                    }
-                    None => {
-                        let set = self.core.geom.set_index(addr.get());
-                        self.core.engine.demand_miss(set);
-                        ReadOutcome {
-                            kind: HitKind::Miss,
-                            effects: Effects::default(),
-                        }
-                    }
-                }
-            }
-
-            fn writeback(
-                &mut self,
-                addr: LineAddr,
-                data: CacheLine,
-                inner: &mut dyn InclusionAgent,
-            ) -> OpOutcome {
-                let effects = self.core.do_writeback(addr, data, inner);
-                self.core.engine.absorb(effects);
-                OpOutcome { effects }
-            }
-
-            fn fill(
-                &mut self,
-                addr: LineAddr,
-                data: CacheLine,
-                inner: &mut dyn InclusionAgent,
-            ) -> OpOutcome {
-                let effects = self.core.install(addr, data, inner, false);
-                self.core.engine.stats_mut().demand_fills += 1;
-                self.core.engine.absorb(effects);
-                OpOutcome { effects }
-            }
-
-            fn prefetch_fill(
-                &mut self,
-                addr: LineAddr,
-                data: CacheLine,
-                inner: &mut dyn InclusionAgent,
-            ) -> Option<OpOutcome> {
-                if self.contains(addr) {
-                    self.core.engine.stats_mut().prefetch_hits += 1;
-                    return None;
-                }
-                let effects = self.core.install(addr, data, inner, true);
-                self.core.engine.stats_mut().prefetch_fills += 1;
-                self.core.engine.absorb(effects);
-                Some(OpOutcome { effects })
-            }
-
-            fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
-                let (set, l) = self.core.find(addr)?;
-                Some(self.core.engine.slot(set, l).meta.data)
-            }
-
-            fn hint_downgrade(&mut self, addr: LineAddr) {
-                if let Some((set, l)) = self.core.find(addr) {
-                    self.core.engine.hint_downgrade(set, l);
-                }
-            }
-
-            fn stats(&self) -> &LlcStats {
-                self.core.engine.stats()
-            }
-
-            fn compression_stats(&self) -> &CompressionStats {
-                &self.core.compression
-            }
-
-            fn tag_latency_penalty(&self) -> u32 {
-                1 // doubled tags
-            }
-
-            fn decompression_latency(&self, size: SegmentCount) -> u32 {
-                self.core.bdi.decompression_latency(size, 2)
-            }
-
-            fn resident_lines(&self) -> Vec<LineAddr> {
-                self.core
-                    .engine
-                    .iter_valid()
-                    .map(|(set, _, s)| line_addr(&self.core.geom, set, s.tag))
-                    .collect()
-            }
-
-            fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-                self.core.encoders.counts(&self.core.bdi)
-            }
-
-            fn drain_events(&mut self) -> Vec<CacheEvent> {
-                self.core.engine.drain_events()
-            }
-
-            fn events_dropped(&self) -> u64 {
-                self.core.engine.events_dropped()
-            }
+    fn prefetch_fill(
+        &mut self,
+        addr: LineAddr,
+        data: CacheLine,
+        inner: &mut dyn InclusionAgent,
+    ) -> Option<OpOutcome> {
+        if self.contains(addr) {
+            self.engine.stats_mut().prefetch_hits += 1;
+            return None;
         }
-    };
+        let effects = self.install(addr, data, inner, true);
+        self.engine.stats_mut().prefetch_fills += 1;
+        self.engine.absorb(effects);
+        Some(OpOutcome { effects })
+    }
+
+    fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
+        let (set, l) = self.find(addr)?;
+        Some(self.engine.slot(set, l).meta.data)
+    }
+
+    fn hint_downgrade(&mut self, addr: LineAddr) {
+        if let Some((set, l)) = self.find(addr) {
+            self.engine.hint_downgrade(set, l);
+        }
+    }
+
+    fn stats(&self) -> &LlcStats {
+        self.engine.stats()
+    }
+
+    fn compression_stats(&self) -> &CompressionStats {
+        &self.compression
+    }
+
+    fn tag_latency_penalty(&self) -> u32 {
+        1 // doubled tags
+    }
+
+    fn decompression_latency(&self, size: SegmentCount) -> u32 {
+        self.bdi.decompression_latency(size, 2)
+    }
+
+    fn resident_lines(&self) -> Vec<LineAddr> {
+        self.engine
+            .iter_valid()
+            .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
+            .collect()
+    }
+
+    fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
+        self.encoders.counts(&self.bdi)
+    }
+
+    fn drain_events(&mut self) -> Vec<CacheEvent> {
+        self.engine.drain_events()
+    }
+
+    fn events_dropped(&self) -> u64 {
+        self.engine.events_dropped()
+    }
 }
-
-two_tag_llc!(
-    /// The naive two-tag organization of Section III (Figure 6): the
-    /// policy's victim is evicted and, when the incoming line does not fit
-    /// with the victim's partner, the partner is victimized too — even if
-    /// it is the hottest line in the set.
-    TwoTagLlc,
-    Flavor::PartnerVictimization,
-    "two-tag"
-);
-
-two_tag_llc!(
-    /// The modified two-tag organization of Figure 7: an ECM-inspired
-    /// size-aware search avoids partner victimization when possible, but
-    /// must break the replacement order to do so.
-    TwoTagEcmLlc,
-    Flavor::EcmSizeAware,
-    "two-tag-ecm"
-);
 
 #[cfg(test)]
 mod tests {
@@ -505,11 +475,19 @@ mod tests {
     }
 
     fn toy_naive() -> TwoTagLlc {
-        TwoTagLlc::new(fixtures::toy_geometry(), fixtures::toy_policy())
+        TwoTagLlc::new(
+            fixtures::toy_geometry(),
+            fixtures::toy_policy(),
+            TwoTagFlavor::PartnerVictimization,
+        )
     }
 
-    fn toy_ecm() -> TwoTagEcmLlc {
-        TwoTagEcmLlc::new(fixtures::toy_geometry(), PolicyKind::Nru)
+    fn toy_ecm() -> TwoTagLlc {
+        TwoTagLlc::new(
+            fixtures::toy_geometry(),
+            PolicyKind::Nru,
+            TwoTagFlavor::EcmSizeAware,
+        )
     }
 
     #[test]

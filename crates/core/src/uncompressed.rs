@@ -3,7 +3,7 @@
 use crate::slot::{line_addr, LineMeta};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind, ReplacementPolicy};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 
@@ -27,41 +27,35 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 /// assert!(llc.contains(LineAddr::new(3)));
 /// ```
 #[derive(Debug)]
-pub struct UncompressedLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
+pub struct UncompressedLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<P, LineMeta, E>,
+    engine: SetEngine<LineMeta, E>,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
 }
 
 impl UncompressedLlc {
-    /// Creates an empty uncompressed LLC with a runtime-selected policy.
+    /// Engine tag slots per physical way: one tag per way.
+    pub const SLOTS_PER_WAY: usize = 1;
+
+    /// Creates an empty uncompressed LLC.
     #[must_use]
     pub fn new(geom: CacheGeometry, policy: PolicyKind) -> UncompressedLlc {
-        let (sets, ways) = (geom.sets(), geom.ways());
-        UncompressedLlc::with_policy(geom, policy.instantiate(sets, ways))
-    }
-}
-
-impl<P: ReplacementPolicy> UncompressedLlc<P> {
-    /// Creates an empty uncompressed LLC around a concrete policy
-    /// instance, monomorphizing the lookup/fill path over it.
-    #[must_use]
-    pub fn with_policy(geom: CacheGeometry, policy: P) -> UncompressedLlc<P> {
         UncompressedLlc::with_sink(geom, policy, NoEventSink)
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> UncompressedLlc<P, E> {
+impl<E: EventSink> UncompressedLlc<E> {
     /// Creates an empty uncompressed LLC that reports cache events to
-    /// `sink`. The untraced constructors route here with [`NoEventSink`],
+    /// `sink`. [`UncompressedLlc::new`] routes here with [`NoEventSink`],
     /// which compiles the event path out entirely.
     #[must_use]
-    pub fn with_sink(geom: CacheGeometry, policy: P, sink: E) -> UncompressedLlc<P, E> {
+    pub fn with_sink(geom: CacheGeometry, policy: PolicyKind, sink: E) -> UncompressedLlc<E> {
+        let slots = geom.ways() * UncompressedLlc::SLOTS_PER_WAY;
         UncompressedLlc {
             geom,
-            engine: SetEngine::with_sink(geom.sets(), geom.ways(), policy, sink),
+            engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
             encoders: EncoderStats::new(),
@@ -150,7 +144,7 @@ impl<P: ReplacementPolicy, E: EventSink> UncompressedLlc<P, E> {
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> LlcOrganization for UncompressedLlc<P, E> {
+impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
     fn name(&self) -> &'static str {
         "uncompressed"
     }
@@ -361,25 +355,6 @@ mod tests {
         let c = llc();
         assert_eq!(c.tag_latency_penalty(), 0);
         assert_eq!(c.decompression_latency(SegmentCount::new(4)), 0);
-    }
-
-    #[test]
-    fn monomorphic_construction_matches_runtime_selection() {
-        let geom = fixtures::toy_geometry();
-        let mut by_kind = UncompressedLlc::new(geom, fixtures::toy_policy());
-        let mut by_type = UncompressedLlc::with_policy(geom, bv_cache::replacement::Lru::new(4, 4));
-        let mut inner = NoInner;
-        for i in 0..200 {
-            let a = LineAddr::new(i * 7 % 64);
-            let hit_kind = by_kind.read(a, &mut inner).is_hit();
-            let hit_type = by_type.read(a, &mut inner).is_hit();
-            assert_eq!(hit_kind, hit_type);
-            if !hit_kind {
-                by_kind.fill(a, CacheLine::zeroed(), &mut inner);
-                by_type.fill(a, CacheLine::zeroed(), &mut inner);
-            }
-        }
-        assert_eq!(by_kind.stats(), by_type.stats());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::slot::{line_addr, LineMeta};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
-use bv_cache::{CacheGeometry, LineAddr, Policy, PolicyKind, ReplacementPolicy};
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::{
     Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
 };
@@ -39,9 +39,9 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 /// assert!(vsc.contains(LineAddr::new(1)));
 /// ```
 #[derive(Debug)]
-pub struct VscLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
+pub struct VscLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<P, LineMeta, E>, // sets x 2*ways logical tags
+    engine: SetEngine<LineMeta, E>, // sets x 2*ways logical tags
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
@@ -54,31 +54,23 @@ pub struct VscLlc<P: ReplacementPolicy = Policy, E: EventSink = NoEventSink> {
 }
 
 impl VscLlc {
-    /// Creates an empty functional VSC over the given physical geometry
-    /// with a runtime-selected policy.
+    /// Engine tag slots per physical way: two logical tags per data way.
+    pub const SLOTS_PER_WAY: usize = 2;
+
+    /// Creates an empty functional VSC over the given physical geometry.
     #[must_use]
     pub fn new(geom: CacheGeometry, policy: PolicyKind) -> VscLlc {
-        let logical = geom.ways() * 2;
-        VscLlc::with_policy(geom, policy.instantiate(geom.sets(), logical))
-    }
-}
-
-impl<P: ReplacementPolicy> VscLlc<P> {
-    /// Creates an empty functional VSC around a concrete policy instance
-    /// covering all `2N` logical tags per set.
-    #[must_use]
-    pub fn with_policy(geom: CacheGeometry, policy: P) -> VscLlc<P> {
         VscLlc::with_sink(geom, policy, NoEventSink)
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> VscLlc<P, E> {
+impl<E: EventSink> VscLlc<E> {
     /// Creates an empty functional VSC that reports cache events to
-    /// `sink`. The untraced constructors route here with [`NoEventSink`],
-    /// which compiles the event path out entirely.
+    /// `sink`. [`VscLlc::new`] routes here with [`NoEventSink`], which
+    /// compiles the event path out entirely.
     #[must_use]
-    pub fn with_sink(geom: CacheGeometry, policy: P, sink: E) -> VscLlc<P, E> {
-        let logical = geom.ways() * 2;
+    pub fn with_sink(geom: CacheGeometry, policy: PolicyKind, sink: E) -> VscLlc<E> {
+        let logical = geom.ways() * VscLlc::SLOTS_PER_WAY;
         VscLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), logical, policy, sink),
@@ -259,7 +251,7 @@ impl<P: ReplacementPolicy, E: EventSink> VscLlc<P, E> {
     }
 }
 
-impl<P: ReplacementPolicy, E: EventSink> LlcOrganization for VscLlc<P, E> {
+impl<E: EventSink> LlcOrganization for VscLlc<E> {
     fn name(&self) -> &'static str {
         "vsc-2x"
     }

@@ -13,11 +13,13 @@
 //! step-salted data, which the oracle's input model does not cover.
 
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
-use bv_compress::CacheLine;
+use bv_compress::{Bdi, CacheLine};
 use bv_core::audit::{self, render_divergence, AuditOp, LlcMirror};
 use bv_core::{
-    BaseVictimLlc, InclusionAgent, LlcOrganization, NoInner, UncompressedLlc, VictimPolicyKind,
+    BaseVictimLlc, InclusionAgent, InclusionMode, LlcOrganization, NoInner, UncompressedLlc,
+    VictimPolicyKind,
 };
+use bv_events::NoEventSink;
 use bv_testkit::mirror::run;
 use bv_testkit::{cases, Rng};
 
@@ -265,8 +267,14 @@ fn random_policy_holds_invariants() {
 fn non_inclusive_baseline_mirrors_on_read_streams() {
     let geom = CacheGeometry::new(4096, 4, 64);
     let mut unc = UncompressedLlc::new(geom, PolicyKind::Nru);
-    let mut bv =
-        BaseVictimLlc::new_non_inclusive(geom, PolicyKind::Nru, VictimPolicyKind::EcmLargestBase);
+    let mut bv = BaseVictimLlc::with_sink(
+        geom,
+        PolicyKind::Nru,
+        VictimPolicyKind::EcmLargestBase,
+        InclusionMode::NonInclusive,
+        Box::new(Bdi::new()),
+        NoEventSink,
+    );
     let mut inner = NoInner;
     for i in 0..20_000u64 {
         let a = (i * 31) % 400;

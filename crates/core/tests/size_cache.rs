@@ -12,6 +12,7 @@ use std::rc::Rc;
 use bv_cache::LineAddr;
 use bv_compress::{Bdi, CacheLine, Compressed, Compressor, SegmentCount};
 use bv_core::{BaseVictimLlc, InclusionMode, LlcOrganization, NoInner, VictimPolicyKind};
+use bv_events::NoEventSink;
 use bv_testkit::fixtures;
 
 /// Wraps BDI and counts how many times the cache asks for a compression
@@ -58,12 +59,13 @@ impl Compressor for CountingCompressor {
 
 fn counting_llc(mode: InclusionMode) -> (BaseVictimLlc, Rc<Cell<u64>>) {
     let (compressor, size_calls, _) = CountingCompressor::new();
-    let llc = BaseVictimLlc::with_compressor(
+    let llc = BaseVictimLlc::with_sink(
         fixtures::toy_geometry(), // 4 sets x 4 ways toy cache
         fixtures::toy_policy(),
         VictimPolicyKind::EcmLargestBase,
         mode,
         Box::new(compressor),
+        NoEventSink,
     );
     (llc, size_calls)
 }

@@ -3,10 +3,10 @@
 use bv_cache::{CacheGeometry, PolicyKind, MAX_WAYS};
 use bv_compress::{Bdi, CPack, Compressor, Fpc, ZeroOnly};
 use bv_core::{
-    BaseVictimLlc, DccLlc, InclusionMode, LlcOrganization, TwoTagEcmLlc, TwoTagLlc,
+    BaseVictimLlc, DccLlc, InclusionMode, LlcOrganization, TwoTagFlavor, TwoTagLlc,
     UncompressedLlc, VictimPolicyKind, VscLlc,
 };
-use bv_events::RingSink;
+use bv_events::{EventSink, NoEventSink};
 
 /// Selects the LLC compression algorithm for ablation studies (the paper
 /// uses BDI throughout; Section VII.A notes the architecture is
@@ -200,8 +200,9 @@ impl LlcKind {
 
     /// Checks that this organization builds on a `mb` MB, `ways`-way LLC
     /// of 64 B lines, and returns the size in bytes: the
-    /// [`CacheGeometry::check`] rules, plus the doubled tag array of
-    /// two-tag, VSC and DCC, which must also fit [`MAX_WAYS`] tags per set.
+    /// [`CacheGeometry::check`] rules, plus the organization's engine tag
+    /// slots per set (two per way for two-tag, VSC and DCC), which must
+    /// also fit [`MAX_WAYS`].
     ///
     /// # Errors
     ///
@@ -213,10 +214,7 @@ impl LlcKind {
             .ok_or_else(|| format!("LLC size {mb} MB overflows"))?;
         let ways = usize::try_from(ways).unwrap_or(usize::MAX);
         CacheGeometry::check(bytes, ways, 64)?;
-        let tags = match self {
-            LlcKind::TwoTag | LlcKind::TwoTagEcm | LlcKind::Vsc | LlcKind::Dcc => ways * 2,
-            _ => ways,
-        };
+        let tags = ways * self.slots_per_way();
         if tags > MAX_WAYS {
             return Err(format!(
                 "{} keeps {tags} tags per set for {ways} ways; at most {MAX_WAYS} fit",
@@ -226,105 +224,61 @@ impl LlcKind {
         Ok(bytes)
     }
 
-    /// Instantiates the organization.
-    #[must_use]
-    pub fn build(self, geom: CacheGeometry, policy: PolicyKind) -> Box<dyn LlcOrganization> {
+    /// The engine tag slots per physical way of this organization.
+    fn slots_per_way(self) -> usize {
         match self {
-            LlcKind::Uncompressed => Box::new(UncompressedLlc::new(geom, policy)),
-            LlcKind::TwoTag => Box::new(TwoTagLlc::new(geom, policy)),
-            LlcKind::TwoTagEcm => Box::new(TwoTagEcmLlc::new(geom, policy)),
-            LlcKind::BaseVictim => Box::new(BaseVictimLlc::new(
-                geom,
-                policy,
-                VictimPolicyKind::EcmLargestBase,
-            )),
-            LlcKind::BaseVictimWith(vp) => Box::new(BaseVictimLlc::new(geom, policy, vp)),
-            LlcKind::BaseVictimNonInclusive => Box::new(BaseVictimLlc::new_non_inclusive(
-                geom,
-                policy,
-                VictimPolicyKind::EcmLargestBase,
-            )),
-            LlcKind::BaseVictimCompressor(ck) => Box::new(BaseVictimLlc::with_compressor(
-                geom,
-                policy,
-                VictimPolicyKind::EcmLargestBase,
-                InclusionMode::Inclusive,
-                ck.build(),
-            )),
-            LlcKind::Vsc => Box::new(VscLlc::new(geom, policy)),
-            LlcKind::Dcc => Box::new(DccLlc::new(geom, policy)),
+            LlcKind::Uncompressed => UncompressedLlc::SLOTS_PER_WAY,
+            LlcKind::TwoTag | LlcKind::TwoTagEcm => TwoTagLlc::SLOTS_PER_WAY,
+            LlcKind::BaseVictim
+            | LlcKind::BaseVictimWith(_)
+            | LlcKind::BaseVictimNonInclusive
+            | LlcKind::BaseVictimCompressor(_) => BaseVictimLlc::SLOTS_PER_WAY,
+            LlcKind::Vsc => VscLlc::SLOTS_PER_WAY,
+            LlcKind::Dcc => DccLlc::SLOTS_PER_WAY,
         }
     }
 
-    /// Instantiates the organization with a [`RingSink`] retaining the
-    /// most recent `capacity` cache events (`bvsim trace`). Same policy
-    /// construction as [`LlcKind::build`] — identical seeds and logical
-    /// way counts — so a traced run replays the untraced run exactly,
-    /// plus events.
+    /// Instantiates the organization.
     #[must_use]
-    pub fn build_traced(
+    pub fn build(self, geom: CacheGeometry, policy: PolicyKind) -> Box<dyn LlcOrganization> {
+        self.build_traced(geom, policy, NoEventSink)
+    }
+
+    /// Instantiates the organization reporting cache events to `sink`
+    /// (`bvsim trace` passes a [`RingSink`](bv_events::RingSink) that
+    /// retains the most recent events). Every organization is built here,
+    /// so a traced run replays the untraced run exactly, plus events.
+    #[must_use]
+    pub fn build_traced<E: EventSink + 'static>(
         self,
         geom: CacheGeometry,
         policy: PolicyKind,
-        sink: RingSink,
+        sink: E,
     ) -> Box<dyn LlcOrganization> {
-        let (sets, ways) = (geom.sets(), geom.ways());
-        let bv = |vp, mode, comp: Box<dyn Compressor>, sink| {
-            Box::new(BaseVictimLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways),
-                vp,
-                mode,
-                comp,
-                sink,
-            )) as Box<dyn LlcOrganization>
-        };
+        let bdi = || Box::new(Bdi::new()) as Box<dyn Compressor>;
         let default_vp = VictimPolicyKind::EcmLargestBase;
-        match self {
-            LlcKind::Uncompressed => Box::new(UncompressedLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways),
-                sink,
-            )),
-            LlcKind::TwoTag => Box::new(TwoTagLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways * 2),
-                sink,
-            )),
-            LlcKind::TwoTagEcm => Box::new(TwoTagEcmLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways * 2),
-                sink,
-            )),
-            LlcKind::BaseVictim => bv(
-                default_vp,
-                InclusionMode::Inclusive,
-                Box::new(Bdi::new()),
-                sink,
-            ),
-            LlcKind::BaseVictimWith(vp) => {
-                bv(vp, InclusionMode::Inclusive, Box::new(Bdi::new()), sink)
+        let (vp, mode, compressor) = match self {
+            LlcKind::Uncompressed => {
+                return Box::new(UncompressedLlc::with_sink(geom, policy, sink))
             }
-            LlcKind::BaseVictimNonInclusive => bv(
-                default_vp,
-                InclusionMode::NonInclusive,
-                Box::new(Bdi::new()),
-                sink,
-            ),
-            LlcKind::BaseVictimCompressor(ck) => {
-                bv(default_vp, InclusionMode::Inclusive, ck.build(), sink)
+            LlcKind::TwoTag => {
+                let flavor = TwoTagFlavor::PartnerVictimization;
+                return Box::new(TwoTagLlc::with_sink(geom, policy, flavor, sink));
             }
-            LlcKind::Vsc => Box::new(VscLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways * 2),
-                sink,
-            )),
-            LlcKind::Dcc => Box::new(DccLlc::with_sink(
-                geom,
-                policy.instantiate(sets, ways * 2),
-                sink,
-            )),
-        }
+            LlcKind::TwoTagEcm => {
+                let flavor = TwoTagFlavor::EcmSizeAware;
+                return Box::new(TwoTagLlc::with_sink(geom, policy, flavor, sink));
+            }
+            LlcKind::Vsc => return Box::new(VscLlc::with_sink(geom, policy, sink)),
+            LlcKind::Dcc => return Box::new(DccLlc::with_sink(geom, policy, sink)),
+            LlcKind::BaseVictim => (default_vp, InclusionMode::Inclusive, bdi()),
+            LlcKind::BaseVictimWith(vp) => (vp, InclusionMode::Inclusive, bdi()),
+            LlcKind::BaseVictimNonInclusive => (default_vp, InclusionMode::NonInclusive, bdi()),
+            LlcKind::BaseVictimCompressor(ck) => (default_vp, InclusionMode::Inclusive, ck.build()),
+        };
+        Box::new(BaseVictimLlc::with_sink(
+            geom, policy, vp, mode, compressor, sink,
+        ))
     }
 }
 

@@ -146,7 +146,7 @@ pub use bv_cache::{BasicCache, CacheGeometry, CacheStats, LineAddr, PolicyKind};
 pub use bv_compress::{Bdi, CPack, CacheLine, CompressionStats, Compressor, Fpc, SegmentCount};
 pub use bv_core::{
     BaseVictimLlc, DccLlc, HitKind, InclusionAgent, InclusionMode, LlcOrganization, LlcStats,
-    NoInner, TwoTagEcmLlc, TwoTagLlc, UncompressedLlc, VictimPolicyKind, VscLlc,
+    NoInner, TwoTagFlavor, TwoTagLlc, UncompressedLlc, VictimPolicyKind, VscLlc,
 };
 pub use bv_energy::{EnergyBreakdown, EnergyModel, LlcEnergyClass};
 pub use bv_sim::{CompressorKind, LlcKind, MulticoreSystem, RunResult, SimConfig, System};
