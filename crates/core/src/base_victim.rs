@@ -125,6 +125,22 @@ impl BaseVictimLlc {
             NoEventSink,
         )
     }
+
+    /// The report name of a Base-Victim LLC with this victim-cache policy
+    /// and inclusion mode: `base-victim` for the paper's default, else a
+    /// suffix naming the variant.
+    #[must_use]
+    pub fn name_for(victim_kind: VictimPolicyKind, mode: InclusionMode) -> &'static str {
+        match (mode, victim_kind) {
+            (InclusionMode::NonInclusive, _) => "base-victim-ni",
+            (InclusionMode::Inclusive, VictimPolicyKind::EcmLargestBase) => "base-victim",
+            (InclusionMode::Inclusive, VictimPolicyKind::RandomFit) => "base-victim-random-fit",
+            (InclusionMode::Inclusive, VictimPolicyKind::LruFit) => "base-victim-lru-fit",
+            (InclusionMode::Inclusive, VictimPolicyKind::SmallestBase) => {
+                "base-victim-smallest-base"
+            }
+        }
+    }
 }
 
 impl<E: EventSink> BaseVictimLlc<E> {
@@ -532,7 +548,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
 
 impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     fn name(&self) -> &'static str {
-        "base-victim"
+        BaseVictimLlc::name_for(self.victim_kind, self.mode)
     }
 
     fn geometry(&self) -> CacheGeometry {

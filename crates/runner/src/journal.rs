@@ -411,8 +411,10 @@ fn intern_llc_name(name: &str) -> &'static str {
         "two-tag",
         "two-tag-ecm",
         "base-victim",
-        "base-victim-variant",
         "base-victim-ni",
+        "base-victim-random-fit",
+        "base-victim-lru-fit",
+        "base-victim-smallest-base",
         "base-victim-compressor",
         "vsc-2x",
         "dcc",

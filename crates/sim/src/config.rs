@@ -190,7 +190,7 @@ impl LlcKind {
             LlcKind::TwoTag => "two-tag",
             LlcKind::TwoTagEcm => "two-tag-ecm",
             LlcKind::BaseVictim => "base-victim",
-            LlcKind::BaseVictimWith(_) => "base-victim-variant",
+            LlcKind::BaseVictimWith(vp) => BaseVictimLlc::name_for(vp, InclusionMode::Inclusive),
             LlcKind::BaseVictimNonInclusive => "base-victim-ni",
             LlcKind::BaseVictimCompressor(_) => "base-victim-compressor",
             LlcKind::Vsc => "vsc-2x",
@@ -414,6 +414,18 @@ mod tests {
         let same =
             SimConfig::single_thread(LlcKind::Uncompressed).with_llc_size(2 * 1024 * 1024, 32);
         assert_eq!(same.extra_llc_latency, 0);
+    }
+
+    #[test]
+    fn every_nameable_kind_reports_its_own_name() {
+        let geom = CacheGeometry::new(64 * 1024, 16, 64);
+        for name in LlcKind::NAMES.split(", ") {
+            let kind = LlcKind::from_name(name).expect("listed name parses");
+            assert_eq!(LlcKind::from_name(kind.name()), Some(kind), "{name}");
+            assert_eq!(kind.build(geom, PolicyKind::Nru).name(), kind.name());
+            let traced = kind.build_traced(geom, PolicyKind::Nru, bv_events::RingSink::new(8));
+            assert_eq!(traced.name(), kind.name());
+        }
     }
 
     #[test]
