@@ -54,6 +54,13 @@ cargo test --workspace -q
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 
+echo "== organization label (a Base-Victim variant reports its own name) =="
+# Capture before grep -q: an early pipe close would SIGPIPE bvsim.
+LABEL=$(./target/release/bvsim --trace specint.mcf.07 --llc base-victim-ni \
+    --warmup 1000 --insts 2000)
+grep -qx "=== base-victim-ni ===" <<<"$LABEL" \
+    || { echo "label check: base-victim-ni run not labeled base-victim-ni" >&2; exit 1; }
+
 echo "== telemetry smoke (run --telemetry, then report) =="
 ./target/release/bvsim --trace specint.mcf.07 --llc base-victim \
     --warmup 50000 --insts 200000 \
@@ -107,10 +114,13 @@ reject() {
 }
 # An LLC geometry no set engine can build, an --inject that never fires,
 # a kv budget whose byte count overflows (it used to wrap to 0 bytes),
-# and an unknown experiment name.
+# kv capture flags the run would drop (it used to exit 0 without
+# writing them), and an unknown experiment name.
 reject ./target/release/bvsim --trace specint.mcf.07 --ways 0
 reject ./target/release/bvsim trace --audit --ops 10 --inject 100
 reject ./target/release/bvsim kv --budget-kib 18014398509481984
+reject ./target/release/bvsim kv --telemetry a --events b
+reject ./target/release/bvsim kv --compare --events b
 reject ./target/release/experiments nosuchfigure
 # Corrupted reproducers (a non-ASCII op token, an unbuildable geometry)
 # are rejected at load. They live in a temp dir: every file under

@@ -953,6 +953,26 @@ fn parse_kv(mut f: Flags) -> Result<Command, String> {
     if u8::from(kv.compare) + u8::from(kv.sweep) + u8::from(kv.lockstep) > 1 {
         return Err("--compare, --sweep and --lockstep each run alone".into());
     }
+    // A capture records one replay; every other mode would drop it.
+    let capture = match (&kv.telemetry, &kv.events) {
+        (Some(_), Some(_)) => return Err("--telemetry and --events are mutually exclusive".into()),
+        (Some(_), None) => Some("--telemetry"),
+        (None, Some(_)) => Some("--events"),
+        (None, None) => None,
+    };
+    let mode = [
+        (kv.compare, "--compare"),
+        (kv.sweep, "--sweep"),
+        (kv.lockstep, "--lockstep"),
+    ]
+    .into_iter()
+    .find_map(|(on, flag)| on.then_some(flag));
+    if let (Some(capture), Some(mode)) = (capture, mode) {
+        return Err(format!("{capture} has no effect with {mode}"));
+    }
+    if kv.jobs.is_some() && !kv.sweep {
+        return Err("--jobs requires --sweep".into());
+    }
     match kv.inject {
         Some(_) if !kv.lockstep => Err("--inject requires --lockstep".into()),
         Some(op) if op >= kv.requests => Err(format!("--inject {op} is past --requests")),
@@ -1183,10 +1203,11 @@ mod tests {
 
     #[test]
     fn kv_with_every_flag() {
+        // --telemetry and --events exclude each other, so the capture
+        // flags are split across two parses.
         let cmd = parse(&argv(
             "kv --org compressed --dist analytics --budget-kib 512 --requests 9000 \
-             --warmup 100 --seed 7 --telemetry /tmp/kv.jsonl --epoch 500 \
-             --events /tmp/kv.events.jsonl --capacity 256",
+             --warmup 100 --seed 7 --telemetry /tmp/kv.jsonl --epoch 500",
         ))
         .expect("parse");
         let Command::Kv(kv) = cmd else {
@@ -1198,8 +1219,38 @@ mod tests {
         assert_eq!((kv.requests, kv.warmup, kv.seed), (9_000, 100, 7));
         assert_eq!(kv.telemetry, Some(PathBuf::from("/tmp/kv.jsonl")));
         assert_eq!(kv.epoch, 500);
+        let cmd = parse(&argv("kv --events /tmp/kv.events.jsonl --capacity 256")).expect("parse");
+        let Command::Kv(kv) = cmd else {
+            panic!("expected Kv")
+        };
         assert_eq!(kv.events, Some(PathBuf::from("/tmp/kv.events.jsonl")));
         assert_eq!(kv.capacity, 256);
+    }
+
+    #[test]
+    fn kv_rejects_flags_its_mode_would_drop() {
+        for (args, want) in [
+            (
+                "kv --telemetry a --events b",
+                "--telemetry and --events are mutually exclusive",
+            ),
+            (
+                "kv --compare --events b",
+                "--events has no effect with --compare",
+            ),
+            (
+                "kv --sweep --telemetry a",
+                "--telemetry has no effect with --sweep",
+            ),
+            (
+                "kv --lockstep --events b",
+                "--events has no effect with --lockstep",
+            ),
+            ("kv --jobs 2", "--jobs requires --sweep"),
+            ("kv --compare --jobs 2", "--jobs requires --sweep"),
+        ] {
+            assert_eq!(parse(&argv(args)).unwrap_err(), want, "{args}");
+        }
     }
 
     #[test]
