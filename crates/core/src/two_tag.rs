@@ -144,6 +144,28 @@ impl<E: EventSink> TwoTagLlc<E> {
         }
     }
 
+    /// The ECM flavor's size-aware pick, tried before partner
+    /// victimization: among valid slots whose sole removal frees enough
+    /// space for a line of `size`, the policy's eviction candidates
+    /// (e.g. NRU bit clear) first, then the largest compressed size
+    /// (maximizes retained capacity, as in ECM). Breaking the policy
+    /// order like this is exactly the compromise Figure 7 evaluates.
+    /// `None` for the naive flavor, or when no slot qualifies.
+    fn ecm_candidate(&self, set: usize, size: SegmentCount) -> Option<usize> {
+        if self.flavor != TwoTagFlavor::EcmSizeAware {
+            return None;
+        }
+        (0..self.engine.ways())
+            .filter(|&l| self.engine.slot(set, l).valid && self.fits_in(set, l, size))
+            .max_by_key(|&l| {
+                (
+                    self.engine.is_eviction_candidate(set, l),
+                    self.engine.slot(set, l).meta.size.get(),
+                    usize::MAX - l,
+                )
+            })
+    }
+
     fn install(
         &mut self,
         addr: LineAddr,
@@ -162,61 +184,22 @@ impl<E: EventSink> TwoTagLlc<E> {
         let target = (0..self.engine.ways())
             .find(|&l| !self.engine.slot(set, l).valid && self.fits_in(set, l, size));
 
-        let l = match target {
-            Some(l) => l,
-            None => match self.flavor {
-                TwoTagFlavor::PartnerVictimization => {
-                    // Evict the policy's victim; if the incoming line does
-                    // not fit with its partner, victimize the partner too —
-                    // even if the partner is the MRU line.
-                    let v = self.engine.victim(set);
-                    self.evict_slot(set, v, inner, &mut effects, EvictCause::Replacement);
-                    if !self.fits_in(set, v, size) {
-                        self.evict_slot(set, v ^ 1, inner, &mut effects, EvictCause::SizePressure);
-                        effects.partner_evictions += 1;
-                    }
-                    v
-                }
-                TwoTagFlavor::EcmSizeAware => {
-                    // Candidates: valid slots whose sole removal frees
-                    // enough space. Prefer the policy's eviction
-                    // candidates (e.g. NRU bit clear), then the largest
-                    // compressed size (maximizes retained capacity, as in
-                    // ECM). Breaking the policy order like this is exactly
-                    // the compromise Figure 7 evaluates.
-                    let candidate = (0..self.engine.ways())
-                        .filter(|&l| self.engine.slot(set, l).valid && self.fits_in(set, l, size))
-                        .max_by_key(|&l| {
-                            (
-                                self.engine.is_eviction_candidate(set, l),
-                                self.engine.slot(set, l).meta.size.get(),
-                                usize::MAX - l,
-                            )
-                        });
-                    match candidate {
-                        Some(l) => {
-                            self.evict_slot(set, l, inner, &mut effects, EvictCause::SizePressure);
-                            l
-                        }
-                        None => {
-                            // Fall back to partner victimization.
-                            let v = self.engine.victim(set);
-                            self.evict_slot(set, v, inner, &mut effects, EvictCause::Replacement);
-                            if !self.fits_in(set, v, size) {
-                                self.evict_slot(
-                                    set,
-                                    v ^ 1,
-                                    inner,
-                                    &mut effects,
-                                    EvictCause::SizePressure,
-                                );
-                                effects.partner_evictions += 1;
-                            }
-                            v
-                        }
-                    }
-                }
-            },
+        let l = if let Some(l) = target {
+            l
+        } else if let Some(l) = self.ecm_candidate(set, size) {
+            self.evict_slot(set, l, inner, &mut effects, EvictCause::SizePressure);
+            l
+        } else {
+            // Evict the policy's victim; if the incoming line does not
+            // fit with its partner, victimize the partner too — even if
+            // the partner is the MRU line.
+            let v = self.engine.victim(set);
+            self.evict_slot(set, v, inner, &mut effects, EvictCause::Replacement);
+            if !self.fits_in(set, v, size) {
+                self.evict_slot(set, v ^ 1, inner, &mut effects, EvictCause::SizePressure);
+                effects.partner_evictions += 1;
+            }
+            v
         };
 
         if E::ENABLED {
@@ -325,6 +308,7 @@ impl<E: EventSink> TwoTagLlc<E> {
         }
     }
 }
+
 impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
     fn name(&self) -> &'static str {
         match self.flavor {
