@@ -184,7 +184,7 @@ pub struct SetEngine<S, E = NoEventSink> {
 
 impl<S: SlotMeta + Clone> SetEngine<S> {
     /// Creates an empty engine over a `sets x ways` logical tag array,
-    /// replaced by `policy`.
+    /// running the replacement policy `policy` selects.
     ///
     /// # Panics
     ///

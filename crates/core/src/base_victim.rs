@@ -131,14 +131,14 @@ impl BaseVictimLlc {
     /// suffix naming the variant.
     #[must_use]
     pub fn name_for(victim_kind: VictimPolicyKind, mode: InclusionMode) -> &'static str {
-        match (mode, victim_kind) {
-            (InclusionMode::NonInclusive, _) => "base-victim-ni",
-            (InclusionMode::Inclusive, VictimPolicyKind::EcmLargestBase) => "base-victim",
-            (InclusionMode::Inclusive, VictimPolicyKind::RandomFit) => "base-victim-random-fit",
-            (InclusionMode::Inclusive, VictimPolicyKind::LruFit) => "base-victim-lru-fit",
-            (InclusionMode::Inclusive, VictimPolicyKind::SmallestBase) => {
-                "base-victim-smallest-base"
-            }
+        if mode == InclusionMode::NonInclusive {
+            return "base-victim-ni";
+        }
+        match victim_kind {
+            VictimPolicyKind::EcmLargestBase => "base-victim",
+            VictimPolicyKind::RandomFit => "base-victim-random-fit",
+            VictimPolicyKind::LruFit => "base-victim-lru-fit",
+            VictimPolicyKind::SmallestBase => "base-victim-smallest-base",
         }
     }
 }
