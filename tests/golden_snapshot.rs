@@ -16,8 +16,12 @@
 
 use base_victim::kvcache::{run_kv, KvConfig, KvOrgKind, KvRunResult};
 use base_victim::runner::json::{parse, ObjWriter, Value};
+use base_victim::sim::{DramStats, MulticoreResult};
+use base_victim::trace::mix::paper_mixes;
 use base_victim::trace::request::RequestProfile;
-use base_victim::{LlcKind, PolicyKind, RunResult, SimConfig, System, TraceRegistry};
+use base_victim::{
+    LlcKind, LlcStats, MulticoreSystem, PolicyKind, RunResult, SimConfig, System, TraceRegistry,
+};
 use std::path::PathBuf;
 
 const WARMUP: u64 = 150_000;
@@ -51,6 +55,12 @@ const LLCS: [&str; 8] = [
 /// config already runs NRU, so these files pin NRU explicitly plus SRRIP
 /// (the paper's Figure 10 sensitivity study).
 const POLICIES: [PolicyKind; 2] = [PolicyKind::Nru, PolicyKind::Srrip];
+
+/// Per-thread instruction budget of the multi-program goldens.
+const MP_INSTS: u64 = 100_000;
+
+/// Organizations pinned under multi-program contention.
+const MP_LLCS: [&str; 3] = ["uncompressed", "base-victim", "dcc"];
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -102,50 +112,45 @@ fn describe_mismatch(want: &str, got: &str) -> String {
     lines.join("\n")
 }
 
+/// Appends every shared-uncore counter: the LLC's, then the DRAM's.
+fn uncore_counters(w: &mut ObjWriter, llc: &LlcStats, dram: &DramStats) {
+    w.u64("base_hits", llc.base_hits)
+        .u64("victim_hits", llc.victim_hits)
+        .u64("read_misses", llc.read_misses)
+        .u64("writeback_hits", llc.writeback_hits)
+        .u64("writeback_misses", llc.writeback_misses)
+        .u64("prefetch_fills", llc.prefetch_fills)
+        .u64("prefetch_hits", llc.prefetch_hits)
+        .u64("demand_fills", llc.demand_fills)
+        .u64("memory_writes", llc.memory_writes)
+        .u64("back_invalidations", llc.back_invalidations)
+        .u64("migrations", llc.migrations)
+        .u64("partner_evictions", llc.partner_evictions)
+        .u64("victim_inserts", llc.victim_inserts)
+        .u64("victim_insert_failures", llc.victim_insert_failures)
+        .u64("dram_reads", dram.reads)
+        .u64("dram_writes", dram.writes)
+        .u64("dram_row_hits", dram.row_hits)
+        .u64("dram_row_misses", dram.row_misses);
+}
+
 /// Every integer counter in a [`RunResult`], as one stable JSON object.
 /// Floats (IPC, ratios) are derived from these and deliberately excluded.
 fn snapshot(run: &RunResult) -> String {
     let mut w = ObjWriter::new();
     w.str("llc_name", run.llc_name)
         .u64("instructions", run.instructions)
-        .u64("cycles", run.cycles)
-        .u64("base_hits", run.llc.base_hits)
-        .u64("victim_hits", run.llc.victim_hits)
-        .u64("read_misses", run.llc.read_misses)
-        .u64("writeback_hits", run.llc.writeback_hits)
-        .u64("writeback_misses", run.llc.writeback_misses)
-        .u64("prefetch_fills", run.llc.prefetch_fills)
-        .u64("prefetch_hits", run.llc.prefetch_hits)
-        .u64("demand_fills", run.llc.demand_fills)
-        .u64("memory_writes", run.llc.memory_writes)
-        .u64("back_invalidations", run.llc.back_invalidations)
-        .u64("migrations", run.llc.migrations)
-        .u64("partner_evictions", run.llc.partner_evictions)
-        .u64("victim_inserts", run.llc.victim_inserts)
-        .u64("victim_insert_failures", run.llc.victim_insert_failures)
-        .u64("dram_reads", run.dram.reads)
-        .u64("dram_writes", run.dram.writes)
-        .u64("dram_row_hits", run.dram.row_hits)
-        .u64("dram_row_misses", run.dram.row_misses)
-        .u64_array("level_hits", &run.level_hits)
+        .u64("cycles", run.cycles);
+    uncore_counters(&mut w, &run.llc, &run.dram);
+    w.u64_array("level_hits", &run.level_hits)
         .u64_array("compression_histogram", &run.compression.histogram());
     w.finish()
 }
 
-/// Compares one run against its committed golden, or rewrites the golden
-/// when `update` is set. Appends a diff description to `failures` on
-/// mismatch.
-fn check_one(
-    cfg: SimConfig,
-    trace_name: &str,
-    file_stem: &str,
-    registry: &TraceRegistry,
-    update: bool,
-    failures: &mut Vec<String>,
-) {
-    let trace = registry.get(trace_name).expect("sample trace in registry");
-    let run = System::new(cfg).run_with_warmup(&trace.workload, WARMUP, INSTS);
-    let got = snapshot(&run);
+/// Compares `got` against the committed golden `<file_stem>.json`, or
+/// rewrites the golden when `update` is set. Appends a diff description
+/// to `failures` on mismatch.
+fn compare(file_stem: &str, got: &str, update: bool, failures: &mut Vec<String>) {
     let dir = golden_dir();
     let path = dir.join(format!("{file_stem}.json"));
     if update {
@@ -162,9 +167,23 @@ fn check_one(
     if want.trim_end() != got {
         failures.push(format!(
             "{file_stem}:\n{}",
-            describe_mismatch(want.trim_end(), &got)
+            describe_mismatch(want.trim_end(), got)
         ));
     }
+}
+
+/// Runs one single-core configuration and compares it to its golden.
+fn check_one(
+    cfg: SimConfig,
+    trace_name: &str,
+    file_stem: &str,
+    registry: &TraceRegistry,
+    update: bool,
+    failures: &mut Vec<String>,
+) {
+    let trace = registry.get(trace_name).expect("sample trace in registry");
+    let run = System::new(cfg).run_with_warmup(&trace.workload, WARMUP, INSTS);
+    compare(file_stem, &snapshot(&run), update, failures);
 }
 
 #[test]
@@ -198,6 +217,54 @@ fn end_to_end_counters_match_committed_goldens() {
     assert!(
         failures.is_empty(),
         "{} snapshot(s) diverged from committed goldens \
+         (BV_UPDATE_GOLDENS=1 to regenerate after an intentional change):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// Every shared-uncore counter of a multi-program run, plus each
+/// thread's IPC as its exact `f64` bit pattern (IPC is the only place
+/// per-core timing shows up in a [`MulticoreResult`]).
+fn mp_snapshot(run: &MulticoreResult) -> String {
+    let ipc_bits: Vec<u64> = run.thread_ipc.iter().map(|ipc| ipc.to_bits()).collect();
+    let mut w = ObjWriter::new();
+    uncore_counters(&mut w, &run.llc, &run.dram);
+    w.u64_array("thread_ipc_bits", &ipc_bits);
+    w.finish()
+}
+
+/// Pins the shared-LLC path the single-core goldens cannot reach: four
+/// private hierarchies contending for one LLC, where an LLC displacement
+/// can back-invalidate another core's dirty line. Two paper mixes under
+/// the uncompressed baseline, Base-Victim and DCC.
+#[test]
+fn multiprogram_counters_match_committed_goldens() {
+    let update = std::env::var_os("BV_UPDATE_GOLDENS").is_some();
+    let registry = TraceRegistry::paper_default();
+    let mixes = paper_mixes(&registry);
+    let mut failures = Vec::new();
+    for mix in &mixes[..2] {
+        let workloads: Vec<_> = mix
+            .resolve(&registry)
+            .iter()
+            .map(|t| t.workload.clone())
+            .collect();
+        for name in MP_LLCS {
+            let kind = LlcKind::from_name(name).expect("nameable organization");
+            let run =
+                MulticoreSystem::new(SimConfig::multi_program(kind)).run(&workloads, MP_INSTS);
+            compare(
+                &format!("{}.{name}", mix.name),
+                &mp_snapshot(&run),
+                update,
+                &mut failures,
+            );
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} multi-program snapshot(s) diverged from committed goldens \
          (BV_UPDATE_GOLDENS=1 to regenerate after an intentional change):\n{}",
         failures.len(),
         failures.join("\n")
@@ -259,27 +326,12 @@ fn kv_counters_match_committed_goldens() {
     for dist in RequestProfile::NAMES {
         for org in KvOrgKind::ALL {
             let run = run_kv(&kv_config(org, dist));
-            let got = kv_snapshot(&run);
-            let dir = golden_dir();
-            let path = dir.join(format!("kv.{dist}.{}.json", org.name()));
-            if update {
-                std::fs::create_dir_all(&dir).expect("create goldens dir");
-                std::fs::write(&path, format!("{got}\n")).expect("write golden");
-                continue;
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden {} ({e}); regenerate with BV_UPDATE_GOLDENS=1",
-                    path.display()
-                )
-            });
-            if want.trim_end() != got {
-                failures.push(format!(
-                    "kv.{dist}.{}:\n{}",
-                    org.name(),
-                    describe_mismatch(want.trim_end(), &got)
-                ));
-            }
+            compare(
+                &format!("kv.{dist}.{}", org.name()),
+                &kv_snapshot(&run),
+                update,
+                &mut failures,
+            );
         }
     }
     assert!(
