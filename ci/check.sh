@@ -6,8 +6,9 @@
 #
 # Usage: ci/check.sh [--quick]
 #   --quick   skip workspace tests and the smoke runs, but still build
-#             release and run the bench gate so a hot-path layout
-#             regression fails fast on every run
+#             release and perfbench and run the bench gate, so a hot-path
+#             layout regression or an API change that breaks the
+#             benchmark fails fast on every run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,10 +28,19 @@ bench_gate() {
             --out target/BENCH.quick.json --baseline BENCH.json --max-regress 20
 }
 
+# perfbench is its own package outside the workspace, so no workspace
+# build compiles it; an API change that breaks it must fail here.
+perfbench_build() {
+    echo "== perfbench build (the benchmark compiles against the current APIs) =="
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+        --manifest-path perfbench/Cargo.toml
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "quick mode: skipping doc/tests/smokes, keeping the bench gate"
+    echo "quick mode: skipping doc/tests/smokes, keeping the builds and the bench gate"
     echo "== cargo build --release =="
     cargo build --release
+    perfbench_build
     echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
     bench_gate
     exit 0
@@ -42,11 +52,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== perfbench build (the benchmark compiles against the current APIs) =="
-# perfbench is its own package outside the workspace, so the steps above
-# never compile it; an API change that breaks it must fail here.
-CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
-    --manifest-path perfbench/Cargo.toml
+perfbench_build
 
 echo "== cargo test (workspace) =="
 cargo test --workspace -q

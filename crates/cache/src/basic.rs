@@ -1,31 +1,31 @@
-//! A concrete uncompressed cache, used for the L1 and L2 levels and as the
-//! reference model in Base-Victim differential tests.
+//! A concrete tag-only cache, used for the L1 and L2 levels.
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Policy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
-use bv_compress::CacheLine;
 
-/// A line evicted from a cache, carrying everything the next level needs.
+/// A line evicted from a cache: its address and whether it needs a
+/// writeback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Eviction {
     /// The evicted line's address.
     pub addr: LineAddr,
     /// Whether the line was modified (requires a writeback).
     pub dirty: bool,
-    /// The line's data contents.
-    pub data: CacheLine,
 }
 
-/// An uncompressed set-associative cache with data storage, dirty bits, and
-/// a pluggable replacement policy.
+/// An uncompressed set-associative cache that keeps tags, dirty bits and
+/// a pluggable replacement policy, but no data.
+///
+/// Nothing ever inspects the data of an L1 or L2 line, so none is
+/// stored: a dirty line's contents are read from the memory image when
+/// it leaves the core (the caller's job), and a clean line's contents are
+/// never observed.
 ///
 /// Tags are stored in a structure-of-arrays layout: one contiguous `u64` tag
-/// array (sets x ways, row-major) with per-set valid and dirty bitmasks, and
-/// the fat `CacheLine` payloads in a parallel array. A set probe is a linear
-/// scan of `ways` adjacent tag words rather than a strided walk over slots
-/// that each drag a 64-byte data payload through the host cache.
+/// array (sets x ways, row-major) with per-set valid and dirty bitmasks. A
+/// set probe is a linear scan of `ways` adjacent tag words.
 ///
 /// This type deliberately separates *lookup* ([`probe`](BasicCache::probe),
 /// which does not touch replacement state) from *access*
@@ -36,12 +36,11 @@ pub struct Eviction {
 ///
 /// ```
 /// use bv_cache::{BasicCache, CacheGeometry, LineAddr, PolicyKind};
-/// use bv_compress::CacheLine;
 ///
 /// let mut cache = BasicCache::new(CacheGeometry::new(4096, 4, 64), PolicyKind::Lru);
 /// let a = LineAddr::new(1);
 /// assert!(!cache.read(a));            // miss
-/// cache.fill(a, CacheLine::zeroed(), false);
+/// cache.fill(a);
 /// assert!(cache.read(a));             // hit
 /// assert_eq!(cache.stats().read_misses, 1);
 /// assert_eq!(cache.stats().read_hits, 1);
@@ -57,8 +56,6 @@ pub struct BasicCache {
     valid: Vec<u64>,
     /// One dirty bitmask per set, parallel to `valid`.
     dirty: Vec<u64>,
-    /// Line payloads, parallel to `tags`.
-    data: Vec<CacheLine>,
     policy: Policy,
     stats: CacheStats,
 }
@@ -76,7 +73,6 @@ impl BasicCache {
             tags: vec![0; sets * ways],
             valid: vec![0; sets],
             dirty: vec![0; sets],
-            data: vec![CacheLine::zeroed(); sets * ways],
             policy: policy.instantiate(sets, ways),
             stats: CacheStats::default(),
         }
@@ -146,17 +142,14 @@ impl BasicCache {
         }
     }
 
-    /// Performs a demand write. On hit, updates the stored data and marks
-    /// the line dirty; on miss returns `false` (write-allocate is the
-    /// caller's job).
-    pub fn write(&mut self, addr: LineAddr, data: CacheLine) -> bool {
+    /// Performs a demand write. On hit, marks the line dirty; on miss
+    /// returns `false` (write-allocate is the caller's job).
+    pub fn write(&mut self, addr: LineAddr) -> bool {
         let (set, tag) = self.set_range(addr);
         match self.find(set, tag) {
             Some(way) => {
                 self.policy.on_hit(set, way);
                 self.dirty[set] |= 1 << way;
-                let idx = self.idx(set, way);
-                self.data[idx] = data;
                 self.stats.write_hits += 1;
                 true
             }
@@ -168,28 +161,16 @@ impl BasicCache {
         }
     }
 
-    /// Looks up a line for a prefetch. Returns `true` on hit. Prefetch hits
-    /// do not update recency (a common LLC design choice that keeps
-    /// prefetches from polluting replacement state).
-    pub fn prefetch_probe(&mut self, addr: LineAddr) -> bool {
-        if self.probe(addr).is_some() {
-            self.stats.prefetch_hits += 1;
-            true
-        } else {
-            self.stats.prefetch_misses += 1;
-            false
-        }
-    }
-
-    /// Installs a line, evicting if the set is full. Returns the eviction
-    /// (if any) so the caller can propagate writebacks or victim-cache
+    /// Installs a clean line, evicting if the set is full (a later
+    /// [`write`](BasicCache::write) dirties it). Returns the eviction (if
+    /// any) so the caller can propagate writebacks or victim-cache
     /// insertions.
     ///
     /// # Panics
     ///
     /// Panics if the line is already present (fills must be preceded by a
     /// miss).
-    pub fn fill(&mut self, addr: LineAddr, data: CacheLine, dirty: bool) -> Option<Eviction> {
+    pub fn fill(&mut self, addr: LineAddr) -> Option<Eviction> {
         assert!(
             self.probe(addr).is_none(),
             "fill of already-present line {addr:?}"
@@ -215,7 +196,6 @@ impl BasicCache {
             Some(Eviction {
                 addr: self.line_addr(set, self.tags[idx]),
                 dirty: self.dirty[set] & (1 << way) != 0,
-                data: self.data[idx],
             })
         } else {
             None
@@ -228,44 +208,29 @@ impl BasicCache {
         }
 
         self.valid[set] |= 1 << way;
-        if dirty {
-            self.dirty[set] |= 1 << way;
-        } else {
-            self.dirty[set] &= !(1 << way);
-        }
+        self.dirty[set] &= !(1 << way);
         self.tags[idx] = tag;
-        self.data[idx] = data;
         self.policy.on_fill(set, way);
         evicted
     }
 
     /// Removes a line (back-invalidation from an inclusive outer level).
-    /// Returns the eviction record if the line was present, so dirty data
-    /// can be forwarded.
+    /// Returns the eviction record if the line was present, so a dirty
+    /// copy can be written back.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<Eviction> {
         let (set, tag) = self.set_range(addr);
         let way = self.find(set, tag)?;
-        let idx = self.idx(set, way);
         let ev = Eviction {
             addr,
             dirty: self.dirty[set] & (1 << way) != 0,
-            data: self.data[idx],
         };
         self.valid[set] &= !(1 << way);
         self.dirty[set] &= !(1 << way);
+        let idx = self.idx(set, way);
         self.tags[idx] = 0;
-        self.data[idx] = CacheLine::zeroed();
         self.policy.on_invalidate(set, way);
         self.stats.back_invalidations += 1;
         Some(ev)
-    }
-
-    /// Reads a resident line's data (does not touch recency).
-    #[must_use]
-    pub fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
-        let (set, tag) = self.set_range(addr);
-        let way = self.find(set, tag)?;
-        Some(self.data[self.idx(set, way)])
     }
 
     /// Whether a resident line is dirty.
@@ -310,7 +275,7 @@ mod tests {
         let mut c = small_cache();
         let a = addr_in_set(0, 0);
         assert!(!c.read(a));
-        c.fill(a, CacheLine::zeroed(), false);
+        c.fill(a);
         assert!(c.read(a));
     }
 
@@ -320,9 +285,9 @@ mod tests {
         let a = addr_in_set(1, 0);
         let b = addr_in_set(1, 1);
         let d = addr_in_set(1, 2);
-        c.fill(a, CacheLine::zeroed(), false);
-        c.fill(b, CacheLine::zeroed(), false);
-        let ev = c.fill(d, CacheLine::zeroed(), false).expect("set is full");
+        c.fill(a);
+        c.fill(b);
+        let ev = c.fill(d).expect("set is full");
         assert_eq!(ev.addr, a, "LRU victim is the oldest fill");
         assert!(!ev.dirty);
         assert!(c.probe(a).is_none());
@@ -332,15 +297,12 @@ mod tests {
     fn dirty_eviction_counts_writeback() {
         let mut c = small_cache();
         let a = addr_in_set(2, 0);
-        let data = CacheLine::from_u32_words(&[7; 16]);
-        c.fill(a, CacheLine::zeroed(), false);
-        assert!(c.write(a, data));
-        c.fill(addr_in_set(2, 1), CacheLine::zeroed(), false);
-        let ev = c
-            .fill(addr_in_set(2, 2), CacheLine::zeroed(), false)
-            .expect("eviction");
+        c.fill(a);
+        assert!(c.write(a));
+        c.fill(addr_in_set(2, 1));
+        let ev = c.fill(addr_in_set(2, 2)).expect("eviction");
+        assert_eq!(ev.addr, a);
         assert!(ev.dirty);
-        assert_eq!(ev.data, data);
         assert_eq!(c.stats().writebacks, 1);
     }
 
@@ -348,11 +310,9 @@ mod tests {
     fn eviction_reconstructs_correct_address() {
         let mut c = small_cache();
         let a = LineAddr::new(0x1234_5678 & !3 | 3); // set 3, big tag
-        c.fill(a, CacheLine::zeroed(), false);
-        c.fill(addr_in_set(3, 1), CacheLine::zeroed(), false);
-        let ev = c
-            .fill(addr_in_set(3, 2), CacheLine::zeroed(), false)
-            .expect("eviction");
+        c.fill(a);
+        c.fill(addr_in_set(3, 1));
+        let ev = c.fill(addr_in_set(3, 2)).expect("eviction");
         assert_eq!(ev.addr, a);
     }
 
@@ -360,11 +320,11 @@ mod tests {
     fn invalidate_removes_and_reports_dirty_data() {
         let mut c = small_cache();
         let a = addr_in_set(0, 5);
-        let data = CacheLine::from_u64_words(&[42; 8]);
-        c.fill(a, data, true);
+        c.fill(a);
+        assert!(c.write(a));
         let ev = c.invalidate(a).expect("line present");
+        assert_eq!(ev.addr, a);
         assert!(ev.dirty);
-        assert_eq!(ev.data, data);
         assert!(c.probe(a).is_none());
         assert_eq!(c.invalidate(a), None);
         assert_eq!(c.stats().back_invalidations, 1);
@@ -375,8 +335,8 @@ mod tests {
     fn double_fill_panics() {
         let mut c = small_cache();
         let a = addr_in_set(0, 0);
-        c.fill(a, CacheLine::zeroed(), false);
-        c.fill(a, CacheLine::zeroed(), false);
+        c.fill(a);
+        c.fill(a);
     }
 
     #[test]
@@ -384,15 +344,13 @@ mod tests {
         let mut c = small_cache();
         let a = addr_in_set(1, 0);
         let b = addr_in_set(1, 1);
-        c.fill(a, CacheLine::zeroed(), false);
-        c.fill(b, CacheLine::zeroed(), false);
+        c.fill(a);
+        c.fill(b);
         // Probing `a` must not promote it.
         for _ in 0..10 {
             let _ = c.probe(a);
         }
-        let ev = c
-            .fill(addr_in_set(1, 2), CacheLine::zeroed(), false)
-            .expect("eviction");
+        let ev = c.fill(addr_in_set(1, 2)).expect("eviction");
         assert_eq!(ev.addr, a);
         assert_eq!(c.stats().read_hits, 0);
     }
@@ -402,7 +360,7 @@ mod tests {
         let mut c = small_cache();
         let lines = [addr_in_set(0, 0), addr_in_set(1, 3), addr_in_set(2, 9)];
         for &a in &lines {
-            c.fill(a, CacheLine::zeroed(), false);
+            c.fill(a);
         }
         let mut resident: Vec<LineAddr> = c.resident_lines().collect();
         resident.sort();
@@ -415,7 +373,7 @@ mod tests {
     fn write_miss_does_not_allocate() {
         let mut c = small_cache();
         let a = addr_in_set(0, 0);
-        assert!(!c.write(a, CacheLine::zeroed()));
+        assert!(!c.write(a));
         assert!(c.probe(a).is_none());
         assert_eq!(c.stats().write_misses, 1);
     }
@@ -424,22 +382,21 @@ mod tests {
     fn peek_and_dirty_views() {
         let mut c = small_cache();
         let a = addr_in_set(0, 1);
-        let data = CacheLine::from_u32_words(&[3; 16]);
-        c.fill(a, data, false);
-        assert_eq!(c.peek_data(a), Some(data));
+        c.fill(a);
         assert_eq!(c.is_dirty(a), Some(false));
-        c.write(a, CacheLine::zeroed());
+        c.write(a);
         assert_eq!(c.is_dirty(a), Some(true));
-        assert_eq!(c.peek_data(addr_in_set(3, 3)), None);
+        assert_eq!(c.is_dirty(addr_in_set(3, 3)), None);
     }
 
     #[test]
     fn refill_after_dirty_eviction_clears_dirty_bit() {
         let mut c = small_cache();
         let a = addr_in_set(2, 0);
-        c.fill(a, CacheLine::zeroed(), true);
+        c.fill(a);
+        c.write(a);
         c.invalidate(a).expect("present");
-        c.fill(a, CacheLine::zeroed(), false);
+        c.fill(a);
         assert_eq!(c.is_dirty(a), Some(false));
     }
 }

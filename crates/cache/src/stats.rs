@@ -27,10 +27,6 @@ pub struct CacheStats {
     pub write_hits: u64,
     /// Demand write misses.
     pub write_misses: u64,
-    /// Prefetch requests that hit.
-    pub prefetch_hits: u64,
-    /// Prefetch requests that missed (and triggered fills).
-    pub prefetch_misses: u64,
     /// Lines evicted (any reason).
     pub evictions: u64,
     /// Dirty evictions that produced a writeback to the next level.
@@ -88,8 +84,6 @@ impl CacheStats {
         self.read_misses += other.read_misses;
         self.write_hits += other.write_hits;
         self.write_misses += other.write_misses;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_misses += other.prefetch_misses;
         self.evictions += other.evictions;
         self.writebacks += other.writebacks;
         self.back_invalidations += other.back_invalidations;

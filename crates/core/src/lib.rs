@@ -196,8 +196,9 @@ pub trait LlcOrganization {
     ) -> Option<OpOutcome>;
 
     /// The current data contents of a resident line (post-decompression
-    /// view), or `None` if absent. Used by the hierarchy to fill inner
-    /// caches on LLC hits. Does not perturb replacement state.
+    /// view), or `None` if absent. An inspection view for tests and
+    /// auditors; the hierarchy never needs it, because its inner caches
+    /// hold no data. Does not perturb replacement state.
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine>;
 
     /// Applies a replacement downgrade hint to a resident line (CHAR

@@ -6,6 +6,13 @@
 //! displacement back-invalidates the L2 and L1s, and an L2 eviction
 //! back-invalidates the L1s — matching the paper's inclusive hierarchy
 //! with back-invalidations (Section IV.B).
+//!
+//! The private caches keep tags and dirty bits only. Every store writes a
+//! whole line, the trace's memory image at the epoch that store just
+//! committed, and an epoch changes only through such a store, so a dirty
+//! copy's data always equals the image's current contents: a dirty line
+//! reads its data from the owning core's [`LineSource`] when it leaves the
+//! core. A clean copy's data is never observed.
 
 use crate::config::SimConfig;
 use crate::dram::Dram;
@@ -14,6 +21,28 @@ use bv_cache::{BasicCache, LineAddr, PolicyKind};
 use bv_compress::CacheLine;
 use bv_core::{HitKind, InclusionAgent, LlcOrganization};
 use bv_trace::{AccessKind, TraceEvent, TraceGenerator};
+
+/// The memory image of each core's address space: the data a line fill
+/// or a writeback carries.
+pub trait LineSource {
+    /// The current contents of the line holding `byte_addr` in core
+    /// `core`'s address space.
+    fn line_data(&self, core: usize, byte_addr: u64) -> CacheLine;
+}
+
+/// One generator serves every core (single-core runs and tests).
+impl LineSource for TraceGenerator {
+    fn line_data(&self, _core: usize, byte_addr: u64) -> CacheLine {
+        TraceGenerator::line_data(self, byte_addr)
+    }
+}
+
+/// One generator per core, indexed by core id (multi-program runs).
+impl LineSource for [TraceGenerator] {
+    fn line_data(&self, core: usize, byte_addr: u64) -> CacheLine {
+        self[core].line_data(byte_addr)
+    }
+}
 
 /// Where a demand access was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,24 +151,24 @@ impl Uncore {
 }
 
 /// Back-invalidation agent over every core's private caches.
-struct InnerAgent<'a> {
+struct InnerAgent<'a, L: ?Sized> {
     cores: &'a mut [CoreCaches],
+    lines: &'a L,
 }
 
-impl InclusionAgent for InnerAgent<'_> {
+impl<L: LineSource + ?Sized> InclusionAgent for InnerAgent<'_, L> {
     fn back_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        let mut dirty: Option<CacheLine> = None;
-        for core in self.cores.iter_mut() {
-            // L1 data is the freshest; take the first dirty copy found.
+        let mut owner = None;
+        for (id, core) in self.cores.iter_mut().enumerate() {
             for cache in [&mut core.l1d, &mut core.l1i, &mut core.l2] {
                 if let Some(ev) = cache.invalidate(addr) {
-                    if ev.dirty && dirty.is_none() {
-                        dirty = Some(ev.data);
+                    if ev.dirty && owner.is_none() {
+                        owner = Some(id);
                     }
                 }
             }
         }
-        dirty
+        owner.map(|id| self.lines.line_data(id, addr.byte_addr()))
     }
 }
 
@@ -209,28 +238,27 @@ impl Hierarchy {
     }
 
     /// Fills a line into a core's L2, handling the L2 eviction: dirty
-    /// victims write back to the LLC, clean victims send a downgrade hint
-    /// (consumed by CHAR-style policies).
-    fn fill_l2(&mut self, core_id: usize, addr: LineAddr, data: CacheLine) {
-        let evicted = self.cores[core_id].l2.fill(addr, data, false);
+    /// victims write back to the LLC with the owning core's current line
+    /// data, clean victims send a downgrade hint (consumed by CHAR-style
+    /// policies).
+    fn fill_l2<L: LineSource + ?Sized>(&mut self, core_id: usize, addr: LineAddr, lines: &L) {
+        let evicted = self.cores[core_id].l2.fill(addr);
         if let Some(ev) = evicted {
             // Enforce L1 ⊆ L2.
             let mut dirty = ev.dirty;
-            let mut wdata = ev.data;
             let core = &mut self.cores[core_id];
             for l1 in [&mut core.l1d, &mut core.l1i] {
                 if let Some(e1) = l1.invalidate(ev.addr) {
-                    if e1.dirty {
-                        dirty = true;
-                        wdata = e1.data;
-                    }
+                    dirty |= e1.dirty;
                 }
             }
             if dirty {
+                let data = lines.line_data(core_id, ev.addr.byte_addr());
                 let mut agent = InnerAgent {
                     cores: &mut self.cores,
+                    lines,
                 };
-                self.uncore.llc.writeback(ev.addr, wdata, &mut agent);
+                self.uncore.llc.writeback(ev.addr, data, &mut agent);
             } else {
                 self.uncore.llc.hint_downgrade(ev.addr);
             }
@@ -238,40 +266,41 @@ impl Hierarchy {
     }
 
     /// Fills a line into a core's L1 (instruction or data side), handling
-    /// the L1 eviction: dirty victims write into the L2.
-    fn fill_l1(&mut self, core_id: usize, ifetch: bool, addr: LineAddr, data: CacheLine) {
+    /// the L1 eviction: a dirty victim passes its dirty bit to the L2.
+    fn fill_l1(&mut self, core_id: usize, ifetch: bool, addr: LineAddr) {
         let core = &mut self.cores[core_id];
         let l1 = if ifetch { &mut core.l1i } else { &mut core.l1d };
-        if let Some(ev) = l1.fill(addr, data, false) {
+        if let Some(ev) = l1.fill(addr) {
             if ev.dirty {
                 // L1 ⊆ L2 holds, so this write hits the L2.
-                let wrote = core.l2.write(ev.addr, ev.data);
+                let wrote = core.l2.write(ev.addr);
                 debug_assert!(wrote, "L1 victim {0:?} missing from L2", ev.addr);
             }
         }
     }
 
     /// Performs one demand access at core-cycle `now`, returning where it
-    /// hit and its latency. `gen` supplies line data for fills and store
-    /// values.
-    pub fn access_on(
+    /// hit and its latency. `lines` supplies the data of memory fills,
+    /// prefetches and writebacks: a [`TraceGenerator`] for one core, or
+    /// `&gens[..]` (one generator per core) for a multi-program run.
+    pub fn access_on<L: LineSource + ?Sized>(
         &mut self,
         core_id: usize,
         ev: &TraceEvent,
         now: u64,
-        gen: &TraceGenerator,
+        lines: &L,
     ) -> AccessOutcome {
         let addr = LineAddr::from_byte_addr(ev.addr);
         let ifetch = ev.kind == AccessKind::Ifetch;
         let is_store = ev.kind.is_write();
-        let store_data = is_store.then(|| gen.line_data(ev.addr));
 
         // L1 lookup.
         let core = &mut self.cores[core_id];
         let l1 = if ifetch { &mut core.l1i } else { &mut core.l1d };
-        let l1_hit = match store_data {
-            Some(data) => l1.write(addr, data),
-            None => l1.read(addr),
+        let l1_hit = if is_store {
+            l1.write(addr)
+        } else {
+            l1.read(addr)
         };
 
         // Train the prefetcher on every demand access. Section V models
@@ -288,11 +317,10 @@ impl Hierarchy {
                 latency: u64::from(self.cfg.core.l1_latency),
             }
         } else {
-            let outcome = self.access_below_l1(core_id, ifetch, addr, now, gen);
+            let outcome = self.access_below_l1(core_id, ifetch, addr, now, lines);
             // Write-allocate: apply the store on top of the filled line.
-            if let Some(data) = store_data {
-                let core = &mut self.cores[core_id];
-                let wrote = core.l1d.write(addr, data);
+            if is_store {
+                let wrote = self.cores[core_id].l1d.write(addr);
                 debug_assert!(wrote, "write-allocate failed for {addr:?}");
             }
             outcome
@@ -300,7 +328,7 @@ impl Hierarchy {
 
         // Issue prefetches below the L1 (they fill L2 + LLC).
         for &pa in &prefetches {
-            self.prefetch_line(core_id, pa, now, gen);
+            self.prefetch_line(core_id, pa, now, lines);
         }
         self.cores[core_id].prefetches = prefetches;
 
@@ -309,21 +337,17 @@ impl Hierarchy {
 
     /// L2 -> LLC -> memory path for an L1 miss, filling each level on the
     /// way back.
-    fn access_below_l1(
+    fn access_below_l1<L: LineSource + ?Sized>(
         &mut self,
         core_id: usize,
         ifetch: bool,
         addr: LineAddr,
         now: u64,
-        gen: &TraceGenerator,
+        lines: &L,
     ) -> AccessOutcome {
         // L2 lookup.
         if self.cores[core_id].l2.read(addr) {
-            let data = self.cores[core_id]
-                .l2
-                .peek_data(addr)
-                .expect("hit line has data");
-            self.fill_l1(core_id, ifetch, addr, data);
+            self.fill_l1(core_id, ifetch, addr);
             return AccessOutcome {
                 level: LevelHit::L2,
                 latency: u64::from(self.cfg.core.l2_latency),
@@ -331,9 +355,10 @@ impl Hierarchy {
         }
 
         // LLC lookup.
-        let (kind, llc_data) = {
+        let kind = {
             let mut agent = InnerAgent {
                 cores: &mut self.cores,
+                lines,
             };
             let out = self.uncore.llc.read(addr, &mut agent);
             // Every memory write the LLC performed hits the DRAM write
@@ -341,14 +366,13 @@ impl Hierarchy {
             for _ in 0..out.effects.memory_writes {
                 self.uncore.dram.access(now, addr.byte_addr(), true);
             }
-            (out.kind, self.uncore.llc.peek_data(addr))
+            out.kind
         };
 
         if kind.is_hit() {
-            let data = llc_data.expect("hit line has data");
             let latency = self.llc_hit_latency(kind);
-            self.fill_l2(core_id, addr, data);
-            self.fill_l1(core_id, ifetch, addr, data);
+            self.fill_l2(core_id, addr, lines);
+            self.fill_l1(core_id, ifetch, addr);
             let level = match kind {
                 HitKind::Victim(_) => LevelHit::LlcVictim,
                 _ => LevelHit::LlcBase,
@@ -360,18 +384,19 @@ impl Hierarchy {
         // pipeline; the controller prioritizes it over queued prefetches.
         let issue = now + u64::from(self.cfg.core.llc_latency);
         let done = self.uncore.dram.demand_access(issue, addr.byte_addr());
-        let data = gen.line_data(addr.byte_addr());
+        let data = lines.line_data(core_id, addr.byte_addr());
         {
             let mut agent = InnerAgent {
                 cores: &mut self.cores,
+                lines,
             };
             let out = self.uncore.llc.fill(addr, data, &mut agent);
             for _ in 0..out.effects.memory_writes {
                 self.uncore.dram.access(now, addr.byte_addr(), true);
             }
         }
-        self.fill_l2(core_id, addr, data);
-        self.fill_l1(core_id, ifetch, addr, data);
+        self.fill_l2(core_id, addr, lines);
+        self.fill_l1(core_id, ifetch, addr);
         AccessOutcome {
             level: LevelHit::Memory,
             latency: done.saturating_sub(now),
@@ -380,16 +405,23 @@ impl Hierarchy {
 
     /// Issues one prefetch: fills LLC (and L2) if absent, consuming DRAM
     /// bandwidth off the critical path.
-    fn prefetch_line(&mut self, core_id: usize, byte_addr: u64, now: u64, gen: &TraceGenerator) {
+    fn prefetch_line<L: LineSource + ?Sized>(
+        &mut self,
+        core_id: usize,
+        byte_addr: u64,
+        now: u64,
+        lines: &L,
+    ) {
         let addr = LineAddr::from_byte_addr(byte_addr);
         if self.cores[core_id].l2.probe(addr).is_some() {
             return; // already close to the core
         }
         let fills_before = self.uncore.llc.stats().prefetch_fills;
-        let data = gen.line_data(byte_addr);
+        let data = lines.line_data(core_id, byte_addr);
         {
             let mut agent = InnerAgent {
                 cores: &mut self.cores,
+                lines,
             };
             if let Some(out) = self.uncore.llc.prefetch_fill(addr, data, &mut agent) {
                 for _ in 0..out.effects.memory_writes {
@@ -405,16 +437,13 @@ impl Hierarchy {
         // core-side caches in the modeled design). The L2 missed above,
         // and the LLC fill can only back-invalidate inner lines, never
         // insert one, so the line is still absent.
-        let data = self
-            .uncore
-            .llc
-            .peek_data(addr)
-            .expect("line resident after prefetch");
-        self.fill_l2(core_id, addr, data);
+        self.fill_l2(core_id, addr, lines);
     }
 
-    /// Checks strict inclusion: every L1/L2-resident line is LLC-resident.
-    /// Used by integration tests.
+    /// Checks strict inclusion: every L1/L2-resident line is LLC-resident,
+    /// and every L1I/L1D-resident line is in the same core's L2 (a dirty
+    /// L1 victim hands only its dirty bit to the L2, so an L1 copy that
+    /// outlived its L2 copy would lose it). Used by integration tests.
     ///
     /// # Panics
     ///
@@ -429,6 +458,14 @@ impl Hierarchy {
                     );
                 }
             }
+            for l1 in [&core.l1i, &core.l1d] {
+                for line in l1.resident_lines() {
+                    assert!(
+                        core.l2.probe(line).is_some(),
+                        "core {i}: line {line:?} in L1 but not L2"
+                    );
+                }
+            }
         }
     }
 }
@@ -437,8 +474,13 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::LlcKind;
+    use bv_cache::{CacheGeometry, LlcStats};
+    use bv_compress::{CompressionStats, SegmentCount};
+    use bv_core::{OpOutcome, ReadOutcome};
     use bv_trace::synth::{KernelSpec, WorkloadSpec};
     use bv_trace::{DataProfile, KernelKind};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn tiny_workload() -> WorkloadSpec {
         WorkloadSpec {
@@ -630,5 +672,215 @@ mod tests {
             h.uncore().llc().stats().victim_hits,
             "hierarchy and LLC disagree on victim hits"
         );
+    }
+
+    /// The data that left the private caches, in arrival order.
+    #[derive(Default)]
+    struct Departures {
+        /// Every L2 writeback the LLC received.
+        writebacks: Vec<(LineAddr, CacheLine)>,
+        /// Every dirty answer to a back-invalidation.
+        invalidations: Vec<(LineAddr, CacheLine)>,
+    }
+
+    /// An LLC that forwards to a real organization and logs the data of
+    /// every line leaving the private caches.
+    struct Recorder {
+        inner: Box<dyn LlcOrganization>,
+        log: Rc<RefCell<Departures>>,
+    }
+
+    /// Logs the dirty answers of the hierarchy's inclusion agent.
+    struct LoggingAgent<'a> {
+        inner: &'a mut dyn InclusionAgent,
+        log: &'a RefCell<Departures>,
+    }
+
+    impl InclusionAgent for LoggingAgent<'_> {
+        fn back_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
+            let data = self.inner.back_invalidate(addr);
+            if let Some(d) = data {
+                self.log.borrow_mut().invalidations.push((addr, d));
+            }
+            data
+        }
+    }
+
+    impl Recorder {
+        /// A hierarchy over a recording `cfg.llc_kind` LLC, and its log.
+        fn hierarchy(cfg: SimConfig, n_cores: usize) -> (Hierarchy, Rc<RefCell<Departures>>) {
+            let log = Rc::new(RefCell::new(Departures::default()));
+            let llc = Recorder {
+                inner: cfg.llc_kind.build(cfg.llc, cfg.llc_policy),
+                log: Rc::clone(&log),
+            };
+            (Hierarchy::with_llc(cfg, n_cores, Box::new(llc)), log)
+        }
+    }
+
+    impl LlcOrganization for Recorder {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn geometry(&self) -> CacheGeometry {
+            self.inner.geometry()
+        }
+        fn contains(&self, addr: LineAddr) -> bool {
+            self.inner.contains(addr)
+        }
+        fn read(&mut self, addr: LineAddr, inner: &mut dyn InclusionAgent) -> ReadOutcome {
+            let mut agent = LoggingAgent {
+                inner,
+                log: &self.log,
+            };
+            self.inner.read(addr, &mut agent)
+        }
+        fn writeback(
+            &mut self,
+            addr: LineAddr,
+            data: CacheLine,
+            inner: &mut dyn InclusionAgent,
+        ) -> OpOutcome {
+            self.log.borrow_mut().writebacks.push((addr, data));
+            let mut agent = LoggingAgent {
+                inner,
+                log: &self.log,
+            };
+            self.inner.writeback(addr, data, &mut agent)
+        }
+        fn fill(
+            &mut self,
+            addr: LineAddr,
+            data: CacheLine,
+            inner: &mut dyn InclusionAgent,
+        ) -> OpOutcome {
+            let mut agent = LoggingAgent {
+                inner,
+                log: &self.log,
+            };
+            self.inner.fill(addr, data, &mut agent)
+        }
+        fn prefetch_fill(
+            &mut self,
+            addr: LineAddr,
+            data: CacheLine,
+            inner: &mut dyn InclusionAgent,
+        ) -> Option<OpOutcome> {
+            let mut agent = LoggingAgent {
+                inner,
+                log: &self.log,
+            };
+            self.inner.prefetch_fill(addr, data, &mut agent)
+        }
+        fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
+            self.inner.peek_data(addr)
+        }
+        fn stats(&self) -> &LlcStats {
+            self.inner.stats()
+        }
+        fn compression_stats(&self) -> &CompressionStats {
+            self.inner.compression_stats()
+        }
+        fn tag_latency_penalty(&self) -> u32 {
+            self.inner.tag_latency_penalty()
+        }
+        fn decompression_latency(&self, size: SegmentCount) -> u32 {
+            self.inner.decompression_latency(size)
+        }
+        fn resident_lines(&self) -> Vec<LineAddr> {
+            self.inner.resident_lines()
+        }
+    }
+
+    /// Commits a store to `byte_addr` in core `core`'s memory image and
+    /// runs it on that core, as the drive loops do; returns the line's new
+    /// contents.
+    fn store(
+        h: &mut Hierarchy,
+        gens: &mut [TraceGenerator],
+        core: usize,
+        byte_addr: u64,
+        now: u64,
+    ) -> CacheLine {
+        let ev = event(byte_addr, AccessKind::Store);
+        gens[core].commit(&ev);
+        h.access_on(core, &ev, now, gens);
+        gens[core].line_data(byte_addr)
+    }
+
+    /// A line stored twice carries the second store's data when the L2
+    /// evicts it for capacity.
+    #[test]
+    fn l2_writeback_carries_the_latest_store() {
+        let cfg = SimConfig::single_thread(LlcKind::Uncompressed);
+        let (mut h, log) = Recorder::hierarchy(cfg, 1);
+        let mut gens = [tiny_workload().generator()];
+        let a = 0x1_0000_0000u64;
+        let line = LineAddr::from_byte_addr(a);
+        let first = store(&mut h, &mut gens, 0, a, 0);
+        let latest = store(&mut h, &mut gens, 0, a, 1);
+        assert_ne!(first, latest, "the second store changes the line");
+        // Loads one L2 set-span apart (each in its own 4 KB region, so the
+        // prefetcher stays idle) share the line's L2 set and push it out.
+        let span = (cfg.l2.sets() * 64) as u64;
+        let mut k = 0;
+        while h.core(0).l2().probe(line).is_some() {
+            k += 1;
+            assert!(k <= 64, "line never left the L2");
+            h.access_on(0, &event(a + k * span, AccessKind::Load), 1 + k, &gens[..]);
+        }
+        let log = log.borrow();
+        assert_eq!(log.writebacks, vec![(line, latest)]);
+        assert!(log.invalidations.is_empty());
+        assert_eq!(h.uncore().llc().peek_data(line), Some(latest));
+    }
+
+    /// A one-way LLC of 64 sets: two lines 4 KB apart share a set, so the
+    /// second one's fill displaces the first from the LLC while the L1
+    /// still holds it.
+    fn direct_mapped(cfg: SimConfig) -> SimConfig {
+        cfg.with_llc_size(64 * 64, 1)
+    }
+
+    /// A line stored twice carries the second store's data when an LLC
+    /// displacement back-invalidates it out of the L1.
+    #[test]
+    fn back_invalidation_carries_the_latest_store() {
+        let cfg = direct_mapped(SimConfig::single_thread(LlcKind::Uncompressed));
+        let (mut h, log) = Recorder::hierarchy(cfg, 1);
+        let mut gens = [tiny_workload().generator()];
+        let a = 0x1_0000_0000u64;
+        let line = LineAddr::from_byte_addr(a);
+        store(&mut h, &mut gens, 0, a, 0);
+        let latest = store(&mut h, &mut gens, 0, a, 1);
+        assert_eq!(h.core(0).l1d().is_dirty(line), Some(true));
+        h.access_on(0, &event(a + 4096, AccessKind::Load), 2, &gens[..]);
+        assert_eq!(h.core(0).l1d().probe(line), None, "back-invalidated");
+        let log = log.borrow();
+        assert_eq!(log.invalidations, vec![(line, latest)]);
+        assert!(log.writebacks.is_empty());
+    }
+
+    /// Core 0's fill back-invalidates core 1's dirty line: the data comes
+    /// from core 1's memory image, not from the core whose fill caused it.
+    #[test]
+    fn cross_core_back_invalidation_reads_the_owners_image() {
+        let cfg = direct_mapped(SimConfig::multi_program(LlcKind::Uncompressed));
+        let (mut h, log) = Recorder::hierarchy(cfg, 2);
+        let offset = 1u64 << 40;
+        let w = tiny_workload();
+        let mut gens = [w.generator_at(0), w.generator_at(offset)];
+        // Core 1's line and core 0's line share LLC set 0.
+        let theirs = 0x1_0000_0000u64 + offset;
+        let ours = 0x1_0000_0000u64;
+        let line = LineAddr::from_byte_addr(theirs);
+        store(&mut h, &mut gens, 1, theirs, 0);
+        let latest = store(&mut h, &mut gens, 1, theirs, 1);
+        assert_ne!(gens[0].line_data(theirs), latest);
+        h.access_on(0, &event(ours, AccessKind::Load), 2, &gens[..]);
+        assert_eq!(h.core(1).l1d().probe(line), None, "back-invalidated");
+        let log = log.borrow();
+        assert_eq!(log.invalidations, vec![(line, latest)]);
+        h.assert_inclusion();
     }
 }

@@ -47,7 +47,7 @@ pub use batch::{EventBatch, BATCH_EVENTS};
 pub use config::{CompressorKind, CoreConfig, DramConfig, LlcKind, SimConfig};
 pub use core_model::CoreModel;
 pub use dram::{Dram, DramStats};
-pub use hierarchy::{Hierarchy, LevelHit};
+pub use hierarchy::{Hierarchy, LevelHit, LineSource};
 pub use multicore::{MulticoreResult, MulticoreSystem};
 pub use prefetch::StreamPrefetcher;
 pub use system::{RunResult, System};

@@ -111,7 +111,7 @@ impl MulticoreSystem {
             let ev = batches[tid].next(&mut gens[tid]);
             cores[tid].work(ev.instructions());
             let now = cores[tid].cycles();
-            let out = hierarchy.access_on(tid, &ev, now, &gens[tid]);
+            let out = hierarchy.access_on(tid, &ev, now, &gens[..]);
             cores[tid].account(&ev, &out);
             if finished_cycles[tid].is_none() && cores[tid].instructions() >= instructions_each {
                 finished_cycles[tid] = Some(cores[tid].cycles());
