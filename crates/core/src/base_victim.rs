@@ -17,7 +17,7 @@
 //! this file is the paper-specific delta — the Victim cache partnering,
 //! clean-victim insertion policies, and promotion on victim hits.
 
-use crate::slot::{line_addr, LineMeta, Slot};
+use crate::slot::{line_addr, LineMeta, LinePayloads};
 use crate::victim_policy::{VictimCandidate, VictimPolicyKind};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
@@ -44,16 +44,103 @@ pub enum InclusionMode {
     NonInclusive,
 }
 
-/// A clean line displaced from the Baseline cache, awaiting opportunistic
-/// insertion into the Victim cache.
+/// One line in transit: arriving from memory or the L2, promoted out of
+/// the Victim cache, or displaced from the Baseline cache and awaiting
+/// opportunistic insertion into the Victim cache.
 #[derive(Clone, Copy, Debug)]
-struct DisplacedLine {
+struct MovingLine {
     tag: u64,
     data: CacheLine,
     size: SegmentCount,
-    /// Only ever `true` in non-inclusive mode, where dirty lines may park
-    /// in the Victim cache instead of being written back eagerly.
+    /// A displaced line is only ever dirty in non-inclusive mode, where
+    /// dirty lines may park in the Victim cache instead of being written
+    /// back eagerly.
     dirty: bool,
+}
+
+/// The Victim cache's tag store, laid out like the Baseline engine's:
+/// a contiguous tag row, per-set valid and dirty bitmasks, and parallel
+/// size and insertion-stamp rows, all indexed `set * ways + way`. A
+/// probe is the engine's match-mask compare over one set's tag words.
+#[derive(Clone, Debug)]
+struct VictimTags {
+    ways: usize,
+    tags: Vec<u64>,
+    valid: Vec<u64>,
+    dirty: Vec<u64>,
+    sizes: Vec<SegmentCount>,
+    /// Insertion sequence numbers (LruFit variant).
+    birth: Vec<u64>,
+}
+
+impl VictimTags {
+    fn new(sets: usize, ways: usize) -> VictimTags {
+        assert!(ways <= 64, "victim masks cover at most 64 ways");
+        VictimTags {
+            ways,
+            tags: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
+            sizes: vec![SegmentCount::FULL; sets * ways],
+            birth: vec![0; sets * ways],
+        }
+    }
+
+    /// The way of `set` whose valid victim line has `tag`.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let mut matches = 0u64;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            matches |= u64::from(t == tag) << w;
+        }
+        matches &= self.valid[set];
+        (matches != 0).then(|| matches.trailing_zeros() as usize)
+    }
+
+    fn is_valid(&self, set: usize, way: usize) -> bool {
+        self.valid[set] >> way & 1 == 1
+    }
+
+    fn is_dirty(&self, set: usize, way: usize) -> bool {
+        self.dirty[set] >> way & 1 == 1
+    }
+
+    fn tag(&self, set: usize, way: usize) -> u64 {
+        self.tags[set * self.ways + way]
+    }
+
+    fn size(&self, set: usize, way: usize) -> SegmentCount {
+        self.sizes[set * self.ways + way]
+    }
+
+    fn birth(&self, set: usize, way: usize) -> u64 {
+        self.birth[set * self.ways + way]
+    }
+
+    /// Stores a line in `(set, way)`, stamped with insertion number
+    /// `birth`.
+    fn insert(&mut self, set: usize, way: usize, line: &MovingLine, birth: u64) {
+        let i = set * self.ways + way;
+        self.tags[i] = line.tag;
+        self.sizes[i] = line.size;
+        self.birth[i] = birth;
+        self.valid[set] |= 1 << way;
+        self.dirty[set] = self.dirty[set] & !(1 << way) | u64::from(line.dirty) << way;
+    }
+
+    fn clear(&mut self, set: usize, way: usize) {
+        self.valid[set] &= !(1 << way);
+        self.dirty[set] &= !(1 << way);
+    }
+
+    /// Every valid `(set, way)`.
+    fn iter_valid(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.valid.iter().enumerate().flat_map(move |(set, &mask)| {
+            (0..self.ways)
+                .filter(move |w| mask >> w & 1 == 1)
+                .map(move |w| (set, w))
+        })
+    }
 }
 
 /// The Base-Victim opportunistic compressed LLC.
@@ -77,9 +164,15 @@ pub struct BaseVictimLlc<E: EventSink = NoEventSink> {
     /// The Baseline cache: one engine slot per physical way, driven by the
     /// unmodified baseline replacement policy.
     engine: SetEngine<LineMeta, E>,
-    victim: Vec<Slot>,
-    /// Insertion sequence numbers for victim slots (LruFit variant).
-    victim_birth: Vec<u64>,
+    /// The Victim cache: the second tag of every physical way.
+    victim: VictimTags,
+    /// Baseline and Victim line data, indexed like the tags. Read only
+    /// to move lines between the two caches, for the unchanged-data
+    /// writeback shortcut, and by `peek_data`.
+    base_data: LinePayloads,
+    victim_data: LinePayloads,
+    /// Reused buffer of the fitting ways for one victim insertion.
+    candidates: Vec<VictimCandidate>,
     victim_kind: VictimPolicyKind,
     compression: CompressionStats,
     compressor: Box<dyn Compressor>,
@@ -167,8 +260,10 @@ impl<E: EventSink> BaseVictimLlc<E> {
         BaseVictimLlc {
             geom,
             engine: SetEngine::with_sink(sets, ways * BaseVictimLlc::SLOTS_PER_WAY, policy, sink),
-            victim: vec![Slot::empty(); sets * ways],
-            victim_birth: vec![0; sets * ways],
+            victim: VictimTags::new(sets, ways),
+            base_data: LinePayloads::new(sets, ways),
+            victim_data: LinePayloads::new(sets, ways),
+            candidates: Vec::with_capacity(ways),
             victim_kind,
             compression: CompressionStats::default(),
             compressor,
@@ -191,10 +286,6 @@ impl<E: EventSink> BaseVictimLlc<E> {
         self.victim_kind
     }
 
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.geom.ways() + way
-    }
-
     fn find_base(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
@@ -204,12 +295,20 @@ impl<E: EventSink> BaseVictimLlc<E> {
     fn find_victim(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        (0..self.geom.ways())
-            .find(|&w| {
-                let s = &self.victim[self.idx(set, w)];
-                s.valid && s.tag == tag
-            })
-            .map(|w| (set, w))
+        self.victim.find(set, tag).map(|w| (set, w))
+    }
+
+    /// Removes the Victim-cache line of `(set, way)` for promotion,
+    /// returning it with its data.
+    fn take_victim(&mut self, set: usize, way: usize) -> MovingLine {
+        let line = MovingLine {
+            tag: self.victim.tag(set, way),
+            data: self.victim_data.get(set, way),
+            size: self.victim.size(set, way),
+            dirty: self.victim.is_dirty(set, way),
+        };
+        self.victim.clear(set, way);
+        line
     }
 
     fn next_rng(&mut self) -> u64 {
@@ -238,7 +337,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
         way: usize,
         inner: &mut dyn InclusionAgent,
         effects: &mut Effects,
-    ) -> Option<DisplacedLine> {
+    ) -> Option<MovingLine> {
         let slot = self.engine.slot(set, way).copied();
         if !slot.valid {
             return None;
@@ -256,11 +355,12 @@ impl<E: EventSink> BaseVictimLlc<E> {
             ));
         }
         let addr = line_addr(&self.geom, set, slot.tag);
+        let stored = self.base_data.get(set, way);
         if self.mode == InclusionMode::NonInclusive {
             self.engine.slot_mut(set, way).clear();
-            return Some(DisplacedLine {
+            return Some(MovingLine {
                 tag: slot.tag,
-                data: slot.meta.data,
+                data: stored,
                 size: slot.meta.size,
                 dirty: slot.meta.dirty,
             });
@@ -269,7 +369,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
         let inner_dirty = inner.back_invalidate(addr);
         let (data, dirty) = match inner_dirty {
             Some(fresh) => (fresh, true),
-            None => (slot.meta.data, slot.meta.dirty),
+            None => (stored, slot.meta.dirty),
         };
         if dirty {
             effects.memory_writes += 1;
@@ -280,7 +380,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
             slot.meta.size
         };
         self.engine.slot_mut(set, way).clear();
-        Some(DisplacedLine {
+        Some(MovingLine {
             tag: slot.tag,
             data,
             size,
@@ -291,28 +391,28 @@ impl<E: EventSink> BaseVictimLlc<E> {
     /// Opportunistically inserts a clean displaced line into the Victim
     /// cache of `set`. Silently drops the previous occupant of the chosen
     /// way. Counts one migration on success.
-    fn insert_victim(&mut self, set: usize, line: DisplacedLine, effects: &mut Effects) {
-        let ways = self.geom.ways();
-        let mut candidates = Vec::with_capacity(ways);
-        for w in 0..ways {
+    fn insert_victim(&mut self, set: usize, line: MovingLine, effects: &mut Effects) {
+        self.candidates.clear();
+        for w in 0..self.geom.ways() {
             let base = self.engine.slot(set, w);
+            let base_size = if base.valid {
+                base.meta.size
+            } else {
+                SegmentCount::MIN
+            };
             let used = if base.valid {
-                base.meta.size.get() as usize
+                base_size.get() as usize
             } else {
                 0
             };
             if used + line.size.get() as usize <= SEGMENTS_PER_LINE {
-                let vslot = &self.victim[self.idx(set, w)];
-                candidates.push(VictimCandidate {
+                let occupied = self.victim.is_valid(set, w);
+                self.candidates.push(VictimCandidate {
                     way: w,
-                    base_size: if base.valid {
-                        base.meta.size
-                    } else {
-                        SegmentCount::MIN
-                    },
-                    occupied: vslot.valid,
-                    occupant_age: if vslot.valid {
-                        self.clock - self.victim_birth[self.idx(set, w)]
+                    base_size,
+                    occupied,
+                    occupant_age: if occupied {
+                        self.clock - self.victim.birth(set, w)
                     } else {
                         0
                     },
@@ -320,22 +420,22 @@ impl<E: EventSink> BaseVictimLlc<E> {
             }
         }
         let draw = self.next_rng();
-        match self.victim_kind.choose(&candidates, draw) {
+        match self.victim_kind.choose(&self.candidates, draw) {
             Some(c) => {
-                let i = self.idx(set, c.way);
+                let occupied = self.victim.is_valid(set, c.way);
                 // Inclusive: the previous occupant is clean — silent drop.
                 // Non-inclusive: a dirty occupant must be written back.
-                if self.victim[i].valid && self.victim[i].dirty {
+                if occupied && self.victim.is_dirty(set, c.way) {
                     debug_assert_eq!(self.mode, InclusionMode::NonInclusive);
                     effects.memory_writes += 1;
                 }
                 if E::ENABLED {
-                    if self.victim[i].valid {
+                    if occupied {
                         self.engine.emit(CacheEvent::new(
                             set,
                             c.way,
                             EventKind::SilentDrop {
-                                tag: self.victim[i].tag,
+                                tag: self.victim.tag(set, c.way),
                                 cause: DropCause::Displaced,
                             },
                         ));
@@ -349,15 +449,9 @@ impl<E: EventSink> BaseVictimLlc<E> {
                         },
                     ));
                 }
-                self.victim[i] = Slot {
-                    valid: true,
-                    tag: line.tag,
-                    dirty: line.dirty,
-                    data: line.data,
-                    size: line.size,
-                };
                 self.clock += 1;
-                self.victim_birth[i] = self.clock;
+                self.victim.insert(set, c.way, &line, self.clock);
+                self.victim_data.put(set, c.way, &line.data);
                 effects.migrations += 1;
                 self.engine.stats_mut().victim_inserts += 1;
             }
@@ -392,17 +486,15 @@ impl<E: EventSink> BaseVictimLlc<E> {
         base_size: SegmentCount,
         effects: &mut Effects,
     ) {
-        let i = self.idx(set, way);
-        let v = &self.victim[i];
-        if v.valid && !base_size.fits_with(v.size) {
+        if self.victim.is_valid(set, way) && !base_size.fits_with(self.victim.size(set, way)) {
             // Inclusive: victim lines are clean, so this drop is silent.
             // Non-inclusive: a dirty victim pays a writeback here.
-            if v.dirty {
+            if self.victim.is_dirty(set, way) {
                 debug_assert_eq!(self.mode, InclusionMode::NonInclusive);
                 effects.memory_writes += 1;
             }
             if E::ENABLED {
-                let tag = self.victim[i].tag;
+                let tag = self.victim.tag(set, way);
                 self.engine.emit(CacheEvent::new(
                     set,
                     way,
@@ -412,7 +504,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
                     },
                 ));
             }
-            self.victim[i].clear();
+            self.victim.clear(set, way);
             effects.partner_evictions += 1;
         }
     }
@@ -421,14 +513,10 @@ impl<E: EventSink> BaseVictimLlc<E> {
     /// promotions: displace the baseline victim, install the incoming
     /// line, enforce pairing, and re-insert the displaced line. Returns
     /// the way the line landed in (event emission only).
-    #[allow(clippy::too_many_arguments)] // one argument per tag-metadata field
     fn install_base(
         &mut self,
         set: usize,
-        tag: u64,
-        data: CacheLine,
-        size: SegmentCount,
-        dirty: bool,
+        line: MovingLine,
         inner: &mut dyn InclusionAgent,
         effects: &mut Effects,
     ) -> usize {
@@ -437,13 +525,17 @@ impl<E: EventSink> BaseVictimLlc<E> {
         let displaced = self.displace_base(set, way, inner, effects);
 
         // Keep the victim partner only if it fits with the incoming line.
-        self.enforce_pairing(set, way, size, effects);
+        self.enforce_pairing(set, way, line.size, effects);
 
         // Size-aware policies (CAMP) receive the compressed size; others
         // ignore it. The uncompressed mirror passes identical sizes, so
         // the mirror property is preserved.
-        self.engine
-            .install(set, way, tag, LineMeta { dirty, data, size }, size);
+        let meta = LineMeta {
+            dirty: line.dirty,
+            size: line.size,
+        };
+        self.engine.install(set, way, line.tag, meta, line.size);
+        self.base_data.put(set, way, &line.data);
 
         if let Some(line) = displaced {
             self.insert_victim(set, line, effects);
@@ -467,60 +559,6 @@ impl<E: EventSink> BaseVictimLlc<E> {
         }
     }
 
-    /// Verifies the architecture's structural invariants; used by tests
-    /// and debug builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant is violated: a dirty victim line, a
-    /// base/victim pair exceeding the physical way capacity, or a line
-    /// resident in both caches of a set.
-    pub fn assert_invariants(&self) {
-        let ways = self.geom.ways();
-        for set in 0..self.geom.sets() {
-            for w in 0..ways {
-                let b = self.engine.slot(set, w);
-                let v = &self.victim[self.idx(set, w)];
-                if self.mode == InclusionMode::Inclusive {
-                    assert!(
-                        !v.valid || !v.dirty,
-                        "dirty victim line in set {set} way {w}"
-                    );
-                }
-                if b.valid && v.valid {
-                    assert!(
-                        b.meta.size.fits_with(v.size),
-                        "pair overflow in set {set} way {w}: {} + {}",
-                        b.meta.size,
-                        v.size
-                    );
-                }
-            }
-            // No address may be resident twice within a set.
-            let mut tags: Vec<u64> = Vec::new();
-            for w in 0..ways {
-                let b = self.engine.slot(set, w);
-                if b.valid {
-                    assert!(
-                        !tags.contains(&b.tag),
-                        "tag {:#x} duplicated in set {set}",
-                        b.tag
-                    );
-                    tags.push(b.tag);
-                }
-                let v = &self.victim[self.idx(set, w)];
-                if v.valid {
-                    assert!(
-                        !tags.contains(&v.tag),
-                        "tag {:#x} duplicated in set {set}",
-                        v.tag
-                    );
-                    tags.push(v.tag);
-                }
-            }
-        }
-    }
-
     /// Addresses currently resident in the Baseline cache only. The
     /// differential test compares this against an
     /// [`UncompressedLlc`](crate::UncompressedLlc) driven with the same
@@ -536,12 +574,9 @@ impl<E: EventSink> BaseVictimLlc<E> {
     /// Addresses currently resident in the Victim cache only.
     #[must_use]
     pub fn victim_lines(&self) -> Vec<LineAddr> {
-        let ways = self.geom.ways();
         self.victim
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.valid)
-            .map(|(i, s)| line_addr(&self.geom, i / ways, s.tag))
+            .iter_valid()
+            .map(|(set, w)| line_addr(&self.geom, set, self.victim.tag(set, w)))
             .collect()
     }
 }
@@ -576,8 +611,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             // The Baseline policy sees exactly what the uncompressed cache
             // would: a miss, then a fill — but no read-miss is counted.
             self.engine.policy_mut().on_miss(set);
-            let i = self.idx(set, vway);
-            let promoted = self.victim[i];
+            let promoted = self.take_victim(set, vway);
             debug_assert!(
                 !promoted.dirty || self.mode == InclusionMode::NonInclusive,
                 "inclusive victim lines must be clean"
@@ -592,18 +626,9 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
                     },
                 ));
             }
-            self.victim[i].clear();
             effects.migrations += 1; // victim way -> base way data movement
 
-            self.install_base(
-                set,
-                promoted.tag,
-                promoted.data,
-                promoted.size,
-                promoted.dirty,
-                inner,
-                &mut effects,
-            );
+            self.install_base(set, promoted, inner, &mut effects);
 
             self.engine.stats_mut().victim_hits += 1;
             self.engine.absorb(effects);
@@ -636,15 +661,14 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             // reuses the size cached in the tag slot — the compressed size is
             // a pure function of the data, so it only needs recomputing on an
             // actual data write.
-            let slot = self.engine.slot(set, way);
-            let new_size = if slot.meta.data == data {
-                slot.meta.size
+            let new_size = if self.base_data.holds(set, way, &data) {
+                self.engine.slot(set, way).meta.size
             } else {
                 self.encoders.record(self.compressor.as_ref(), &data)
             };
             self.compression.record(new_size);
+            self.base_data.put(set, way, &data);
             let meta = &mut self.engine.slot_mut(set, way).meta;
-            meta.data = data;
             meta.dirty = true;
             meta.size = new_size;
             if E::ENABLED {
@@ -676,9 +700,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
                     // Section IV.B.3: handled exactly like a Victim-cache
                     // read hit, except the line is recompressed with the
                     // written data before promotion.
-                    let i = self.idx(set, vway);
-                    let promoted = self.victim[i];
-                    self.victim[i].clear();
+                    let promoted = self.take_victim(set, vway);
                     effects.migrations += 1;
                     // Same invariant as the base write hit: only recompress
                     // when the written data actually differs from the copy
@@ -689,7 +711,13 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
                         self.encoders.record(self.compressor.as_ref(), &data)
                     };
                     self.compression.record(new_size);
-                    self.install_base(set, promoted.tag, data, new_size, true, inner, &mut effects);
+                    let written = MovingLine {
+                        tag: promoted.tag,
+                        data,
+                        size: new_size,
+                        dirty: true,
+                    };
+                    self.install_base(set, written, inner, &mut effects);
                     self.engine.stats_mut().writeback_hits += 1;
                     self.engine.absorb(effects);
                     return OpOutcome { effects };
@@ -703,7 +731,13 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             let tag = self.geom.tag(addr.get());
             let size = self.encoders.record(self.compressor.as_ref(), &data);
             self.compression.record(size);
-            self.install_base(set, tag, data, size, true, inner, &mut effects);
+            let line = MovingLine {
+                tag,
+                data,
+                size,
+                dirty: true,
+            };
+            self.install_base(set, line, inner, &mut effects);
             self.engine.stats_mut().writeback_hits += 1;
             self.engine.absorb(effects);
             return OpOutcome { effects };
@@ -732,7 +766,13 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         let tag = self.geom.tag(addr.get());
         let size = self.encoders.record(self.compressor.as_ref(), &data);
         self.compression.record(size);
-        let way = self.install_base(set, tag, data, size, false, inner, &mut effects);
+        let line = MovingLine {
+            tag,
+            data,
+            size,
+            dirty: false,
+        };
+        let way = self.install_base(set, line, inner, &mut effects);
         if E::ENABLED {
             self.emit_compression(set, way, &data, size);
             self.engine.emit(CacheEvent::new(
@@ -766,19 +806,9 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             // policy sees exactly what the uncompressed prefetch fill
             // would: a fill (no demand-miss event).
             let mut effects = Effects::default();
-            let i = self.idx(set, vway);
-            let promoted = self.victim[i];
-            self.victim[i].clear();
+            let promoted = self.take_victim(set, vway);
             effects.migrations += 1;
-            self.install_base(
-                set,
-                promoted.tag,
-                promoted.data,
-                promoted.size,
-                promoted.dirty,
-                inner,
-                &mut effects,
-            );
+            self.install_base(set, promoted, inner, &mut effects);
             self.engine.stats_mut().prefetch_hits += 1;
             self.engine.absorb(effects);
             return Some(OpOutcome { effects });
@@ -788,7 +818,13 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         let tag = self.geom.tag(addr.get());
         let size = self.encoders.record(self.compressor.as_ref(), &data);
         self.compression.record(size);
-        let way = self.install_base(set, tag, data, size, false, inner, &mut effects);
+        let line = MovingLine {
+            tag,
+            data,
+            size,
+            dirty: false,
+        };
+        let way = self.install_base(set, line, inner, &mut effects);
         if E::ENABLED {
             self.emit_compression(set, way, &data, size);
             self.engine.emit(CacheEvent::new(
@@ -807,10 +843,10 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         if let Some((set, way)) = self.find_base(addr) {
-            return Some(self.engine.slot(set, way).meta.data);
+            return Some(self.base_data.get(set, way));
         }
         let (set, way) = self.find_victim(addr)?;
-        Some(self.victim[self.idx(set, way)].data)
+        Some(self.victim_data.get(set, way))
     }
 
     fn hint_downgrade(&mut self, addr: LineAddr) {
@@ -842,6 +878,57 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         let mut lines = self.baseline_lines();
         lines.extend(self.victim_lines());
         lines
+    }
+
+    /// Panics if any invariant is violated: a dirty victim line in
+    /// inclusive mode, a dirty bit on an empty victim slot, a base/victim
+    /// pair exceeding the physical way capacity, or a line resident in
+    /// both caches of a set.
+    fn assert_invariants(&self) {
+        let ways = self.geom.ways();
+        for set in 0..self.geom.sets() {
+            assert_eq!(
+                self.victim.dirty[set] & !self.victim.valid[set],
+                0,
+                "dirty bit on an empty victim slot in set {set}"
+            );
+            for w in 0..ways {
+                let b = self.engine.slot(set, w);
+                let v_valid = self.victim.is_valid(set, w);
+                if self.mode == InclusionMode::Inclusive {
+                    assert!(
+                        !v_valid || !self.victim.is_dirty(set, w),
+                        "dirty victim line in set {set} way {w}"
+                    );
+                }
+                if b.valid && v_valid {
+                    let v_size = self.victim.size(set, w);
+                    assert!(
+                        b.meta.size.fits_with(v_size),
+                        "pair overflow in set {set} way {w}: {} + {v_size}",
+                        b.meta.size,
+                    );
+                }
+            }
+            // No address may be resident twice within a set.
+            let mut tags: Vec<u64> = Vec::new();
+            for w in 0..ways {
+                let b = self.engine.slot(set, w);
+                if b.valid {
+                    assert!(
+                        !tags.contains(&b.tag),
+                        "tag {:#x} duplicated in set {set}",
+                        b.tag
+                    );
+                    tags.push(b.tag);
+                }
+                if self.victim.is_valid(set, w) {
+                    let tag = self.victim.tag(set, w);
+                    assert!(!tags.contains(&tag), "tag {tag:#x} duplicated in set {set}");
+                    tags.push(tag);
+                }
+            }
+        }
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
@@ -1114,8 +1201,10 @@ mod tests {
         // Verify it parked alongside the 11-segment base: reading the
         // 11-seg line and the victim line must coexist.
         c.assert_invariants();
-        let i = c.idx(3, 2);
-        assert!(c.victim[i].valid, "victim parked in way 2 (largest base)");
+        assert!(
+            c.victim.is_valid(3, 2),
+            "victim parked in way 2 (largest base)"
+        );
     }
 
     fn toy_non_inclusive() -> BaseVictimLlc {

@@ -15,7 +15,7 @@
 //! replacement that can evict several useful lines at once, and tag reach
 //! wasted on sparse super-blocks).
 
-use crate::slot::Slot;
+use crate::slot::{LinePayloads, Occupancy};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::{SetEngine, SlotMeta};
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -28,34 +28,52 @@ const SUPER_BLOCK_LINES: usize = 4;
 const SUB_BLOCK_BYTES: usize = 16;
 /// Sub-blocks per uncompressed line.
 const SUB_BLOCKS_PER_LINE: usize = 64 / SUB_BLOCK_BYTES;
+/// Address bits that select a member within its super-block.
+const MEMBER_BITS: u32 = SUPER_BLOCK_LINES.trailing_zeros();
 
-/// Payload of one super-block tag: up to four co-resident neighbor lines
-/// (index = line address & 3). Validity and the super-block tag live in
-/// the engine slot.
+/// One member line of a super-block: its state bits and compressed
+/// size. The member's address follows from the super-block tag and its
+/// index; its data lives in [`DccLlc`]'s payload array.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    valid: bool,
+    dirty: bool,
+    size: SegmentCount,
+}
+
+impl Member {
+    const EMPTY: Member = Member {
+        valid: false,
+        dirty: false,
+        size: SegmentCount::FULL,
+    };
+}
+
+/// Sub-blocks a line of `size` occupies.
+fn sub_blocks(size: SegmentCount) -> usize {
+    size.bytes().div_ceil(SUB_BLOCK_BYTES)
+}
+
+/// Metadata of one super-block tag: up to four co-resident neighbor
+/// lines (index = line address & 3). Validity and the super-block tag
+/// live in the engine slot.
 #[derive(Clone, Copy, Debug)]
 struct SuperLines {
-    lines: [Slot; SUPER_BLOCK_LINES],
+    lines: [Member; SUPER_BLOCK_LINES],
 }
 
 impl SlotMeta for SuperLines {
     fn empty() -> SuperLines {
         SuperLines {
-            lines: [Slot::empty(), Slot::empty(), Slot::empty(), Slot::empty()],
+            lines: [Member::EMPTY; SUPER_BLOCK_LINES],
         }
     }
 }
 
 impl SuperLines {
-    fn sub_blocks_used(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| l.size.bytes().div_ceil(SUB_BLOCK_BYTES))
-            .sum()
-    }
-
-    fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+    /// The block's resident members as `(index, member)` pairs.
+    fn resident(&self) -> impl Iterator<Item = (usize, &Member)> {
+        self.lines.iter().enumerate().filter(|(_, l)| l.valid)
     }
 }
 
@@ -65,6 +83,8 @@ impl SuperLines {
 /// is a *super-block* tag covering four neighbor lines, sets are indexed
 /// by super-block address (`sb % sets`, not geometry bit-extraction), and
 /// capacity is accounted in 16 B sub-blocks against a per-set pool.
+/// Each set's pool use and resident-line count are counters updated
+/// wherever a member changes, never recounted from the tags.
 ///
 /// # Examples
 ///
@@ -84,6 +104,11 @@ pub struct DccLlc<E: EventSink = NoEventSink> {
     /// `sets x 2*ways` super-block tags (DCC doubles tag reach like the
     /// other compressed organizations; each tag covers 4 lines).
     engine: SetEngine<SuperLines, E>,
+    /// Per-set sub-blocks in use and resident lines.
+    occupancy: Vec<Occupancy>,
+    /// Member line data; member `m` of tag slot `t` is slot
+    /// `t * 4 + m` of its set.
+    payloads: LinePayloads,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
@@ -115,6 +140,8 @@ impl<E: EventSink> DccLlc<E> {
         DccLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), tags, policy, sink),
+            occupancy: vec![Occupancy::default(); geom.sets()],
+            payloads: LinePayloads::new(geom.sets(), tags * SUPER_BLOCK_LINES),
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
             encoders: EncoderStats::new(),
@@ -131,12 +158,14 @@ impl<E: EventSink> DccLlc<E> {
 
     /// Super-blocks are indexed by the line address with the low two bits
     /// (member index) stripped; sets are selected by super-block address
-    /// so neighbors share a set.
+    /// so neighbors share a set. The set count is a power of two
+    /// ([`CacheGeometry::check`]), so `sb % sets` and `sb / sets` are a
+    /// mask and a shift.
     fn locate_super(&self, addr: LineAddr) -> (usize, u64, usize) {
-        let sb_addr = addr.get() / SUPER_BLOCK_LINES as u64;
-        let set = (sb_addr % self.geom.sets() as u64) as usize;
-        let tag = sb_addr / self.geom.sets() as u64;
-        let member = (addr.get() % SUPER_BLOCK_LINES as u64) as usize;
+        let sb_addr = addr.get() >> MEMBER_BITS;
+        let set = (sb_addr & (self.geom.sets() as u64 - 1)) as usize;
+        let tag = sb_addr >> self.geom.index_bits();
+        let member = (addr.get() & (SUPER_BLOCK_LINES as u64 - 1)) as usize;
         (set, tag, member)
     }
 
@@ -145,18 +174,30 @@ impl<E: EventSink> DccLlc<E> {
         self.engine.find(set, tag).map(|t| (set, t, member))
     }
 
-    fn used_sub_blocks(&self, set: usize) -> usize {
-        (0..self.engine.ways())
-            .map(|t| self.engine.slot(set, t).meta.sub_blocks_used())
-            .sum()
+    fn free_sub_blocks(&self, set: usize) -> usize {
+        self.pool_sub_blocks() - self.occupancy[set].units as usize
+    }
+
+    /// The occupancy of `set` counted member by member: the reference
+    /// [`assert_invariants`](LlcOrganization::assert_invariants) checks
+    /// the maintained counters against.
+    fn rescan(&self, set: usize) -> Occupancy {
+        let mut occ = Occupancy::default();
+        for t in 0..self.engine.ways() {
+            let block = self.engine.slot(set, t);
+            if block.valid {
+                for (_, line) in block.meta.resident() {
+                    occ.add(sub_blocks(line.size));
+                }
+            }
+        }
+        occ
     }
 
     /// Rebuilds a member line's address from its super-block coordinates.
     fn member_addr(&self, set: usize, sb_tag: u64, member: usize) -> LineAddr {
-        LineAddr::new(
-            (sb_tag * self.geom.sets() as u64 + set as u64) * SUPER_BLOCK_LINES as u64
-                + member as u64,
-        )
+        let sb_addr = (sb_tag << self.geom.index_bits()) | set as u64;
+        LineAddr::new(sb_addr << MEMBER_BITS | member as u64)
     }
 
     fn evict_super(
@@ -167,19 +208,17 @@ impl<E: EventSink> DccLlc<E> {
         effects: &mut Effects,
     ) {
         let block = self.engine.slot(set, t).copied();
-        if block.meta.resident_lines() > 1 {
+        if block.meta.resident().nth(1).is_some() {
             self.multi_line_evictions += 1;
         }
-        for (m, line) in block.meta.lines.iter().enumerate() {
-            if !line.valid {
-                continue;
-            }
+        for (m, line) in block.meta.resident() {
             let line_addr = self.member_addr(set, block.tag, m);
             effects.back_invalidations += 1;
             let inner_dirty = inner.back_invalidate(line_addr);
             if inner_dirty.is_some() || line.dirty {
                 effects.memory_writes += 1;
             }
+            self.occupancy[set].remove(sub_blocks(line.size));
         }
         // The whole super-block leaves under pool pressure — DCC's
         // coarse-replacement drawback, visible as one size-pressure
@@ -201,10 +240,8 @@ impl<E: EventSink> DccLlc<E> {
         let block = self.engine.slot(set, t).copied();
         let Some((m, line)) = block
             .meta
-            .lines
-            .iter()
-            .enumerate()
-            .filter(|&(m, l)| l.valid && Some(m) != protect)
+            .resident()
+            .filter(|&(m, _)| Some(m) != protect)
             .max_by_key(|&(m, l)| (l.size.get(), m))
         else {
             return false;
@@ -225,7 +262,8 @@ impl<E: EventSink> DccLlc<E> {
                 },
             ));
         }
-        self.engine.slot_mut(set, t).meta.lines[m] = Slot::empty();
+        self.occupancy[set].remove(sub_blocks(line.size));
+        self.engine.slot_mut(set, t).meta.lines[m] = Member::EMPTY;
         true
     }
 
@@ -247,8 +285,7 @@ impl<E: EventSink> DccLlc<E> {
     ) {
         loop {
             let has_tag = home.is_some() || self.engine.first_invalid(set).is_some();
-            let free = self.pool_sub_blocks() - self.used_sub_blocks(set);
-            if free >= needed && has_tag {
+            if self.free_sub_blocks(set) >= needed && has_tag {
                 return;
             }
             let victim = (0..self.engine.ways())
@@ -280,7 +317,7 @@ impl<E: EventSink> DccLlc<E> {
         let (set, tag, member) = self.locate_super(addr);
         let size = self.encoders.record(&self.bdi, &data);
         self.compression.record(size);
-        let needed = size.bytes().div_ceil(SUB_BLOCK_BYTES);
+        let needed = sub_blocks(size);
 
         // An existing super-block for this neighbor group is "home".
         let home = self.engine.find(set, tag);
@@ -317,19 +354,18 @@ impl<E: EventSink> DccLlc<E> {
             self.engine.emit(CacheEvent::new(set, t, kind));
         }
         let mut meta = *self.engine.slot(set, t).meta;
-        meta.lines[member] = Slot {
+        meta.lines[member] = Member {
             valid: true,
-            tag,
             dirty: false,
-            data,
             size,
         };
         self.engine.install(set, t, tag, meta, size);
+        self.payloads
+            .put(set, t * SUPER_BLOCK_LINES + member, &data);
+        self.occupancy[set].add(needed);
 
         self.resident_samples += 1;
-        self.resident_total += (0..self.engine.ways())
-            .map(|t| self.engine.slot(set, t).meta.resident_lines() as u64)
-            .sum::<u64>();
+        self.resident_total += u64::from(self.occupancy[set].lines);
         effects
     }
 
@@ -353,20 +389,6 @@ impl<E: EventSink> DccLlc<E> {
             return 1.0;
         }
         self.resident_total as f64 / self.resident_samples as f64 / self.geom.ways() as f64
-    }
-
-    /// Verifies the sub-block pool invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any set exceeds its pool.
-    pub fn assert_invariants(&self) {
-        for set in 0..self.geom.sets() {
-            assert!(
-                self.used_sub_blocks(set) <= self.pool_sub_blocks(),
-                "set {set} over pool capacity"
-            );
-        }
     }
 }
 
@@ -415,19 +437,17 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
             if self.engine.slot(set, t).meta.lines[m].valid {
                 // Unchanged data (clean writeback) reuses the size cached in
                 // the tag slot; only a real data write pays recompression.
-                let line = &self.engine.slot(set, t).meta.lines[m];
-                let new_size = if line.data == data {
-                    line.size
+                let slot = t * SUPER_BLOCK_LINES + m;
+                let old = self.engine.slot(set, t).meta.lines[m].size;
+                let new_size = if self.payloads.holds(set, slot, &data) {
+                    old
                 } else {
                     self.encoders.record(&self.bdi, &data)
                 };
                 self.compression.record(new_size);
-                let old = line.size;
                 if new_size > old {
-                    let delta = new_size.bytes().div_ceil(SUB_BLOCK_BYTES)
-                        - old.bytes().div_ceil(SUB_BLOCK_BYTES);
-                    let free = self.pool_sub_blocks() - self.used_sub_blocks(set);
-                    if free < delta {
+                    let delta = sub_blocks(new_size) - sub_blocks(old);
+                    if self.free_sub_blocks(set) < delta {
                         self.make_room(set, delta, Some(t), Some(m), inner, &mut effects);
                     }
                 }
@@ -442,10 +462,11 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
                         },
                     ));
                 }
+                self.payloads.put(set, slot, &data);
                 let line = &mut self.engine.slot_mut(set, t).meta.lines[m];
-                line.data = data;
                 line.dirty = true;
                 line.size = new_size;
+                self.occupancy[set].resize(sub_blocks(old), sub_blocks(new_size));
                 self.engine.stats_mut().writeback_hits += 1;
                 self.engine.absorb(effects);
                 return OpOutcome { effects };
@@ -510,20 +531,34 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         let (set, t, m) = self.find(addr)?;
-        let line = &self.engine.slot(set, t).meta.lines[m];
-        line.valid.then_some(line.data)
+        let valid = self.engine.slot(set, t).meta.lines[m].valid;
+        valid.then(|| self.payloads.get(set, t * SUPER_BLOCK_LINES + m))
     }
 
     fn resident_lines(&self) -> Vec<LineAddr> {
         let mut out = Vec::new();
         for (set, _, block) in self.engine.iter_valid() {
-            for (m, line) in block.meta.lines.iter().enumerate() {
-                if line.valid {
-                    out.push(self.member_addr(set, block.tag, m));
-                }
+            for (m, _) in block.meta.resident() {
+                out.push(self.member_addr(set, block.tag, m));
             }
         }
         out
+    }
+
+    /// Panics if any set exceeds its sub-block pool, or its maintained
+    /// occupancy differs from a rescan.
+    fn assert_invariants(&self) {
+        for set in 0..self.geom.sets() {
+            let occ = self.rescan(set);
+            assert_eq!(
+                self.occupancy[set], occ,
+                "set {set} occupancy counters drifted"
+            );
+            assert!(
+                occ.units as usize <= self.pool_sub_blocks(),
+                "set {set} over pool capacity"
+            );
+        }
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {

@@ -224,6 +224,16 @@ pub trait LlcOrganization {
     /// order. For invariant checks.
     fn resident_lines(&self) -> Vec<LineAddr>;
 
+    /// Checks the organization's structural invariants: capacity and
+    /// pairing rules, and that every incrementally maintained per-set
+    /// counter equals a full rescan of the set. For tests, auditors and
+    /// the fuzzer; the default checks nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first violated invariant.
+    fn assert_invariants(&self) {}
+
     /// Per-encoding selection counts of this organization's compressor, as
     /// `(encoding name, count)` pairs — telemetry for the compressed-size
     /// distribution over the run. Empty (the default) when the

@@ -18,7 +18,7 @@
 //!   fallback. This helps compressible workloads but still breaks the
 //!   replacement order, leaving large negative outliers.
 
-use crate::slot::{line_addr, LineMeta};
+use crate::slot::{line_addr, LineMeta, LinePayloads};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -64,6 +64,8 @@ pub enum TwoTagFlavor {
 pub struct TwoTagLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     engine: SetEngine<LineMeta, E>,
+    /// Line data, indexed like the engine's logical slots.
+    payloads: LinePayloads,
     flavor: TwoTagFlavor,
     compression: CompressionStats,
     bdi: Bdi,
@@ -97,6 +99,7 @@ impl<E: EventSink> TwoTagLlc<E> {
         TwoTagLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
+            payloads: LinePayloads::new(geom.sets(), slots),
             flavor,
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
@@ -226,12 +229,9 @@ impl<E: EventSink> TwoTagLlc<E> {
             self.engine.emit(CacheEvent::new(set, l, kind));
         }
 
-        let meta = LineMeta {
-            dirty: false,
-            data,
-            size,
-        };
+        let meta = LineMeta { dirty: false, size };
         self.engine.install(set, l, tag, meta, size);
+        self.payloads.put(set, l, &data);
         effects
     }
 
@@ -246,15 +246,14 @@ impl<E: EventSink> TwoTagLlc<E> {
             Some((set, l)) => {
                 // Unchanged data (clean writeback) reuses the size cached in
                 // the tag slot; only a real data write pays recompression.
-                let slot = self.engine.slot(set, l);
-                let new_size = if slot.meta.data == data {
-                    slot.meta.size
+                let new_size = if self.payloads.holds(set, l, &data) {
+                    self.engine.slot(set, l).meta.size
                 } else {
                     self.encoders.record(&self.bdi, &data)
                 };
                 self.compression.record(new_size);
+                self.payloads.put(set, l, &data);
                 let meta = &mut self.engine.slot_mut(set, l).meta;
-                meta.data = data;
                 meta.dirty = true;
                 meta.size = new_size;
                 if E::ENABLED {
@@ -284,28 +283,6 @@ impl<E: EventSink> TwoTagLlc<E> {
             }
         }
         effects
-    }
-
-    /// Verifies the pairing invariant; used by tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any physical way's two logical lines exceed 16 segments.
-    pub fn assert_invariants(&self) {
-        for set in 0..self.geom.sets() {
-            for w in 0..self.geom.ways() {
-                let a = self.engine.slot(set, 2 * w);
-                let b = self.engine.slot(set, 2 * w + 1);
-                if a.valid && b.valid {
-                    assert!(
-                        a.meta.size.fits_with(b.meta.size),
-                        "pair overflow set {set} way {w}: {} + {}",
-                        a.meta.size,
-                        b.meta.size
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -387,7 +364,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         let (set, l) = self.find(addr)?;
-        Some(self.engine.slot(set, l).meta.data)
+        Some(self.payloads.get(set, l))
     }
 
     fn hint_downgrade(&mut self, addr: LineAddr) {
@@ -417,6 +394,24 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
             .iter_valid()
             .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
             .collect()
+    }
+
+    /// Panics if any physical way's two logical lines exceed 16 segments.
+    fn assert_invariants(&self) {
+        for set in 0..self.geom.sets() {
+            for w in 0..self.geom.ways() {
+                let a = self.engine.slot(set, 2 * w);
+                let b = self.engine.slot(set, 2 * w + 1);
+                if a.valid && b.valid {
+                    assert!(
+                        a.meta.size.fits_with(b.meta.size),
+                        "pair overflow set {set} way {w}: {} + {}",
+                        a.meta.size,
+                        b.meta.size
+                    );
+                }
+            }
+        }
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {

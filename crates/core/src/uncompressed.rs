@@ -1,6 +1,6 @@
 //! The uncompressed baseline LLC every experiment normalizes against.
 
-use crate::slot::{line_addr, LineMeta};
+use crate::slot::{line_addr, LineMeta, LinePayloads};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -30,6 +30,8 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 pub struct UncompressedLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     engine: SetEngine<LineMeta, E>,
+    /// Line data, indexed like the engine's slots.
+    payloads: LinePayloads,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
@@ -56,6 +58,7 @@ impl<E: EventSink> UncompressedLlc<E> {
         UncompressedLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
+            payloads: LinePayloads::new(geom.sets(), slots),
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
             encoders: EncoderStats::new(),
@@ -135,10 +138,10 @@ impl<E: EventSink> UncompressedLlc<E> {
 
         let meta = LineMeta {
             dirty: false,
-            data,
             size: SegmentCount::FULL, // stored uncompressed
         };
         self.engine.install(set, way, tag, meta, compressed_size);
+        self.payloads.put(set, way, &data);
         self.engine.absorb(effects);
         effects
     }
@@ -184,9 +187,8 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
     ) -> OpOutcome {
         match self.locate(addr) {
             Some((set, way)) => {
-                let slot = self.engine.slot_mut(set, way);
-                slot.meta.data = data;
-                slot.meta.dirty = true;
+                self.engine.slot_mut(set, way).meta.dirty = true;
+                self.payloads.put(set, way, &data);
                 self.engine.stats_mut().writeback_hits += 1;
                 if E::ENABLED {
                     let tag = self.geom.tag(addr.get());
@@ -246,7 +248,7 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         let (set, way) = self.locate(addr)?;
-        Some(self.engine.slot(set, way).meta.data)
+        Some(self.payloads.get(set, way))
     }
 
     fn hint_downgrade(&mut self, addr: LineAddr) {

@@ -10,7 +10,7 @@
 //! comparison: hit/miss behavior, capacity utilization, and the
 //! re-compaction overhead (VSC's first drawback).
 
-use crate::slot::{line_addr, LineMeta};
+use crate::slot::{line_addr, LineMeta, LinePayloads, Occupancy};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -42,6 +42,11 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 pub struct VscLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     engine: SetEngine<LineMeta, E>, // sets x 2*ways logical tags
+    /// Per-set segments in use and resident lines, maintained at every
+    /// install, growth and eviction.
+    occupancy: Vec<Occupancy>,
+    /// Line data, indexed like the engine's logical slots.
+    payloads: LinePayloads,
     compression: CompressionStats,
     bdi: Bdi,
     encoders: EncoderStats,
@@ -74,6 +79,8 @@ impl<E: EventSink> VscLlc<E> {
         VscLlc {
             geom,
             engine: SetEngine::with_sink(geom.sets(), logical, policy, sink),
+            occupancy: vec![Occupancy::default(); geom.sets()],
+            payloads: LinePayloads::new(geom.sets(), logical),
             compression: CompressionStats::default(),
             bdi: Bdi::new(),
             encoders: EncoderStats::new(),
@@ -93,23 +100,22 @@ impl<E: EventSink> VscLlc<E> {
         self.engine.find(set, tag).map(|l| (set, l))
     }
 
-    fn used_segments(&self, set: usize) -> usize {
-        (0..self.engine.ways())
-            .map(|l| {
-                let s = self.engine.slot(set, l);
-                if s.valid {
-                    s.meta.size.get() as usize
-                } else {
-                    0
-                }
-            })
-            .sum()
+    fn free_segments(&self, set: usize) -> usize {
+        self.capacity_segments() - self.occupancy[set].units as usize
     }
 
-    fn resident_count(&self, set: usize) -> usize {
-        (0..self.engine.ways())
-            .filter(|&l| self.engine.slot(set, l).valid)
-            .count()
+    /// The occupancy of `set` counted slot by slot: the reference
+    /// [`assert_invariants`](LlcOrganization::assert_invariants) checks
+    /// the maintained counters against.
+    fn rescan(&self, set: usize) -> Occupancy {
+        let mut occ = Occupancy::default();
+        for l in 0..self.engine.ways() {
+            let s = self.engine.slot(set, l);
+            if s.valid {
+                occ.add(s.meta.size.get() as usize);
+            }
+        }
+        occ
     }
 
     /// Evicts valid lines in replacement order (oldest first) until the
@@ -125,10 +131,9 @@ impl<E: EventSink> VscLlc<E> {
     ) {
         let mut evicted_any = false;
         loop {
-            let free_tags =
-                (0..self.engine.ways()).any(|l| !self.engine.slot(set, l).valid || Some(l) == keep);
-            let free_segs = self.capacity_segments() - self.used_segments(set);
-            if free_segs >= needed && free_tags {
+            // `keep` is a resident line that already owns its tag.
+            let free_tags = keep.is_some() || self.engine.first_invalid(set).is_some();
+            if self.free_segments(set) >= needed && free_tags {
                 break;
             }
             // Oldest valid line (highest eviction rank), excluding `keep`.
@@ -143,6 +148,7 @@ impl<E: EventSink> VscLlc<E> {
             if inner_dirty.is_some() || slot.meta.dirty {
                 effects.memory_writes += 1;
             }
+            self.occupancy[set].remove(slot.meta.size.get() as usize);
             // VSC's multi-eviction drawback: lines leave under segment
             // pressure, not replacement order alone.
             self.engine
@@ -198,15 +204,13 @@ impl<E: EventSink> VscLlc<E> {
             };
             self.engine.emit(CacheEvent::new(set, l, kind));
         }
-        let meta = LineMeta {
-            dirty: false,
-            data,
-            size,
-        };
+        let meta = LineMeta { dirty: false, size };
         self.engine.install(set, l, tag, meta, size);
+        self.payloads.put(set, l, &data);
+        self.occupancy[set].add(size.get() as usize);
 
         self.resident_samples += 1;
-        self.resident_total += self.resident_count(set) as u64;
+        self.resident_total += u64::from(self.occupancy[set].lines);
         effects
     }
 
@@ -234,20 +238,6 @@ impl<E: EventSink> VscLlc<E> {
             return 1.0;
         }
         self.resident_total as f64 / self.resident_samples as f64 / self.geom.ways() as f64
-    }
-
-    /// Verifies that every set respects the segment pool capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a set's resident compressed sizes exceed the pool.
-    pub fn assert_invariants(&self) {
-        for set in 0..self.geom.sets() {
-            assert!(
-                self.used_segments(set) <= self.capacity_segments(),
-                "set {set} over capacity"
-            );
-        }
     }
 }
 
@@ -295,20 +285,18 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
             Some((set, l)) => {
                 // Unchanged data (clean writeback) reuses the size cached in
                 // the tag slot; only a real data write pays recompression.
-                let slot = self.engine.slot(set, l);
-                let new_size = if slot.meta.data == data {
-                    slot.meta.size
+                let old_size = self.engine.slot(set, l).meta.size;
+                let new_size = if self.payloads.holds(set, l, &data) {
+                    old_size
                 } else {
                     self.encoders.record(&self.bdi, &data)
                 };
                 self.compression.record(new_size);
-                let old_size = slot.meta.size;
                 if new_size > old_size {
                     // Growth: free the delta, evicting LRU lines if needed
                     // (and re-compacting).
                     let delta = (new_size.get() - old_size.get()) as usize;
-                    let free = self.capacity_segments() - self.used_segments(set);
-                    if free < delta {
+                    if self.free_segments(set) < delta {
                         self.make_room(
                             set,
                             old_size.get() as usize + delta,
@@ -321,10 +309,11 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
                         self.recompactions += 1;
                     }
                 }
+                self.payloads.put(set, l, &data);
                 let meta = &mut self.engine.slot_mut(set, l).meta;
-                meta.data = data;
                 meta.dirty = true;
                 meta.size = new_size;
+                self.occupancy[set].resize(old_size.get() as usize, new_size.get() as usize);
                 if E::ENABLED {
                     let tag = self.geom.tag(addr.get());
                     self.engine.emit(CacheEvent::new(
@@ -378,7 +367,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         let (set, l) = self.find(addr)?;
-        Some(self.engine.slot(set, l).meta.data)
+        Some(self.payloads.get(set, l))
     }
 
     fn hint_downgrade(&mut self, addr: LineAddr) {
@@ -408,6 +397,22 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
             .iter_valid()
             .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
             .collect()
+    }
+
+    /// Panics if a set's resident compressed sizes exceed the pool, or
+    /// its maintained occupancy differs from a rescan.
+    fn assert_invariants(&self) {
+        for set in 0..self.geom.sets() {
+            let occ = self.rescan(set);
+            assert_eq!(
+                self.occupancy[set], occ,
+                "set {set} occupancy counters drifted"
+            );
+            assert!(
+                occ.units as usize <= self.capacity_segments(),
+                "set {set} over capacity"
+            );
+        }
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {

@@ -41,8 +41,8 @@ pub const LLC_KINDS: [LlcKind; 7] = [
 #[derive(Clone, Debug)]
 pub struct FuzzFailure {
     /// Stable property name (`llc-mirror`, `llc-stats-identity`,
-    /// `kv-mirror`, `kv-budget`, `kv-determinism`, `inject-undetected`,
-    /// `panic`).
+    /// `llc-payload`, `kv-mirror`, `kv-budget`, `kv-determinism`,
+    /// `inject-undetected`, `panic`).
     pub property: &'static str,
     /// Human-readable explanation of what differed.
     pub detail: String,
@@ -183,7 +183,11 @@ fn sorted_lines(llc: &dyn LlcOrganization) -> Vec<u64> {
 /// Stats identity across the organization zoo: an untraced run, a
 /// second untraced run (determinism), and a traced run must agree on
 /// every counter and on the resident-line set, and the traced run must
-/// actually emit events.
+/// actually emit events. After the stream, every run must pass its
+/// organization's `assert_invariants` (a violation panics, reported as
+/// the `panic` property) and hold each resident line's memory contents
+/// (`llc-payload`): contents are address-stable, so a line whose data
+/// went to the wrong slot on a move shows up here.
 ///
 /// Every run replays the stream next to one uncompressed model: a
 /// writeback reaches an organization only when the model holds the line
@@ -232,6 +236,23 @@ fn stats_identity(c: &LlcCase) -> Result<(), FuzzFailure> {
         }
         if events == 0 {
             return fail("traced run emitted no events");
+        }
+        for llc in [&model, &first, &again, &traced] {
+            llc.assert_invariants();
+            if let Some(a) = llc
+                .resident_lines()
+                .into_iter()
+                .find(|&a| llc.peek_data(a) != Some(c.data_for(a.get())))
+            {
+                return Err(FuzzFailure {
+                    property: "llc-payload",
+                    detail: format!(
+                        "{}: resident line {:#x} does not hold its memory contents",
+                        llc.name(),
+                        a.get()
+                    ),
+                });
+            }
         }
     }
     Ok(())
