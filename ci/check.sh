@@ -57,6 +57,13 @@ perfbench_build
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+# The goldens again in release: the debug run above checks the program's
+# logic, but the benchmark measures the release build, whose
+# target-cpu=native vector code (the tag match, the BDI kernels) must
+# produce the same counters.
+echo "== golden snapshots (release) =="
+cargo test --release --test golden_snapshot -q
+
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 

@@ -237,11 +237,13 @@ pub fn run_kernel_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
 /// bench, not just the differential tests.
 pub const PROBE_ROW: &str = "probe-only";
 
-/// Kernel-row label for the trace-decode microbench: batched decoding
-/// through [`EventBatch`] (optimized) vs the per-call `next_event` loop
-/// (reference), with no cache attached. `lines_per_sec` carries events/s;
-/// the checksum folds every decoded event so the two decode paths must
-/// produce the identical stream.
+/// Kernel-row label for the trace-decode microbench: decoding through
+/// [`EventBatch`] (optimized) vs the per-call `next_event` loop
+/// (reference), with no cache attached. `EventBatch::next` is
+/// `next_event`, so both sides run the same loop and the row reads about
+/// 1.0x; it stays so a drive-loop wrapper that slows decode shows.
+/// `lines_per_sec` carries events/s; the checksum folds every decoded
+/// event so the two decode paths must produce the identical stream.
 pub const DECODE_ROW: &str = "decode-only";
 
 /// Probe-stream geometry for the [`PROBE_ROW`] microbench: the default
@@ -344,7 +346,7 @@ fn fold_event(sum: u64, ev: &bv_trace::TraceEvent) -> u64 {
 }
 
 /// Runs the [`DECODE_ROW`] pair: the end-to-end trace decoded with no
-/// cache attached, through the batched ring and the per-call loop.
+/// cache attached, through [`EventBatch`] and the per-call loop.
 ///
 /// # Panics
 ///
@@ -382,7 +384,7 @@ pub fn run_decode_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     });
     assert_eq!(
         opt_checksum, ref_checksum,
-        "decode-only: batched and unbatched decode diverged during timing"
+        "decode-only: EventBatch and next_event decode diverged during timing"
     );
     vec![
         KernelBench {

@@ -1,6 +1,7 @@
 //! A concrete tag-only cache, used for the L1 and L2 levels.
 
 use crate::addr::LineAddr;
+use crate::engine::find_tag;
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Policy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
@@ -25,7 +26,8 @@ pub struct Eviction {
 ///
 /// Tags are stored in a structure-of-arrays layout: one contiguous `u64` tag
 /// array (sets x ways, row-major) with per-set valid and dirty bitmasks. A
-/// set probe is a linear scan of `ways` adjacent tag words.
+/// set probe is [`find_tag`](crate::engine::find_tag) over the set's
+/// `ways` adjacent tag words, the same match the LLC set engine runs.
 ///
 /// This type deliberately separates *lookup* ([`probe`](BasicCache::probe),
 /// which does not touch replacement state) from *access*
@@ -101,19 +103,14 @@ impl BasicCache {
         set * self.geom.ways() + way
     }
 
+    #[inline]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let ways = self.geom.ways();
-        let row = &self.tags[set * ways..set * ways + ways];
-        let mut matches = 0u64;
-        for (w, &t) in row.iter().enumerate() {
-            matches |= u64::from(t == tag) << w;
-        }
-        matches &= self.valid[set];
-        if matches == 0 {
-            None
-        } else {
-            Some(matches.trailing_zeros() as usize)
-        }
+        find_tag(
+            &self.tags[set * ways..set * ways + ways],
+            self.valid[set],
+            tag,
+        )
     }
 
     /// Looks up a line without modifying replacement state or statistics.

@@ -14,10 +14,9 @@
 //! The tag array is stored **structure-of-arrays**: one contiguous
 //! `Vec<u64>` of tags, one packed per-set validity bitmask (`ways <= 64`),
 //! and a parallel `Vec<S>` of organization payloads. A set probe is then
-//! a linear scan over `ways` adjacent `u64` words — one or two cache
-//! lines — folded into a match bitmask the autovectorizer can lift to
-//! SIMD compares, instead of a strided walk over fat `(valid, tag, meta)`
-//! records whose payload (a 64-byte data line and more) pushed each tag
+//! [`find_tag`] over `ways` adjacent `u64` words — one or two cache
+//! lines — folded into a match bitmask, instead of a strided walk over
+//! fat `(valid, tag, meta)` records whose payload (a 64-byte data line and more) pushed each tag
 //! onto its own cache line. `first_invalid` and `valid_count` collapse to
 //! bitmask arithmetic on the validity words.
 //!
@@ -70,6 +69,54 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 pub trait SlotMeta {
     /// The payload of an empty (invalid) slot.
     fn empty() -> Self;
+}
+
+/// The associativity of the L1 and L2 caches, the rows [`find_tag`]
+/// matches most often.
+const PRIVATE_WAYS: usize = 8;
+
+/// The lowest way of a tag row whose tag equals `tag` and whose bit is
+/// set in `valid` — the one tag match under the L1/L2 caches, the set
+/// engine and Base-Victim's victim tag row.
+///
+/// Every word of the row is compared unconditionally and folded into a
+/// match mask; invalid slots' stale tag words may match, and the
+/// validity mask, not the tag word, decides. An 8-way row is matched as
+/// a fixed-width array: eight straight-line compares with no loop. Any
+/// other width runs one loop over the row, which LLVM vectorizes 16
+/// lanes at a time, so a 16-way LLC row is a single vector step. Each
+/// path measured faster on its own rows: the loop reaches an 8-way row
+/// only through its 4-lane remainder, and LLVM compiles fixed 8-lane
+/// chunks of a 16- or 32-way row to scalar compares.
+///
+/// # Examples
+///
+/// ```
+/// use bv_cache::engine::find_tag;
+///
+/// let row = [7, 9, 9, 3];
+/// assert_eq!(find_tag(&row, 0b1111, 9), Some(1));
+/// assert_eq!(find_tag(&row, 0b1100, 9), Some(2)); // way 1 is invalid
+/// assert_eq!(find_tag(&row, 0b1111, 5), None);
+/// ```
+#[must_use]
+#[inline]
+pub fn find_tag(row: &[u64], valid: u64, tag: u64) -> Option<usize> {
+    let matches = match <&[u64; PRIVATE_WAYS]>::try_from(row) {
+        Ok(lanes) => lane_matches(lanes, tag),
+        Err(_) => lane_matches(row, tag),
+    } & valid;
+    (matches != 0).then(|| matches.trailing_zeros() as usize)
+}
+
+/// One bit per lane of `lanes` equal to `tag`.
+#[inline(always)]
+fn lane_matches(lanes: &[u64], tag: u64) -> u64 {
+    let mut bits = 0u64;
+    for (w, &t) in lanes.iter().enumerate() {
+        bits |= u64::from(t == tag) << w;
+    }
+    bits
 }
 
 /// One logical tag-array entry as an owned value: validity and tag owned
@@ -272,27 +319,15 @@ impl<S, E: EventSink> SetEngine<S, E> {
         }
     }
 
-    /// The way holding `tag` in `set`, if resident.
-    ///
-    /// This is the vector-friendly probe: one pass over the set's
-    /// contiguous tag words folding equality into a match bitmask, then
-    /// one AND with the validity mask.
+    /// The way holding `tag` in `set`, if resident: [`find_tag`] over
+    /// the set's tag row and validity mask.
     /// [`find_reference`](SetEngine::find_reference) is the retained
     /// scalar walk it is differential-tested against.
     #[must_use]
+    #[inline]
     pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let mut matches = 0u64;
-        for (w, &t) in tags.iter().enumerate() {
-            matches |= u64::from(t == tag) << w;
-        }
-        matches &= self.valid[set];
-        if matches == 0 {
-            None
-        } else {
-            Some(matches.trailing_zeros() as usize)
-        }
+        find_tag(&self.tags[base..base + self.ways], self.valid[set], tag)
     }
 
     /// The retained scalar reference walk: way-by-way validity and tag

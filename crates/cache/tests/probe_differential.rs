@@ -1,11 +1,13 @@
-//! Differential property test for the structure-of-arrays probe: over
-//! thousands of fuzzed set states, `SetEngine::find` (the bitmask scan
-//! over the SoA tag rows) must return the identical `(way, hit/miss)`
-//! answer as both the retained scalar `find_reference` walk and an
-//! independent shadow model that never touches the engine's layout.
+//! Differential property tests for the structure-of-arrays probe: over
+//! thousands of fuzzed set states, `SetEngine::find` and the L1/L2
+//! `BasicCache::probe` (both `bv_cache::engine::find_tag` over the SoA
+//! tag rows) must return the
+//! identical `(way, hit/miss)` answer as an independent shadow model that
+//! never touches the cache's layout, and the engine's as the retained
+//! scalar `find_reference` walk.
 
 use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::PolicyKind;
+use bv_cache::{BasicCache, CacheGeometry, LineAddr, PolicyKind};
 use bv_compress::SegmentCount;
 use bv_testkit::{cases, Rng};
 
@@ -37,6 +39,10 @@ impl Shadow {
         (0..self.ways).find(|&w| self.slots[set * self.ways + w] == Some(tag))
     }
 }
+
+/// Row widths around both match paths: the fixed 8-way array, the
+/// vector loop's 16-lane steps and remainders, and the 64-way maximum.
+const WAYS: [usize; 9] = [1, 2, 4, 7, 8, 9, 16, 17, 64];
 
 /// Builds a random engine/shadow pair: a churn of installs and
 /// invalidations, with tags drawn from a small pool so stale tags of
@@ -83,7 +89,7 @@ fn churn(rng: &mut Rng, sets: usize, ways: usize) -> (SetEngine<Meta>, Shadow) {
 fn soa_probe_matches_reference_walk_and_shadow_model() {
     cases(10_000, |rng| {
         let sets = 1 << rng.below(4); // 1..8 sets
-        let ways = *rng.choose(&[1usize, 2, 4, 7, 16, 32]);
+        let ways = *rng.choose(&WAYS);
         let (engine, shadow) = churn(rng, sets, ways);
         let tag_pool: Vec<u64> = (0..8)
             .map(|_| rng.next_u64() | 1)
@@ -135,5 +141,64 @@ fn invalidated_slots_never_hit() {
         // every invalid slot.
         assert_eq!(engine.find(0, 0), None);
         assert_eq!(engine.find_reference(0, 0), None);
+    });
+}
+
+/// 4_000 fuzzed L1/L2-style caches: after a churn of fills (which pick
+/// their own way) and invalidations, every probe agrees with a shadow
+/// that places each fill where the cache must have put it — the lowest
+/// free way, else the way of the line the fill evicted.
+#[test]
+fn basic_cache_probe_matches_shadow_model() {
+    cases(4_000, |rng| {
+        let sets = 1usize << rng.below(4);
+        let ways = *rng.choose(&WAYS);
+        let geom = CacheGeometry::new(sets * ways * 64, ways, 64);
+        let policy = *rng.choose(&PolicyKind::ALL);
+        let mut cache = BasicCache::new(geom, policy);
+        let mut shadow = Shadow::new(sets, ways);
+        // Tag 0 is in the pool: invalid slots keep a zeroed tag word.
+        let tags: Vec<u64> = (0..16)
+            .map(|i| if i == 0 { 0 } else { rng.below(1 << 20) })
+            .collect();
+        let line = |set: usize, tag: u64| LineAddr::new(tag << geom.index_bits() | set as u64);
+        let ops = rng.range_u64(1, (sets * ways * 3) as u64);
+        for _ in 0..ops {
+            let set = rng.below(sets as u64) as usize;
+            let tag = *rng.choose(&tags);
+            let addr = line(set, tag);
+            let row = set * ways;
+            if shadow.find(set, tag).is_some() {
+                if rng.below(2) == 0 {
+                    assert!(cache.invalidate(addr).is_some(), "{addr:?} resident");
+                    let way = shadow.find(set, tag).expect("resident");
+                    shadow.slots[row + way] = None;
+                } else {
+                    assert!(cache.read(addr));
+                }
+                continue;
+            }
+            let way = match cache.fill(addr) {
+                Some(ev) => {
+                    let old = geom.tag(ev.addr.get());
+                    shadow
+                        .find(set, old)
+                        .expect("the evicted line was resident")
+                }
+                None => (0..ways)
+                    .find(|&w| shadow.slots[row + w].is_none())
+                    .expect("a fill without an eviction takes a free way"),
+            };
+            shadow.slots[row + way] = Some(tag);
+        }
+        for set in 0..sets {
+            for &tag in &tags {
+                assert_eq!(
+                    cache.probe(line(set, tag)),
+                    shadow.find(set, tag),
+                    "{ways}-way cache vs shadow, set {set} tag {tag:#x}"
+                );
+            }
+        }
     });
 }

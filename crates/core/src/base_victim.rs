@@ -20,7 +20,7 @@
 use crate::slot::{line_addr, LineMeta, LinePayloads};
 use crate::victim_policy::{VictimCandidate, VictimPolicyKind};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
-use bv_cache::engine::SetEngine;
+use bv_cache::engine::{find_tag, SetEngine};
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind, ReplacementPolicy};
 use bv_compress::{
     Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
@@ -61,7 +61,8 @@ struct MovingLine {
 /// The Victim cache's tag store, laid out like the Baseline engine's:
 /// a contiguous tag row, per-set valid and dirty bitmasks, and parallel
 /// size and insertion-stamp rows, all indexed `set * ways + way`. A
-/// probe is the engine's match-mask compare over one set's tag words.
+/// probe is [`find_tag`], the engine's tag match, over one set's tag
+/// words.
 #[derive(Clone, Debug)]
 struct VictimTags {
     ways: usize,
@@ -89,12 +90,7 @@ impl VictimTags {
     /// The way of `set` whose valid victim line has `tag`.
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        let mut matches = 0u64;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            matches |= u64::from(t == tag) << w;
-        }
-        matches &= self.valid[set];
-        (matches != 0).then(|| matches.trailing_zeros() as usize)
+        find_tag(&self.tags[base..base + self.ways], self.valid[set], tag)
     }
 
     fn is_valid(&self, set: usize, way: usize) -> bool {

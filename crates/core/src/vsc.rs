@@ -294,16 +294,11 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
                 self.compression.record(new_size);
                 if new_size > old_size {
                     // Growth: free the delta, evicting LRU lines if needed
-                    // (and re-compacting).
+                    // (and re-compacting). The set's count still charges
+                    // the line its old size, so only the delta is missing.
                     let delta = (new_size.get() - old_size.get()) as usize;
                     if self.free_segments(set) < delta {
-                        self.make_room(
-                            set,
-                            old_size.get() as usize + delta,
-                            Some(l),
-                            inner,
-                            &mut effects,
-                        );
+                        self.make_room(set, delta, Some(l), inner, &mut effects);
                     } else {
                         // In-place growth still moves neighboring lines.
                         self.recompactions += 1;
@@ -495,6 +490,31 @@ mod tests {
         let before = vsc.recompactions();
         vsc.writeback(addr(0, 7), incompressible(7), &mut inner);
         assert!(vsc.recompactions() > before);
+        vsc.assert_invariants();
+    }
+
+    /// A growing line evicts only what its growth needs: the set already
+    /// charges the line its old size.
+    #[test]
+    fn growing_writeback_evicts_only_its_delta() {
+        let mut vsc = toy();
+        let mut inner = NoInner;
+        // Oldest first: three 5-segment lines, then three 16-segment
+        // ones, 63 of 64 segments in use.
+        for k in 0..3 {
+            vsc.fill(addr(0, k), compressible(k), &mut inner);
+        }
+        for k in 3..6 {
+            vsc.fill(addr(0, k), incompressible(k), &mut inner);
+        }
+        // Line 2 grows by 11 segments with 1 free: evicting lines 0 and
+        // 1 frees 10 more, which is enough.
+        let out = vsc.writeback(addr(0, 2), incompressible(2), &mut inner);
+        assert_eq!(out.effects.back_invalidations, 2);
+        assert!(!vsc.contains(addr(0, 0)) && !vsc.contains(addr(0, 1)));
+        for k in 2..6 {
+            assert!(vsc.contains(addr(0, k)), "line {k} survives");
+        }
         vsc.assert_invariants();
     }
 

@@ -135,9 +135,9 @@ fn base_victim_tag_row_holds_under_random_traffic() {
 
 #[test]
 fn vsc_segment_counters_hold_under_random_traffic() {
-    // Not one way: growing a line in place asks for room as if the line
-    // were absent, which a single way's 16 segments cannot give.
-    stress(&[2, 4], |geom, policy| Box::new(VscLlc::new(geom, policy)));
+    stress(&[1, 2, 4], |geom, policy| {
+        Box::new(VscLlc::new(geom, policy))
+    });
 }
 
 #[test]

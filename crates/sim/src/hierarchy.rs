@@ -17,7 +17,7 @@
 use crate::config::SimConfig;
 use crate::dram::Dram;
 use crate::prefetch::StreamPrefetcher;
-use bv_cache::{BasicCache, LineAddr, PolicyKind};
+use bv_cache::{BasicCache, Eviction, LineAddr, PolicyKind};
 use bv_compress::CacheLine;
 use bv_core::{HitKind, InclusionAgent, LlcOrganization};
 use bv_trace::{AccessKind, TraceEvent, TraceGenerator};
@@ -69,6 +69,13 @@ pub struct AccessOutcome {
     pub latency: u64,
 }
 
+/// Entries in each core's table of lines known to be in its L2.
+const L2_KNOWN_ENTRIES: usize = 1024;
+
+/// An empty entry of that table: a line address is a byte address
+/// shifted right by six, so no line has this one.
+const NO_LINE: u64 = u64::MAX;
+
 /// Private per-core caches plus the core's prefetcher.
 #[derive(Debug)]
 pub struct CoreCaches {
@@ -79,6 +86,13 @@ pub struct CoreCaches {
     /// The prefetcher's output for the current access, reused on every
     /// access so the demand path never allocates.
     prefetches: Vec<u64>,
+    /// An exact filter for prefetch targets: a direct-mapped table of
+    /// lines known to be in `l2`, indexed by the low bits of the line
+    /// address. Every entry names a resident L2 line, because the L2
+    /// gains lines only in [`fill_l2`](CoreCaches::fill_l2) and loses
+    /// them only there or in [`invalidate`](CoreCaches::invalidate), and
+    /// both clear the entry of a line that leaves.
+    l2_known: Box<[u64; L2_KNOWN_ENTRIES]>,
 }
 
 impl CoreCaches {
@@ -91,7 +105,57 @@ impl CoreCaches {
             l2: BasicCache::new(cfg.l2, PolicyKind::Lru),
             prefetcher: StreamPrefetcher::new(cfg.prefetch_degree),
             prefetches: Vec::new(),
+            l2_known: Box::new([NO_LINE; L2_KNOWN_ENTRIES]),
         }
+    }
+
+    fn known_slot(addr: LineAddr) -> usize {
+        addr.get() as usize & (L2_KNOWN_ENTRIES - 1)
+    }
+
+    /// Whether the filter knows that the L2 holds `addr`. `false` says
+    /// nothing: the line may still be there.
+    #[inline]
+    fn known_in_l2(&self, addr: LineAddr) -> bool {
+        self.l2_known[Self::known_slot(addr)] == addr.get()
+    }
+
+    /// Records that the L2 holds `addr` (the caller has just found it
+    /// there).
+    fn note_in_l2(&mut self, addr: LineAddr) {
+        self.l2_known[Self::known_slot(addr)] = addr.get();
+    }
+
+    /// Clears the filter entry of `addr`, which has left the L2.
+    fn forget(&mut self, addr: LineAddr) {
+        let entry = &mut self.l2_known[Self::known_slot(addr)];
+        if *entry == addr.get() {
+            *entry = NO_LINE;
+        }
+    }
+
+    /// Fills `addr` into the L2 and records it, forgetting the line the
+    /// fill evicts. Returns that eviction.
+    fn fill_l2(&mut self, addr: LineAddr) -> Option<Eviction> {
+        let evicted = self.l2.fill(addr);
+        if let Some(ev) = evicted {
+            self.forget(ev.addr);
+        }
+        self.note_in_l2(addr);
+        evicted
+    }
+
+    /// Removes `addr` from the L1s and the L2 (a back-invalidation) and
+    /// forgets it. Returns whether any copy was dirty.
+    fn invalidate(&mut self, addr: LineAddr) -> bool {
+        let mut dirty = false;
+        for cache in [&mut self.l1d, &mut self.l1i, &mut self.l2] {
+            if let Some(ev) = cache.invalidate(addr) {
+                dirty |= ev.dirty;
+            }
+        }
+        self.forget(addr);
+        dirty
     }
 
     /// The L1 data cache (for stats inspection).
@@ -160,12 +224,8 @@ impl<L: LineSource + ?Sized> InclusionAgent for InnerAgent<'_, L> {
     fn back_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let mut owner = None;
         for (id, core) in self.cores.iter_mut().enumerate() {
-            for cache in [&mut core.l1d, &mut core.l1i, &mut core.l2] {
-                if let Some(ev) = cache.invalidate(addr) {
-                    if ev.dirty && owner.is_none() {
-                        owner = Some(id);
-                    }
-                }
+            if core.invalidate(addr) && owner.is_none() {
+                owner = Some(id);
             }
         }
         owner.map(|id| self.lines.line_data(id, addr.byte_addr()))
@@ -242,7 +302,7 @@ impl Hierarchy {
     /// data, clean victims send a downgrade hint (consumed by CHAR-style
     /// policies).
     fn fill_l2<L: LineSource + ?Sized>(&mut self, core_id: usize, addr: LineAddr, lines: &L) {
-        let evicted = self.cores[core_id].l2.fill(addr);
+        let evicted = self.cores[core_id].fill_l2(addr);
         if let Some(ev) = evicted {
             // Enforce L1 ⊆ L2.
             let mut dirty = ev.dirty;
@@ -413,8 +473,20 @@ impl Hierarchy {
         lines: &L,
     ) {
         let addr = LineAddr::from_byte_addr(byte_addr);
-        if self.cores[core_id].l2.probe(addr).is_some() {
-            return; // already close to the core
+        let core = &mut self.cores[core_id];
+        // Already close to the core. The filter answers most of these
+        // without a probe; a probe changes no replacement state or stats,
+        // so skipping it changes nothing either.
+        if core.known_in_l2(addr) {
+            debug_assert!(
+                core.l2.probe(addr).is_some(),
+                "filter names absent {addr:?}"
+            );
+            return;
+        }
+        if core.l2.probe(addr).is_some() {
+            core.note_in_l2(addr);
+            return;
         }
         let fills_before = self.uncore.llc.stats().prefetch_fills;
         let data = lines.line_data(core_id, byte_addr);
@@ -443,7 +515,9 @@ impl Hierarchy {
     /// Checks strict inclusion: every L1/L2-resident line is LLC-resident,
     /// and every L1I/L1D-resident line is in the same core's L2 (a dirty
     /// L1 victim hands only its dirty bit to the L2, so an L1 copy that
-    /// outlived its L2 copy would lose it). Used by integration tests.
+    /// outlived its L2 copy would lose it). Also checks that every line
+    /// the prefetch filter names is in its core's L2. Used by integration
+    /// tests.
     ///
     /// # Panics
     ///
@@ -465,6 +539,13 @@ impl Hierarchy {
                         "core {i}: line {line:?} in L1 but not L2"
                     );
                 }
+            }
+            for &line in core.l2_known.iter().filter(|&&l| l != NO_LINE) {
+                let line = LineAddr::new(line);
+                assert!(
+                    core.l2.probe(line).is_some(),
+                    "core {i}: filter names {line:?}, which is not in the L2"
+                );
             }
         }
     }
@@ -859,6 +940,74 @@ mod tests {
         let log = log.borrow();
         assert_eq!(log.invalidations, vec![(line, latest)]);
         assert!(log.writebacks.is_empty());
+    }
+
+    /// Prefetches `byte_addr` on `core` and checks that the L2 probed and
+    /// refilled it: the filter did not answer for a line the L2 lost.
+    fn assert_prefetch_refills(
+        h: &mut Hierarchy,
+        core: usize,
+        byte_addr: u64,
+        gen: &TraceGenerator,
+    ) {
+        let line = LineAddr::from_byte_addr(byte_addr);
+        assert!(
+            h.core(core).l2().probe(line).is_none(),
+            "the L2 lost the line"
+        );
+        assert!(
+            !h.core(core).known_in_l2(line),
+            "the filter forgot the line"
+        );
+        let fills = h.core(core).l2().stats().fills;
+        h.prefetch_line(core, byte_addr, 1000, gen);
+        assert_eq!(
+            h.core(core).l2().stats().fills,
+            fills + 1,
+            "prefetch refilled it"
+        );
+        assert!(h.core(core).known_in_l2(line));
+        h.assert_inclusion();
+    }
+
+    /// A line the L2 evicts leaves the prefetch filter with it.
+    #[test]
+    fn l2_eviction_clears_the_prefetch_filter() {
+        // One way over 1 MB: the loads below share the line's L2 set but
+        // sit in LLC sets of their own, so the line leaves by an L2
+        // eviction, not a back-invalidation.
+        let cfg = SimConfig::single_thread(LlcKind::Uncompressed).with_llc_size(1 << 20, 1);
+        let mut h = Hierarchy::new(cfg, 1);
+        let gen = tiny_workload().generator();
+        let a = 0x1_0000_0000u64;
+        let line = LineAddr::from_byte_addr(a);
+        h.prefetch_line(0, a, 0, &gen);
+        assert!(h.core(0).known_in_l2(line));
+        // Odd multiples of the L2 set span: the line's L2 set, another
+        // filter entry, and a 4 KB region each, so the prefetcher idles.
+        let span = (cfg.l2.sets() * 64) as u64;
+        let mut k = 1;
+        while h.core(0).l2().probe(line).is_some() {
+            assert!(k < 64, "line never left the L2");
+            h.access_on(0, &event(a + k * span, AccessKind::Load), k, &gen);
+            k += 2;
+        }
+        assert_prefetch_refills(&mut h, 0, a, &gen);
+    }
+
+    /// A line another core's fill back-invalidates leaves the prefetch
+    /// filter with it.
+    #[test]
+    fn back_invalidation_clears_the_prefetch_filter() {
+        let cfg = direct_mapped(SimConfig::multi_program(LlcKind::Uncompressed));
+        let mut h = Hierarchy::new(cfg, 2);
+        let gen = tiny_workload().generator();
+        let a = 0x1_0000_0000u64;
+        h.prefetch_line(0, a, 0, &gen);
+        assert!(h.core(0).known_in_l2(LineAddr::from_byte_addr(a)));
+        // Core 1's line shares the one-way LLC set and displaces it.
+        h.access_on(1, &event(a + 4096, AccessKind::Load), 1, &gen);
+        assert_prefetch_refills(&mut h, 0, a, &gen);
     }
 
     /// Core 0's fill back-invalidates core 1's dirty line: the data comes

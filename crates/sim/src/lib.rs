@@ -43,7 +43,7 @@ pub mod report;
 mod system;
 mod telemetry;
 
-pub use batch::{EventBatch, BATCH_EVENTS};
+pub use batch::EventBatch;
 pub use config::{CompressorKind, CoreConfig, DramConfig, LlcKind, SimConfig};
 pub use core_model::CoreModel;
 pub use dram::{Dram, DramStats};

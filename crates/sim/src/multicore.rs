@@ -96,10 +96,6 @@ impl MulticoreSystem {
             .map(|(i, w)| w.generator_at(i as u64 * THREAD_OFFSET))
             .collect();
         let mut finished_cycles: Vec<Option<u64>> = vec![None; n];
-        // Per-thread decode rings; see `EventBatch` for why decode-ahead
-        // is bit-identical to per-iteration `next_event`.
-        let mut batches: Vec<crate::batch::EventBatch> =
-            (0..n).map(|_| crate::batch::EventBatch::new()).collect();
 
         // Cycle-ordered interleaving: always step the thread whose local
         // clock is furthest behind, so shared-resource contention is
@@ -108,7 +104,7 @@ impl MulticoreSystem {
             let tid = (0..n)
                 .min_by_key(|&i| cores[i].cycles())
                 .expect("at least one core");
-            let ev = batches[tid].next(&mut gens[tid]);
+            let ev = gens[tid].next_event();
             cores[tid].work(ev.instructions());
             let now = cores[tid].cycles();
             let out = hierarchy.access_on(tid, &ev, now, &gens[..]);

@@ -198,13 +198,9 @@ impl System {
         let mut core = CoreModel::new(self.cfg.core);
         let mut gen = workload.generator();
         let mut level_hits = [0u64; 5];
-        // Events are decoded in batches and committed as consumed, which
-        // is bit-identical to calling `next_event` per iteration (see
-        // `EventBatch`). One ring spans both phases.
-        let mut batch = crate::batch::EventBatch::new();
 
         while core.instructions() < warmup {
-            let ev = batch.next(&mut gen);
+            let ev = gen.next_event();
             core.work(ev.instructions());
             let out = hierarchy.access_on(0, &ev, core.cycles(), &gen);
             core.account(&ev, &out);
@@ -220,7 +216,7 @@ impl System {
         let mut boundary = instr.next_boundary();
 
         while core.instructions() < warm_insts + instructions {
-            let ev = batch.next(&mut gen);
+            let ev = gen.next_event();
             core.work(ev.instructions());
             let out = hierarchy.access_on(0, &ev, core.cycles(), &gen);
             core.account(&ev, &out);

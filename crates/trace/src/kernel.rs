@@ -6,6 +6,7 @@
 //! LLC respond sharply to extra capacity, hot/cold mixtures respond
 //! smoothly, and pure streams not at all.
 
+use crate::divisor::Divisor;
 use core::fmt;
 
 /// The behavior class of one kernel.
@@ -66,6 +67,12 @@ pub struct Kernel {
     lines: u64,
     cursor: u64,
     rng: u64,
+    /// `lines`, for Strided and HotCold remainders.
+    lines_div: Divisor,
+    /// HotCold's hot-subset size in lines (unused by other kinds).
+    hot_div: Divisor,
+    /// PointerChase's power-of-two modulus minus one.
+    chase_mask: u64,
 }
 
 impl Kernel {
@@ -78,12 +85,21 @@ impl Kernel {
     pub fn new(kind: KernelKind, base: u64, region_bytes: u64, seed: u64) -> Kernel {
         let lines = region_bytes / 64;
         assert!(lines > 0, "kernel region must hold at least one line");
+        let hot_lines = match kind {
+            KernelKind::HotCold { hot_fraction, .. } => {
+                (lines * u64::from(hot_fraction.max(1)) / 256).max(1)
+            }
+            _ => 1,
+        };
         Kernel {
             kind,
             base,
             lines,
             cursor: seed % lines,
             rng: seed | 1,
+            lines_div: Divisor::new(lines),
+            hot_div: Divisor::new(hot_lines),
+            chase_mask: lines.next_power_of_two() - 1,
         }
     }
 
@@ -93,32 +109,37 @@ impl Kernel {
         self.kind
     }
 
+    /// The cursor's successor in a cyclic walk of the region: `cursor`
+    /// stays below `lines`, so `(cursor + 1) % lines` is one compare.
+    fn next_line(&self) -> u64 {
+        if self.cursor + 1 == self.lines {
+            0
+        } else {
+            self.cursor + 1
+        }
+    }
+
     /// Produces the next byte address.
+    #[inline]
     pub fn next_addr(&mut self) -> u64 {
         let line = match self.kind {
-            KernelKind::Streaming => {
-                self.cursor = (self.cursor + 1) % self.lines;
+            KernelKind::Streaming | KernelKind::Loop => {
+                self.cursor = self.next_line();
                 self.cursor
             }
             KernelKind::Strided { stride } => {
                 let step = u64::from(stride.max(64)) / 64;
-                self.cursor = (self.cursor + step) % self.lines;
-                self.cursor
-            }
-            KernelKind::Loop => {
-                self.cursor = (self.cursor + 1) % self.lines;
+                self.cursor = self.lines_div.rem(self.cursor + step);
                 self.cursor
             }
             KernelKind::HotCold {
-                hot_fraction,
-                hot_probability,
+                hot_probability, ..
             } => {
                 let r = xorshift(&mut self.rng);
-                let hot_lines = (self.lines * u64::from(hot_fraction.max(1)) / 256).max(1);
                 if (r & 0xff) < u64::from(hot_probability) {
-                    (r >> 8) % hot_lines
+                    self.hot_div.rem(r >> 8)
                 } else {
-                    (r >> 8) % self.lines
+                    self.lines_div.rem(r >> 8)
                 }
             }
             KernelKind::PointerChase => {
@@ -127,13 +148,12 @@ impl Kernel {
                 // can learn. (Period is maximal when modulus is a power of
                 // two, a % 8 == 5, c odd; we round the region up to a
                 // power of two and reject out-of-range values.)
-                let m = self.lines.next_power_of_two();
                 loop {
-                    self.cursor = (self
+                    self.cursor = self
                         .cursor
                         .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407))
-                        % m;
+                        .wrapping_add(1_442_695_040_888_963_407)
+                        & self.chase_mask;
                     if self.cursor < self.lines {
                         break;
                     }

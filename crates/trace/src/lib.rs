@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod data_profile;
+mod divisor;
 pub mod kernel;
 pub mod mix;
 pub mod record;

@@ -1,6 +1,7 @@
 //! Workload synthesis: kernels + data profiles -> an instruction trace.
 
 use crate::data_profile::DataProfile;
+use crate::divisor::Divisor;
 use crate::kernel::{Kernel, KernelKind};
 use crate::record::{AccessKind, TraceEvent};
 use bv_compress::CacheLine;
@@ -161,8 +162,12 @@ fn xorshift(state: &mut u64) -> u64 {
 pub struct TraceGenerator {
     kernels: Vec<(Kernel, KernelSpec, u64)>, // (instance, spec, region base)
     cumulative_weights: Vec<u64>,
-    total_weight: u64,
-    mem_fraction: u8,
+    /// The sum of the kernel weights: the modulus of the kernel draw.
+    total_weight: Divisor,
+    /// `2 * mean_gap + 1`, where `mean_gap = 256 / mem_fraction - 1`:
+    /// the modulus of the gap draw (1 when every instruction touches
+    /// memory, so the gap is always 0).
+    gap_span: Divisor,
     ifetch_fraction: u8,
     code_lines: u64,
     code_cursor: u64,
@@ -180,6 +185,9 @@ impl TraceGenerator {
             !spec.kernels.is_empty(),
             "workload needs at least one kernel"
         );
+        // Geometric-ish gap: mem_fraction/256 of instructions touch
+        // memory, so the mean gap is 256/mem_fraction - 1.
+        let mean_gap = (256 / u32::from(spec.mem_fraction.max(1))).saturating_sub(1);
         let mut kernels = Vec::with_capacity(spec.kernels.len());
         let mut cumulative_weights = Vec::with_capacity(spec.kernels.len());
         let mut total = 0u64;
@@ -196,8 +204,8 @@ impl TraceGenerator {
         TraceGenerator {
             kernels,
             cumulative_weights,
-            total_weight: total,
-            mem_fraction: spec.mem_fraction.max(1),
+            total_weight: Divisor::new(total),
+            gap_span: Divisor::new(2 * u64::from(mean_gap) + 1),
             ifetch_fraction: spec.ifetch_fraction,
             code_lines: (spec.code_bytes / 64).max(1),
             code_cursor: 0,
@@ -207,40 +215,31 @@ impl TraceGenerator {
         }
     }
 
-    /// Produces the next trace event.
-    ///
-    /// Equivalent to [`decode_event`](TraceGenerator::decode_event)
-    /// followed immediately by [`commit`](TraceGenerator::commit) — the
-    /// batched hot loop in `bv-sim` uses the split form to decode ahead of
-    /// consumption without perturbing [`line_data`](TraceGenerator::line_data).
+    /// Produces the next trace event and commits its memory side effect
+    /// (see [`commit`](TraceGenerator::commit)), so the caller may query
+    /// [`line_data`](TraceGenerator::line_data) at once.
+    #[inline]
     pub fn next_event(&mut self) -> TraceEvent {
         let ev = self.decode_event();
         self.commit(&ev);
         ev
     }
 
-    /// Decodes the next trace event **without** committing its memory
-    /// side effect (the per-line write-epoch bump for stores).
-    ///
-    /// The RNG, kernel walks, and code cursor do advance — none of those
-    /// are observable through `line_data`, so decoding N events ahead and
-    /// committing each one as it is consumed yields a bit-identical
-    /// simulation to the unbatched `next_event` loop.
-    pub fn decode_event(&mut self) -> TraceEvent {
+    /// Decodes the next trace event: one RNG draw, a kernel walk or a
+    /// code-cursor step, and remainders by precomputed reciprocals.
+    #[inline]
+    fn decode_event(&mut self) -> TraceEvent {
         let r = xorshift(&mut self.rng);
-
-        // Geometric-ish gap: mem_fraction/256 of instructions touch
-        // memory, so the mean gap is 256/mem_fraction - 1.
-        let mean_gap = (256 / u32::from(self.mem_fraction)).saturating_sub(1);
-        let gap = if mean_gap == 0 {
-            0
-        } else {
-            (r >> 32) as u32 % (2 * mean_gap + 1)
-        };
+        // The span is at most 511, so the remainder fits the gap's u32.
+        let gap = self.gap_span.rem(r >> 32) as u32;
 
         if (r & 0xff) < u64::from(self.ifetch_fraction) {
             // Instruction fetch: sequential walk of the code region.
-            self.code_cursor = (self.code_cursor + 1) % self.code_lines;
+            self.code_cursor = if self.code_cursor + 1 == self.code_lines {
+                0
+            } else {
+                self.code_cursor + 1
+            };
             let addr = CODE_BASE + self.offset + self.code_cursor * 64;
             return TraceEvent {
                 gap,
@@ -251,7 +250,7 @@ impl TraceGenerator {
             };
         }
 
-        let draw = (r >> 8) % self.total_weight;
+        let draw = self.total_weight.rem(r >> 8);
         let ki = self
             .cumulative_weights
             .iter()
@@ -279,10 +278,10 @@ impl TraceGenerator {
         }
     }
 
-    /// Commits a decoded event's memory side effect: stores bump the
-    /// line's write epoch so subsequent [`line_data`](TraceGenerator::line_data)
-    /// calls see fresh values. Must be called exactly once per decoded
-    /// event, in decode order, before the event is simulated.
+    /// Commits an event's memory side effect: stores bump the line's
+    /// write epoch so subsequent [`line_data`](TraceGenerator::line_data)
+    /// calls see fresh values. [`next_event`](TraceGenerator::next_event)
+    /// commits each event it produces.
     pub fn commit(&mut self, ev: &TraceEvent) {
         if ev.kind == AccessKind::Store {
             *self.epochs.entry(ev.addr / 64).or_insert(0) += 1;
@@ -409,30 +408,6 @@ mod tests {
                 let after = g.line_data(e.addr);
                 assert_ne!(before, after, "store must produce fresh values");
                 break;
-            }
-        }
-    }
-
-    #[test]
-    fn decode_ahead_then_commit_matches_unbatched() {
-        let mut batched = spec().generator();
-        let mut unbatched = spec().generator();
-        let mut pending: Vec<TraceEvent> = Vec::new();
-        for round in 0..64 {
-            // Decode a varying-size batch ahead, then consume it one event
-            // at a time, checking the data view after every commit.
-            for _ in 0..=(round % 7) {
-                pending.push(batched.decode_event());
-            }
-            for ev in pending.drain(..) {
-                batched.commit(&ev);
-                let reference = unbatched.next_event();
-                assert_eq!(ev, reference);
-                assert_eq!(
-                    batched.line_data(ev.addr),
-                    unbatched.line_data(reference.addr),
-                    "data view diverged after commit of {ev:?}"
-                );
             }
         }
     }
