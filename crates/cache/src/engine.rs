@@ -16,8 +16,8 @@
 //! and a parallel `Vec<S>` of organization payloads. A set probe is then
 //! [`find_tag`] over `ways` adjacent `u64` words — one or two cache
 //! lines — folded into a match bitmask, instead of a strided walk over
-//! fat `(valid, tag, meta)` records whose payload (a 64-byte data line and more) pushed each tag
-//! onto its own cache line. `first_invalid` and `valid_count` collapse to
+//! fat `(valid, tag, meta)` records whose payload (a 64-byte data line
+//! and more) pushed each tag onto its own cache line. `first_invalid` and `valid_count` collapse to
 //! bitmask arithmetic on the validity words.
 //!
 //! Organizations do not see the layout: [`SetEngine::slot`] and
@@ -71,23 +71,14 @@ pub trait SlotMeta {
     fn empty() -> Self;
 }
 
-/// The associativity of the L1 and L2 caches, the rows [`find_tag`]
-/// matches most often.
-const PRIVATE_WAYS: usize = 8;
-
 /// The lowest way of a tag row whose tag equals `tag` and whose bit is
 /// set in `valid` — the one tag match under the L1/L2 caches, the set
 /// engine and Base-Victim's victim tag row.
 ///
 /// Every word of the row is compared unconditionally and folded into a
 /// match mask; invalid slots' stale tag words may match, and the
-/// validity mask, not the tag word, decides. An 8-way row is matched as
-/// a fixed-width array: eight straight-line compares with no loop. Any
-/// other width runs one loop over the row, which LLVM vectorizes 16
-/// lanes at a time, so a 16-way LLC row is a single vector step. Each
-/// path measured faster on its own rows: the loop reaches an 8-way row
-/// only through its 4-lane remainder, and LLVM compiles fixed 8-lane
-/// chunks of a 16- or 32-way row to scalar compares.
+/// validity mask, not the tag word, decides. LLVM vectorizes the loop
+/// 16 lanes at a time, so a 16-way LLC row is a single vector step.
 ///
 /// # Examples
 ///
@@ -102,21 +93,12 @@ const PRIVATE_WAYS: usize = 8;
 #[must_use]
 #[inline]
 pub fn find_tag(row: &[u64], valid: u64, tag: u64) -> Option<usize> {
-    let matches = match <&[u64; PRIVATE_WAYS]>::try_from(row) {
-        Ok(lanes) => lane_matches(lanes, tag),
-        Err(_) => lane_matches(row, tag),
-    } & valid;
-    (matches != 0).then(|| matches.trailing_zeros() as usize)
-}
-
-/// One bit per lane of `lanes` equal to `tag`.
-#[inline(always)]
-fn lane_matches(lanes: &[u64], tag: u64) -> u64 {
-    let mut bits = 0u64;
-    for (w, &t) in lanes.iter().enumerate() {
-        bits |= u64::from(t == tag) << w;
+    let mut matches = 0u64;
+    for (w, &t) in row.iter().enumerate() {
+        matches |= u64::from(t == tag) << w;
     }
-    bits
+    matches &= valid;
+    (matches != 0).then(|| matches.trailing_zeros() as usize)
 }
 
 /// One logical tag-array entry as an owned value: validity and tag owned

@@ -40,9 +40,11 @@ impl Shadow {
     }
 }
 
-/// Row widths around both match paths: the fixed 8-way array, the
-/// vector loop's 16-lane steps and remainders, and the 64-way maximum.
-const WAYS: [usize; 9] = [1, 2, 4, 7, 8, 9, 16, 17, 64];
+/// Row widths: every width the simulator runs (the 8-way L1/L2, the
+/// 16-way LLC, and the 32-slot rows of DCC, VSC and two-tag), the match
+/// loop's vector steps and remainders around them, and the 64-way
+/// maximum.
+const WAYS: [usize; 10] = [1, 2, 4, 7, 8, 9, 16, 17, 32, 64];
 
 /// Builds a random engine/shadow pair: a churn of installs and
 /// invalidations, with tags drawn from a small pool so stale tags of
