@@ -64,6 +64,12 @@ cargo test --workspace -q
 echo "== golden snapshots (release) =="
 cargo test --release --test golden_snapshot -q
 
+# Once more on one test thread. The parallel runs above fill the cores,
+# so their drive loops mostly decode inline; alone, every golden's run
+# decodes and trains the prefetcher on a helper thread.
+echo "== golden snapshots (release, one test thread) =="
+cargo test --release --test golden_snapshot -q -- --test-threads=1
+
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 

@@ -1073,9 +1073,13 @@ mod tests {
 
     /// One interleaved overhead measurement: alternating plain/sampled
     /// runs so both sides see the same machine conditions, best-of-N on
-    /// each side so transient stalls drop out of the ratio.
+    /// each side so transient stalls drop out of the ratio. Every run
+    /// decodes inline: whether a run gets a helper thread depends on the
+    /// cores that other tests' runs hold at that moment, so otherwise one
+    /// side could get it and the other not.
     fn measure_telemetry_overhead_pct(iterations: usize) -> f64 {
         use std::time::Instant;
+        let _inline = bv_sim::inline_feed();
         let registry = TraceRegistry::paper_default();
         let trace = registry.get(END_TO_END_TRACE).expect("trace");
         let mut plain = f64::MAX;

@@ -829,6 +829,10 @@ fn worker_loop(inner: &Arc<Inner>, me: usize) {
         // Queue wait is a property of the claim, not the outcome: a job
         // that goes on to crash still waited.
         metrics.queue_wait_ms.observe_ms(job.queued);
+        // This worker's core stays counted from the claim through the
+        // journal write, so another worker's run does not take it for a
+        // helper thread in between.
+        let _core = bv_sim::hold_core();
         busy.set(1);
         // Simulate with the lock released: the engine keeps taking
         // submissions and answering waiters while jobs run.

@@ -343,10 +343,46 @@ impl Hierarchy {
     /// hit and its latency. `lines` supplies the data of memory fills,
     /// prefetches and writebacks: a [`TraceGenerator`] for one core, or
     /// `&gens[..]` (one generator per core) for a multi-program run.
+    ///
+    /// It trains the core's own prefetcher on the access, then runs
+    /// [`access_prefetching`](Hierarchy::access_prefetching) with the
+    /// targets that training issued. `MulticoreSystem`, `System` runs
+    /// that get no helper thread, and callers that step the hierarchy one
+    /// event at a time use it; a `System` run with a helper trains a
+    /// prefetcher of its own ahead of the caches and calls
+    /// `access_prefetching` directly.
     pub fn access_on<L: LineSource + ?Sized>(
         &mut self,
         core_id: usize,
         ev: &TraceEvent,
+        now: u64,
+        lines: &L,
+    ) -> AccessOutcome {
+        // Train the prefetcher on every demand access. Section V models
+        // "aggressive multi-stream instruction and data prefetchers", so
+        // instruction fetches train streams too (sequential code is the
+        // easiest stream there is). Training reads no cache state, so it
+        // may run before the lookups.
+        let core = &mut self.cores[core_id];
+        let mut prefetches = std::mem::take(&mut core.prefetches);
+        prefetches.clear();
+        core.prefetcher.observe_into(ev.addr, &mut prefetches);
+        let outcome = self.access_prefetching(core_id, ev, &prefetches, now, lines);
+        self.cores[core_id].prefetches = prefetches;
+        outcome
+    }
+
+    /// Performs one demand access whose prefetcher training has already
+    /// run: `prefetches` are the byte addresses that a
+    /// [`StreamPrefetcher`] issued when it observed `ev`, in issue order.
+    /// They are issued below the L1 (filling the L2 and the LLC) after
+    /// the demand access. With the targets of this core's prefetcher,
+    /// this is [`access_on`](Hierarchy::access_on).
+    pub fn access_prefetching<L: LineSource + ?Sized>(
+        &mut self,
+        core_id: usize,
+        ev: &TraceEvent,
+        prefetches: &[u64],
         now: u64,
         lines: &L,
     ) -> AccessOutcome {
@@ -362,14 +398,6 @@ impl Hierarchy {
         } else {
             l1.read(addr)
         };
-
-        // Train the prefetcher on every demand access. Section V models
-        // "aggressive multi-stream instruction and data prefetchers", so
-        // instruction fetches train streams too (sequential code is the
-        // easiest stream there is).
-        let mut prefetches = std::mem::take(&mut core.prefetches);
-        prefetches.clear();
-        core.prefetcher.observe_into(ev.addr, &mut prefetches);
 
         let outcome = if l1_hit {
             AccessOutcome {
@@ -387,10 +415,9 @@ impl Hierarchy {
         };
 
         // Issue prefetches below the L1 (they fill L2 + LLC).
-        for &pa in &prefetches {
+        for &pa in prefetches {
             self.prefetch_line(core_id, pa, now, lines);
         }
-        self.cores[core_id].prefetches = prefetches;
 
         outcome
     }

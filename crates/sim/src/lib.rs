@@ -36,6 +36,7 @@ mod batch;
 mod config;
 mod core_model;
 mod dram;
+mod feed;
 mod hierarchy;
 mod multicore;
 mod prefetch;
@@ -47,6 +48,7 @@ pub use batch::EventBatch;
 pub use config::{CompressorKind, CoreConfig, DramConfig, LlcKind, SimConfig};
 pub use core_model::CoreModel;
 pub use dram::{Dram, DramStats};
+pub use feed::{hold_core, inline_feed, CoreHold, InlineFeed};
 pub use hierarchy::{Hierarchy, LevelHit, LineSource};
 pub use multicore::{MulticoreResult, MulticoreSystem};
 pub use prefetch::StreamPrefetcher;

@@ -9,6 +9,7 @@
 use crate::config::SimConfig;
 use crate::core_model::CoreModel;
 use crate::dram::DramStats;
+use crate::feed::PROCESS_CORES;
 use crate::hierarchy::Hierarchy;
 use bv_core::LlcStats;
 use bv_trace::synth::WorkloadSpec;
@@ -87,6 +88,9 @@ impl MulticoreSystem {
     #[must_use]
     pub fn run(&self, workloads: &[WorkloadSpec], instructions_each: u64) -> MulticoreResult {
         assert!(!workloads.is_empty(), "need at least one workload");
+        // The loop steps every core in turn on this thread; it counts as
+        // one busy thread against single-core runs' helpers.
+        let _busy = PROCESS_CORES.enter();
         let n = workloads.len();
         let mut hierarchy = Hierarchy::new(self.cfg, n);
         let mut cores: Vec<CoreModel> = (0..n).map(|_| CoreModel::new(self.cfg.core)).collect();

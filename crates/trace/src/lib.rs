@@ -47,4 +47,4 @@ pub use mix::MixSpec;
 pub use record::{AccessKind, TraceEvent};
 pub use registry::{TraceRegistry, TraceSpec, WorkloadCategory};
 pub use request::{KvOp, KvRequest, RequestProfile, RequestStream, ValueSpec, ZipfSampler};
-pub use synth::TraceGenerator;
+pub use synth::{TraceDecoder, TraceGenerator};

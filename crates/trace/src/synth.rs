@@ -156,10 +156,37 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
-/// A deterministic, infinite trace generator with an address-to-profile
-/// map for data synthesis.
+/// The decode half of a [`TraceGenerator`]: its event stream, without
+/// the memory image. Decoding never reads a write epoch, so a decoder
+/// can run ahead of the generator it was taken from, on another thread
+/// if need be, and yields the events the generator would.
+///
+/// # Examples
+///
+/// ```
+/// # use bv_trace::synth::{KernelSpec, WorkloadSpec};
+/// # use bv_trace::{DataProfile, KernelKind};
+/// # let spec = WorkloadSpec {
+/// #     kernels: vec![KernelSpec {
+/// #         kind: KernelKind::Loop,
+/// #         region_bytes: 1 << 20,
+/// #         weight: 1,
+/// #         store_fraction: 64,
+/// #         profile: DataProfile::SmallInt,
+/// #     }],
+/// #     mem_fraction: 85,
+/// #     ifetch_fraction: 10,
+/// #     code_bytes: 16 << 10,
+/// #     seed: 7,
+/// # };
+/// let mut gen = spec.generator();
+/// let mut decoder = gen.decoder();
+/// for _ in 0..1000 {
+///     assert_eq!(decoder.next_event(), gen.next_event());
+/// }
+/// ```
 #[derive(Clone, Debug)]
-pub struct TraceGenerator {
+pub struct TraceDecoder {
     kernels: Vec<(Kernel, KernelSpec, u64)>, // (instance, spec, region base)
     cumulative_weights: Vec<u64>,
     /// The sum of the kernel weights: the modulus of the kernel draw.
@@ -172,15 +199,12 @@ pub struct TraceGenerator {
     code_lines: u64,
     code_cursor: u64,
     rng: u64,
-    /// Per-line write epochs: bumped on every store so rewritten lines
-    /// get fresh (same-profile) values.
-    epochs: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
     /// Address-space shift for multi-program isolation.
     offset: u64,
 }
 
-impl TraceGenerator {
-    fn new(spec: &WorkloadSpec, offset: u64) -> TraceGenerator {
+impl TraceDecoder {
+    fn new(spec: &WorkloadSpec, offset: u64) -> TraceDecoder {
         assert!(
             !spec.kernels.is_empty(),
             "workload needs at least one kernel"
@@ -201,7 +225,7 @@ impl TraceGenerator {
             cumulative_weights.push(total);
             base += region.next_multiple_of(REGION_GAP) + REGION_GAP;
         }
-        TraceGenerator {
+        TraceDecoder {
             kernels,
             cumulative_weights,
             total_weight: Divisor::new(total),
@@ -210,25 +234,16 @@ impl TraceGenerator {
             code_lines: (spec.code_bytes / 64).max(1),
             code_cursor: 0,
             rng: spec.seed.wrapping_mul(0x5851_f42d_4c95_7f2d) | 1,
-            epochs: HashMap::default(),
             offset,
         }
     }
 
-    /// Produces the next trace event and commits its memory side effect
-    /// (see [`commit`](TraceGenerator::commit)), so the caller may query
-    /// [`line_data`](TraceGenerator::line_data) at once.
+    /// Decodes the next trace event: one RNG draw, a kernel walk or a
+    /// code-cursor step, and remainders by precomputed reciprocals. It
+    /// commits nothing: the memory image lives in the
+    /// [`TraceGenerator`].
     #[inline]
     pub fn next_event(&mut self) -> TraceEvent {
-        let ev = self.decode_event();
-        self.commit(&ev);
-        ev
-    }
-
-    /// Decodes the next trace event: one RNG draw, a kernel walk or a
-    /// code-cursor step, and remainders by precomputed reciprocals.
-    #[inline]
-    fn decode_event(&mut self) -> TraceEvent {
         let r = xorshift(&mut self.rng);
         // The span is at most 511, so the remainder fits the gap's u32.
         let gap = self.gap_span.rem(r >> 32) as u32;
@@ -277,6 +292,46 @@ impl TraceGenerator {
             dependent: matches!(spec.kind, KernelKind::PointerChase) && kind == AccessKind::Load,
         }
     }
+}
+
+/// A deterministic, infinite trace generator with an address-to-profile
+/// map for data synthesis: a [`TraceDecoder`] plus the memory image its
+/// stores write.
+#[derive(Clone, Debug)]
+pub struct TraceGenerator {
+    decoder: TraceDecoder,
+    /// Per-line write epochs: bumped on every store so rewritten lines
+    /// get fresh (same-profile) values.
+    epochs: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+}
+
+impl TraceGenerator {
+    fn new(spec: &WorkloadSpec, offset: u64) -> TraceGenerator {
+        TraceGenerator {
+            decoder: TraceDecoder::new(spec, offset),
+            epochs: HashMap::default(),
+        }
+    }
+
+    /// Produces the next trace event and commits its memory side effect
+    /// (see [`commit`](TraceGenerator::commit)), so the caller may query
+    /// [`line_data`](TraceGenerator::line_data) at once.
+    #[inline]
+    pub fn next_event(&mut self) -> TraceEvent {
+        let ev = self.decoder.next_event();
+        self.commit(&ev);
+        ev
+    }
+
+    /// A copy of the decode half, positioned at this generator's next
+    /// event. A caller that decodes through it instead of
+    /// [`next_event`](TraceGenerator::next_event) must
+    /// [`commit`](TraceGenerator::commit) each event here, in order,
+    /// before it reads [`line_data`](TraceGenerator::line_data).
+    #[must_use]
+    pub fn decoder(&self) -> TraceDecoder {
+        self.decoder.clone()
+    }
 
     /// Commits an event's memory side effect: stores bump the line's
     /// write epoch so subsequent [`line_data`](TraceGenerator::line_data)
@@ -302,7 +357,7 @@ impl TraceGenerator {
     /// The data profile governing `byte_addr`.
     #[must_use]
     pub fn profile_of(&self, byte_addr: u64) -> DataProfile {
-        for (_, spec, base) in &self.kernels {
+        for (_, spec, base) in &self.decoder.kernels {
             if byte_addr >= *base && byte_addr < *base + spec.region_bytes.max(64) {
                 return spec.profile;
             }
