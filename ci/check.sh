@@ -101,6 +101,12 @@ echo "== kv smoke (org sweep, then the baseline-mirror auditor) =="
 ./target/release/bvsim kv --lockstep --requests 20000 --budget-kib 256 >/dev/null
 ./target/release/bvsim kv --lockstep --requests 20000 --budget-kib 256 \
     --inject 5000 >/dev/null
+# The other two profiles: social rotates its hot set through phases,
+# analytics draws large values.
+for dist in social analytics; do
+    ./target/release/bvsim kv --lockstep --dist "$dist" --requests 20000 \
+        --budget-kib 256 >/dev/null
+done
 
 echo "== fuzz smoke (fixed-seed campaign, inject self-test, corpus replay) =="
 # A fixed seed keeps CI deterministic; any failure exits nonzero with a

@@ -8,12 +8,19 @@
 //! deterministic and two maps fed the same operations stay identical —
 //! the property the lockstep auditor checks.
 //!
+//! The map hashes keys with [`MixHasher`](bv_testkit::MixHasher), not
+//! SipHash: kv keys come only from request streams, the fuzzer and
+//! tests, never from a network peer, so there are no crafted collisions
+//! to resist, and since no decision reads the map's iteration order the
+//! hasher cannot change a result.
+//!
 //! The map maintains both byte sums an organization might budget
 //! against: logical (uncompressed) bytes and physical (compressed)
 //! bytes.
 
 use crate::value::ValueMeta;
-use std::collections::HashMap;
+use bv_testkit::MixBuildHasher;
+use std::collections::hash_map::{Entry, HashMap};
 
 const NIL: usize = usize::MAX;
 
@@ -40,7 +47,7 @@ struct Node {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LruMap {
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, MixBuildHasher>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
@@ -54,7 +61,7 @@ impl LruMap {
     #[must_use]
     pub fn new() -> LruMap {
         LruMap {
-            map: HashMap::new(),
+            map: HashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -110,10 +117,9 @@ impl LruMap {
     /// Panics if `key` is already resident — organizations must decide
     /// update-vs-insert explicitly.
     pub fn insert_front(&mut self, key: u64, meta: ValueMeta) {
-        assert!(
-            !self.map.contains_key(&key),
-            "key {key} already resident; remove it first"
-        );
+        let Entry::Vacant(slot) = self.map.entry(key) else {
+            panic!("key {key} already resident; remove it first");
+        };
         let node = Node {
             key,
             meta,
@@ -130,8 +136,8 @@ impl LruMap {
                 self.nodes.len() - 1
             }
         };
+        slot.insert(i);
         self.link_front(i);
-        self.map.insert(key, i);
         self.sum_bytes += u64::from(meta.bytes);
         self.sum_compressed += u64::from(meta.compressed);
     }
@@ -254,6 +260,32 @@ mod tests {
             }
         }
         assert!(lru.nodes.len() <= 52, "slab grew to {}", lru.nodes.len());
+    }
+
+    /// Keys the mix hasher must keep apart: ones equal in their low 32
+    /// bits, and the extremes of the key space.
+    #[test]
+    fn keys_differing_only_in_high_bits_keep_order_and_sums() {
+        let keys = [0, 1 << 32, 2 << 32, (1 << 63) | 7, 7, u64::MAX];
+        let mut lru = LruMap::new();
+        for (i, &k) in keys.iter().enumerate() {
+            lru.insert_front(k, ValueMeta::new(64 << i, 32 << i));
+        }
+        assert_eq!(lru.len(), keys.len());
+        assert_eq!((lru.sum_bytes(), lru.sum_compressed()), (4032, 2016));
+        assert_eq!(lru.touch(1 << 32).map(|m| m.bytes), Some(128));
+        assert_eq!(lru.touch(0).map(|m| m.bytes), Some(64));
+        assert_eq!(
+            lru.keys_mru(),
+            vec![0, 1 << 32, u64::MAX, 7, (1 << 63) | 7, 2 << 32]
+        );
+        assert_eq!(lru.remove(7), Some(ValueMeta::new(1024, 512)));
+        assert_eq!(lru.remove(7), None);
+        assert_eq!(lru.peek((1 << 63) | 7), Some(ValueMeta::new(512, 256)));
+        assert_eq!((lru.sum_bytes(), lru.sum_compressed()), (3008, 1504));
+        let popped: Vec<u64> = std::iter::from_fn(|| lru.pop_lru().map(|(k, _)| k)).collect();
+        assert_eq!(popped, vec![2 << 32, (1 << 63) | 7, u64::MAX, 1 << 32, 0]);
+        assert_eq!((lru.sum_bytes(), lru.sum_compressed()), (0, 0));
     }
 
     #[test]

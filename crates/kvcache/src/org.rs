@@ -97,6 +97,7 @@ impl KvOrgKind {
             victim: LruMap::new(),
             budget,
             stats: KvStats::default(),
+            displaced: Vec::new(),
             sink,
         }
     }
@@ -239,6 +240,10 @@ pub struct KvCacheWith<S: EventSink = NoEventSink> {
     victim: LruMap,
     budget: u64,
     stats: KvStats,
+    /// Entries one admission displaced, in eviction order, waiting to be
+    /// parked (base-victim only). Empty between calls; held here so an
+    /// admission reuses its allocation.
+    displaced: Vec<(u64, ValueMeta)>,
     sink: S,
 }
 
@@ -357,7 +362,6 @@ impl<S: EventSink> KvCacheWith<S> {
             ));
         }
         let parks = self.kind == KvOrgKind::BaseVictim;
-        let mut displaced = Vec::new();
         while self.baseline_charge() > self.budget {
             let (victim, vmeta) = self
                 .baseline
@@ -374,16 +378,18 @@ impl<S: EventSink> KvCacheWith<S> {
                 ));
             }
             if parks {
-                displaced.push((victim, vmeta));
+                self.displaced.push((victim, vmeta));
             }
         }
         if parks {
             // The new resident may compress worse than what left: shrink
             // the victim area to the new slack before parking anything.
             self.enforce_slack();
-            for (victim, vmeta) in displaced {
+            for i in 0..self.displaced.len() {
+                let (victim, vmeta) = self.displaced[i];
                 self.park(victim, vmeta);
             }
+            self.displaced.clear();
         }
         KvOutcome::Miss
     }
@@ -575,6 +581,7 @@ impl<S: EventSink> KvCacheWith<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bv_events::RingSink;
 
     fn meta(bytes: u32, compressed: u32) -> ValueMeta {
         ValueMeta::new(bytes, compressed)
@@ -650,6 +657,44 @@ mod tests {
         t.check_invariants().expect("invariants");
         assert_eq!(t.occupancy().victim_entries, 0);
         assert!(t.stats().victim_overflow_drops + t.stats().victim_evictions > 0);
+    }
+
+    /// Drains a traced tier's events: the keys it evicted from the
+    /// baseline and the keys it parked, each in emission order.
+    fn evicted_and_parked(t: &mut KvCacheWith<RingSink>) -> (Vec<u64>, Vec<u64>) {
+        let (mut evicted, mut parked) = (Vec::new(), Vec::new());
+        for e in t.drain_events() {
+            match e.kind {
+                EventKind::Eviction { tag, .. } => evicted.push(tag),
+                EventKind::VictimInsert { tag, .. } => parked.push(tag),
+                _ => {}
+            }
+        }
+        (evicted, parked)
+    }
+
+    #[test]
+    fn admission_parks_each_displaced_entry_once_in_eviction_order() {
+        // Budget 512: four 128-byte entries fill the baseline, and one
+        // 384-byte admission displaces three of them.
+        let mut t = KvOrgKind::BaseVictim.build_traced(512, RingSink::new(256));
+        for key in 0..4 {
+            t.get(key, || meta(128, 16));
+        }
+        assert_eq!(evicted_and_parked(&mut t), (vec![], vec![]));
+        t.get(10, || meta(384, 64));
+        assert_eq!(evicted_and_parked(&mut t), (vec![0, 1, 2], vec![0, 1, 2]));
+        assert_eq!(t.victim.keys_mru(), vec![2, 1, 0]);
+        assert_eq!(t.stats().victim_inserts, 3);
+
+        // The next admission displaces one entry and parks it alone:
+        // nothing of the last one is left in the reused buffer.
+        t.get(11, || meta(128, 16));
+        assert_eq!(evicted_and_parked(&mut t), (vec![3], vec![3]));
+        assert_eq!(t.victim.keys_mru(), vec![3, 2, 1, 0]);
+        assert_eq!(t.stats().victim_inserts, 4);
+        assert!(t.displaced.is_empty());
+        t.check_invariants().expect("invariants");
     }
 
     #[test]

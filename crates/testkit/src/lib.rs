@@ -29,6 +29,36 @@ pub fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Hashes a `u64` map key with [`mix`] in place of SipHash.
+///
+/// For maps whose keys the workspace generates itself: line addresses a
+/// trace generator walks, and kv keys drawn by a request stream, the
+/// fuzzer or a test. There is no outside input to craft collisions, so
+/// SipHash's flooding resistance buys nothing, and `mix` spreads every
+/// key bit into the high bits the map's probing uses. Callers must not
+/// let a decision depend on such a map's iteration order.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(x);
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`MixHasher`] maps.
+pub type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
+
 /// SplitMix64: tiny, statistically solid, and seedable from any `u64`.
 ///
 /// This is the generator recommended for seeding xorshift-family state;

@@ -274,18 +274,24 @@ impl RequestProfile {
     }
 }
 
-/// Weighted pick from a `(value, weight)` table by a hash draw.
+/// Weighted pick from a `(value, weight)` table by a hash draw: the
+/// first entry whose cumulative weight exceeds `draw % total`, or the
+/// last entry when every weight is zero.
+///
+/// Counts the cumulative weights at or below the point and indexes by
+/// that count, so the loop always runs the whole table and has no exit
+/// branch for the draw to mispredict.
 fn pick_weighted<T: Copy>(table: &[(T, u32)], draw: u64) -> T {
+    let last = table.len().checked_sub(1).expect("non-empty weight table");
     let total: u64 = table.iter().map(|&(_, w)| u64::from(w)).sum();
-    let mut point = draw % total.max(1);
-    for &(value, weight) in table {
-        let weight = u64::from(weight);
-        if point < weight {
-            return value;
-        }
-        point -= weight;
+    let point = draw % total.max(1);
+    let mut cumulative = 0u64;
+    let mut below = 0usize;
+    for &(_, weight) in table {
+        cumulative += u64::from(weight);
+        below += usize::from(cumulative <= point);
     }
-    table.last().expect("non-empty weight table").0
+    table[below.min(last)].0
 }
 
 /// A deterministic iterator of [`KvRequest`]s.
@@ -570,6 +576,48 @@ mod tests {
             let rel = (c as f64 - expect).abs() / expect;
             assert!(rel < 0.05, "rank {}: {c} vs uniform {expect:.0}", i + 1);
         }
+    }
+
+    /// Reference for `pick_weighted`: a sequential scan that subtracts
+    /// weights until the point falls inside one.
+    fn pick_by_scan<T: Copy>(table: &[(T, u32)], draw: u64) -> T {
+        let total: u64 = table.iter().map(|&(_, w)| u64::from(w)).sum();
+        let mut point = draw % total.max(1);
+        for &(value, weight) in table {
+            let weight = u64::from(weight);
+            if point < weight {
+                return value;
+            }
+            point -= weight;
+        }
+        table.last().expect("non-empty weight table").0
+    }
+
+    #[test]
+    fn pick_weighted_matches_the_sequential_scan() {
+        bv_testkit::cases(2_000, |rng| {
+            let len = rng.range_u64(1, 9) as usize;
+            let mut table: Vec<(usize, u32)> = (0..len).map(|i| (i, rng.below(6) as u32)).collect();
+            // One case in eight zeroes the whole table.
+            if rng.below(8) == 0 {
+                table.iter_mut().for_each(|e| e.1 = 0);
+            }
+            let total: u64 = table.iter().map(|&(_, w)| u64::from(w)).sum();
+            for draw in [
+                0,
+                total.wrapping_sub(1),
+                total,
+                u64::MAX,
+                rng.next_u64(),
+                rng.below(total.max(1)),
+            ] {
+                assert_eq!(
+                    pick_weighted(&table, draw),
+                    pick_by_scan(&table, draw),
+                    "table {table:?}, draw {draw}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -5,31 +5,8 @@ use crate::divisor::Divisor;
 use crate::kernel::{Kernel, KernelKind};
 use crate::record::{AccessKind, TraceEvent};
 use bv_compress::CacheLine;
+use bv_testkit::MixBuildHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hashes a line-address key with [`bv_testkit::mix`] in place of
-/// SipHash. The keys are addresses this generator walks itself, so there
-/// is no outside input to craft collisions, and `mix` spreads every key
-/// bit into the high bits the map's probing uses.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = bv_testkit::mix(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = bv_testkit::mix(x);
-    }
-}
 
 /// One kernel's slice of a workload.
 #[derive(Clone, Debug)]
@@ -302,7 +279,7 @@ pub struct TraceGenerator {
     decoder: TraceDecoder,
     /// Per-line write epochs: bumped on every store so rewritten lines
     /// get fresh (same-profile) values.
-    epochs: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+    epochs: HashMap<u64, u32, MixBuildHasher>,
 }
 
 impl TraceGenerator {
