@@ -19,11 +19,13 @@
 //! see wrong on both sides at once, so each organization's full event
 //! stream is also pinned by digest.
 
-use base_victim::events::{CacheEvent, EventKind, RingSink};
+use base_victim::events::RingSink;
 use base_victim::kvcache::{run_kv, run_kv_traced, KvConfig, KvMirror, KvOrgKind, ValueMeta};
-use base_victim::runner::fnv1a;
 use base_victim::trace::request::{KvOp, KvRequest, RequestProfile, SplitMix64};
 use bv_testkit::mirror::run;
+
+mod common;
+use common::event_digest;
 
 const BUDGET: u64 = 64 * 1024;
 const OPS_PER_SEED: u64 = 4_000;
@@ -176,31 +178,6 @@ fn event_config(org: KvOrgKind, dist: &str) -> KvConfig {
     cfg.requests = 8_000;
     cfg.seed = 17;
     cfg
-}
-
-/// Folds each event's (kind name, set, tag, size) into one FNV-1a digest.
-/// Drops and evictions carry their cause in the size slot.
-fn event_digest(events: &[CacheEvent]) -> u64 {
-    let mut bytes = Vec::new();
-    for ev in events {
-        let size = match ev.kind {
-            EventKind::Fill { size, .. }
-            | EventKind::PrefetchFill { size, .. }
-            | EventKind::VictimHit { size, .. }
-            | EventKind::VictimInsert { size, .. }
-            | EventKind::VictimInsertFail { size, .. }
-            | EventKind::Writeback { size, .. }
-            | EventKind::Compression { size, .. } => size,
-            EventKind::SilentDrop { cause, .. } => cause as u8,
-            EventKind::Eviction { cause, .. } => cause as u8,
-            EventKind::DemandHit { .. } | EventKind::DemandMiss => 0,
-        };
-        bytes.extend_from_slice(ev.kind.name().as_bytes());
-        bytes.extend_from_slice(&ev.set.to_le_bytes());
-        bytes.extend_from_slice(&ev.kind.tag().unwrap_or(u64::MAX).to_le_bytes());
-        bytes.push(size);
-    }
-    fnv1a(&bytes)
 }
 
 /// Pins the order and content of every organization's event stream, not
