@@ -70,6 +70,11 @@ cargo test --release --test golden_snapshot -q
 echo "== golden snapshots (release, one test thread) =="
 cargo test --release --test golden_snapshot -q -- --test-threads=1
 
+# The LLC event streams in release too: the same vector code produces
+# the compressed sizes and encoder classes the events carry.
+echo "== LLC event digests (release) =="
+cargo test --release --test llc_event_digests -q
+
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 

@@ -773,9 +773,9 @@ impl BenchReport {
             .iter()
             .map(|k| {
                 Ok(KernelBench {
-                    kernel: req_str(k, "kernel")?,
-                    implementation: req_str(k, "impl")?,
-                    lines_per_sec: req_f64(k, "lines_per_sec")?,
+                    kernel: k.req_str("kernel")?.to_string(),
+                    implementation: k.req_str("impl")?.to_string(),
+                    lines_per_sec: k.req_f64("lines_per_sec")?,
                     segment_checksum: k
                         .get("segment_checksum")
                         .and_then(Value::as_u64)
@@ -790,8 +790,8 @@ impl BenchReport {
             .iter()
             .map(|e| {
                 Ok(EndToEndBench {
-                    llc: req_str(e, "llc")?,
-                    insts_per_sec: req_f64(e, "insts_per_sec")?,
+                    llc: e.req_str("llc")?.to_string(),
+                    insts_per_sec: e.req_f64("insts_per_sec")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -800,19 +800,6 @@ impl BenchReport {
             end_to_end,
         })
     }
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing number field '{key}'"))
 }
 
 /// Compares a fresh report against a committed baseline. Returns one

@@ -146,7 +146,13 @@ impl EncoderStats {
 
     /// Computes the compressed size of `line` via `comp`, recording the
     /// encoding class it selected (if the algorithm exposes classes).
-    pub fn record<C: Compressor + ?Sized>(&mut self, comp: &C, line: &CacheLine) -> SegmentCount {
+    /// Returns both, as [`Compressor::classified_size`] does, so a caller
+    /// that reports the class needs no second pass.
+    pub fn record<C: Compressor + ?Sized>(
+        &mut self,
+        comp: &C,
+        line: &CacheLine,
+    ) -> (SegmentCount, Option<usize>) {
         let (size, class) = comp.classified_size(line);
         if let Some(class) = class {
             if self.counts.is_empty() {
@@ -154,7 +160,7 @@ impl EncoderStats {
             }
             self.counts[class] += 1;
         }
-        size
+        (size, class)
     }
 
     /// `(encoding name, selection count)` pairs in class order. Empty for
@@ -217,8 +223,8 @@ mod tests {
         let mut stats = EncoderStats::new();
         let rep = CacheLine::from_u64_words(&[0xabcd; 8]);
         for line in [CacheLine::zeroed(), CacheLine::zeroed(), rep] {
-            let size = stats.record(&bdi, &line);
-            assert_eq!(size, bdi.compressed_size(&line), "same size as plain path");
+            let sized = stats.record(&bdi, &line);
+            assert_eq!(sized, bdi.classified_size(&line), "same as the plain pass");
         }
         let counts = stats.counts(&bdi);
         assert_eq!(

@@ -17,14 +17,14 @@
 //! this file is the paper-specific delta — the Victim cache partnering,
 //! clean-victim insertion policies, and promotion on victim hits.
 
-use crate::slot::{line_addr, LineMeta, LinePayloads};
+use crate::slot::{
+    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
+};
 use crate::victim_policy::{VictimCandidate, VictimPolicyKind};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::{find_tag, SetEngine};
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind, ReplacementPolicy};
-use bv_compress::{
-    Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
-};
+use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, SegmentCount, SEGMENTS_PER_LINE};
 use bv_events::{CacheEvent, DropCause, EventKind, EventSink, EvictCause, NoEventSink};
 
 /// Whether the LLC maintains inclusion with the core caches.
@@ -170,9 +170,7 @@ pub struct BaseVictimLlc<E: EventSink = NoEventSink> {
     /// Reused buffer of the fitting ways for one victim insertion.
     candidates: Vec<VictimCandidate>,
     victim_kind: VictimPolicyKind,
-    compression: CompressionStats,
-    compressor: Box<dyn Compressor>,
-    encoders: EncoderStats,
+    sizer: Sizer<dyn Compressor>,
     mode: InclusionMode,
     clock: u64,
     rng: u64,
@@ -184,7 +182,7 @@ impl<E: EventSink> core::fmt::Debug for BaseVictimLlc<E> {
             .field("geom", &self.geom)
             .field("victim_kind", &self.victim_kind)
             .field("mode", &self.mode)
-            .field("compressor", &self.compressor.name())
+            .field("compressor", &self.sizer.compressor().name())
             .field("stats", self.engine.stats())
             .finish_non_exhaustive()
     }
@@ -261,9 +259,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
             victim_data: LinePayloads::new(sets, ways),
             candidates: Vec::with_capacity(ways),
             victim_kind,
-            compression: CompressionStats::default(),
-            compressor,
-            encoders: EncoderStats::new(),
+            sizer: Sizer::new(compressor),
             mode,
             clock: 0,
             rng: 0x1234_5678_9abc_def1,
@@ -371,7 +367,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
             effects.memory_writes += 1;
         }
         let size = if inner_dirty.is_some() {
-            self.encoders.record(self.compressor.as_ref(), &data)
+            self.sizer.encode(&data)
         } else {
             slot.meta.size
         };
@@ -539,20 +535,29 @@ impl<E: EventSink> BaseVictimLlc<E> {
         way
     }
 
-    /// Emits the compression-outcome event for a freshly (re)compressed
-    /// line. No-op in untraced builds.
-    fn emit_compression(&mut self, set: usize, way: usize, data: &CacheLine, size: SegmentCount) {
-        if E::ENABLED {
-            let (_, class) = self.compressor.classified_size(data);
-            self.engine.emit(CacheEvent::new(
-                set,
-                way,
-                EventKind::Compression {
-                    encoder: class.map_or(u8::MAX, |c| c as u8),
-                    size: size.get(),
-                },
-            ));
-        }
+    /// The miss path of demand and prefetch fills: sizes the line from
+    /// memory once and installs it. Its compression and fill events
+    /// follow those of the displacement it caused.
+    fn fill_from_memory(
+        &mut self,
+        addr: LineAddr,
+        data: CacheLine,
+        inner: &mut dyn InclusionAgent,
+        fetch: Fetch,
+    ) -> OpOutcome {
+        let mut effects = Effects::default();
+        let set = self.geom.set_index(addr.get());
+        let tag = self.geom.tag(addr.get());
+        let sizing = self.sizer.size(&data);
+        let line = MovingLine {
+            tag,
+            data,
+            size: sizing.size,
+            dirty: false,
+        };
+        let way = self.install_base(set, line, inner, &mut effects);
+        fetch.emit(&mut self.engine, set, way, tag, sizing, sizing.size);
+        fetch.finish(&mut self.engine, effects)
     }
 
     /// Addresses currently resident in the Baseline cache only. The
@@ -652,34 +657,17 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         if let Some((set, way)) = self.find_base(addr) {
             // Write hit to the Baseline cache (Section IV.B.5): recompress;
             // if the line grew past its partner's space, silently evict the
-            // partner, even if it was the victim set's MRU line. A writeback
-            // carrying unchanged data (clean eviction from the inner level)
-            // reuses the size cached in the tag slot — the compressed size is
-            // a pure function of the data, so it only needs recomputing on an
-            // actual data write.
-            let new_size = if self.base_data.holds(set, way, &data) {
-                self.engine.slot(set, way).meta.size
-            } else {
-                self.encoders.record(self.compressor.as_ref(), &data)
-            };
-            self.compression.record(new_size);
+            // partner, even if it was the victim set's MRU line.
+            let unchanged = self.base_data.holds(set, way, &data);
+            let cached = self.engine.slot(set, way).meta.size;
+            let new_size = self.sizer.resize(unchanged, cached, &data);
             self.base_data.put(set, way, &data);
             let meta = &mut self.engine.slot_mut(set, way).meta;
             meta.dirty = true;
             meta.size = new_size;
-            if E::ENABLED {
-                let tag = self.geom.tag(addr.get());
-                self.engine.emit(CacheEvent::new(
-                    set,
-                    way,
-                    EventKind::Writeback {
-                        tag,
-                        size: new_size.get(),
-                    },
-                ));
-            }
+            let tag = self.geom.tag(addr.get());
+            write_hit(&mut self.engine, set, way, tag, new_size);
             self.enforce_pairing(set, way, new_size, &mut effects);
-            self.engine.stats_mut().writeback_hits += 1;
             self.engine.absorb(effects);
             return OpOutcome { effects };
         }
@@ -698,15 +686,9 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
                     // written data before promotion.
                     let promoted = self.take_victim(set, vway);
                     effects.migrations += 1;
-                    // Same invariant as the base write hit: only recompress
-                    // when the written data actually differs from the copy
-                    // the victim slot already holds.
-                    let new_size = if promoted.data == data {
-                        promoted.size
-                    } else {
-                        self.encoders.record(self.compressor.as_ref(), &data)
-                    };
-                    self.compression.record(new_size);
+                    let new_size = self
+                        .sizer
+                        .resize(promoted.data == data, promoted.size, &data);
                     let written = MovingLine {
                         tag: promoted.tag,
                         data,
@@ -725,12 +707,10 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             // LLC earlier but the L2 still held it.
             let set = self.geom.set_index(addr.get());
             let tag = self.geom.tag(addr.get());
-            let size = self.encoders.record(self.compressor.as_ref(), &data);
-            self.compression.record(size);
             let line = MovingLine {
                 tag,
                 data,
-                size,
+                size: self.sizer.size(&data).size,
                 dirty: true,
             };
             self.install_base(set, line, inner, &mut effects);
@@ -738,16 +718,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             self.engine.absorb(effects);
             return OpOutcome { effects };
         }
-        // Impossible under strict inclusion; forward to memory.
-        debug_assert!(false, "L2 writeback to non-resident LLC line {addr:?}");
-        self.engine.stats_mut().writeback_misses += 1;
-        self.engine.stats_mut().memory_writes += 1;
-        OpOutcome {
-            effects: Effects {
-                memory_writes: 1,
-                ..Effects::default()
-            },
-        }
+        writeback_miss(&mut self.engine, addr)
     }
 
     fn fill(
@@ -757,32 +728,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
         debug_assert!(!self.contains(addr), "fill of resident line {addr:?}");
-        let mut effects = Effects::default();
-        let set = self.geom.set_index(addr.get());
-        let tag = self.geom.tag(addr.get());
-        let size = self.encoders.record(self.compressor.as_ref(), &data);
-        self.compression.record(size);
-        let line = MovingLine {
-            tag,
-            data,
-            size,
-            dirty: false,
-        };
-        let way = self.install_base(set, line, inner, &mut effects);
-        if E::ENABLED {
-            self.emit_compression(set, way, &data, size);
-            self.engine.emit(CacheEvent::new(
-                set,
-                way,
-                EventKind::Fill {
-                    tag,
-                    size: size.get(),
-                },
-            ));
-        }
-        self.engine.stats_mut().demand_fills += 1;
-        self.engine.absorb(effects);
-        OpOutcome { effects }
+        self.fill_from_memory(addr, data, inner, Fetch::Demand)
     }
 
     fn prefetch_fill(
@@ -791,8 +737,8 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> Option<OpOutcome> {
-        if self.find_base(addr).is_some() {
-            self.engine.stats_mut().prefetch_hits += 1;
+        let resident = self.find_base(addr).is_some();
+        if !prefetch_miss(&mut self.engine, resident) {
             return None;
         }
         if let Some((set, vway)) = self.find_victim(addr) {
@@ -809,32 +755,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             self.engine.absorb(effects);
             return Some(OpOutcome { effects });
         }
-        let mut effects = Effects::default();
-        let set = self.geom.set_index(addr.get());
-        let tag = self.geom.tag(addr.get());
-        let size = self.encoders.record(self.compressor.as_ref(), &data);
-        self.compression.record(size);
-        let line = MovingLine {
-            tag,
-            data,
-            size,
-            dirty: false,
-        };
-        let way = self.install_base(set, line, inner, &mut effects);
-        if E::ENABLED {
-            self.emit_compression(set, way, &data, size);
-            self.engine.emit(CacheEvent::new(
-                set,
-                way,
-                EventKind::PrefetchFill {
-                    tag,
-                    size: size.get(),
-                },
-            ));
-        }
-        self.engine.stats_mut().prefetch_fills += 1;
-        self.engine.absorb(effects);
-        Some(OpOutcome { effects })
+        Some(self.fill_from_memory(addr, data, inner, Fetch::Prefetch))
     }
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
@@ -859,7 +780,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     }
 
     fn compression_stats(&self) -> &CompressionStats {
-        &self.compression
+        self.sizer.stats()
     }
 
     fn tag_latency_penalty(&self) -> u32 {
@@ -867,7 +788,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     }
 
     fn decompression_latency(&self, size: SegmentCount) -> u32 {
-        self.compressor.decompression_latency(size, 2)
+        self.sizer.compressor().decompression_latency(size, 2)
     }
 
     fn resident_lines(&self) -> Vec<LineAddr> {
@@ -928,7 +849,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-        self.encoders.counts(self.compressor.as_ref())
+        self.sizer.encoder_counts()
     }
 
     fn drain_events(&mut self) -> Vec<CacheEvent> {

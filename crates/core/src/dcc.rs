@@ -15,11 +15,14 @@
 //! replacement that can evict several useful lines at once, and tag reach
 //! wasted on sparse super-blocks).
 
-use crate::slot::{LinePayloads, Occupancy};
+use crate::slot::{
+    prefetch_miss, write_hit, writeback_miss, CapacitySampler, Fetch, LinePayloads, Occupancy,
+    Sizer,
+};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::{SetEngine, SlotMeta};
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
-use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
+use bv_compress::{CacheLine, CompressionStats, Compressor, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 
 /// Lines per super-block (DCC uses 4).
@@ -109,14 +112,12 @@ pub struct DccLlc<E: EventSink = NoEventSink> {
     /// Member line data; member `m` of tag slot `t` is slot
     /// `t * 4 + m` of its set.
     payloads: LinePayloads,
-    compression: CompressionStats,
-    bdi: Bdi,
-    encoders: EncoderStats,
+    sizer: Sizer,
     /// Evictions that removed more than one valid line (DCC's coarse
     /// replacement drawback).
     multi_line_evictions: u64,
-    resident_samples: u64,
-    resident_total: u64,
+    /// Resident lines of the filled set, sampled at every fill.
+    capacity: CapacitySampler,
 }
 
 impl DccLlc {
@@ -142,12 +143,9 @@ impl<E: EventSink> DccLlc<E> {
             engine: SetEngine::with_sink(geom.sets(), tags, policy, sink),
             occupancy: vec![Occupancy::default(); geom.sets()],
             payloads: LinePayloads::new(geom.sets(), tags * SUPER_BLOCK_LINES),
-            compression: CompressionStats::default(),
-            bdi: Bdi::new(),
-            encoders: EncoderStats::new(),
+            sizer: Sizer::bdi(),
             multi_line_evictions: 0,
-            resident_samples: 0,
-            resident_total: 0,
+            capacity: CapacitySampler::default(),
         }
     }
 
@@ -310,13 +308,13 @@ impl<E: EventSink> DccLlc<E> {
         addr: LineAddr,
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
-        prefetch: bool,
-    ) -> Effects {
+        fetch: Fetch,
+    ) -> OpOutcome {
         debug_assert!(!self.contains(addr), "fill of resident line");
         let mut effects = Effects::default();
         let (set, tag, member) = self.locate_super(addr);
-        let size = self.encoders.record(&self.bdi, &data);
-        self.compression.record(size);
+        let sizing = self.sizer.size(&data);
+        let size = sizing.size;
         let needed = sub_blocks(size);
 
         // An existing super-block for this neighbor group is "home".
@@ -330,29 +328,7 @@ impl<E: EventSink> DccLlc<E> {
                 .first_invalid(set)
                 .expect("make_room guarantees a free tag")
         });
-        if E::ENABLED {
-            let (_, class) = self.bdi.classified_size(&data);
-            self.engine.emit(CacheEvent::new(
-                set,
-                t,
-                EventKind::Compression {
-                    encoder: class.map_or(u8::MAX, |c| c as u8),
-                    size: size.get(),
-                },
-            ));
-            let kind = if prefetch {
-                EventKind::PrefetchFill {
-                    tag,
-                    size: size.get(),
-                }
-            } else {
-                EventKind::Fill {
-                    tag,
-                    size: size.get(),
-                }
-            };
-            self.engine.emit(CacheEvent::new(set, t, kind));
-        }
+        fetch.emit(&mut self.engine, set, t, tag, sizing, size);
         let mut meta = *self.engine.slot(set, t).meta;
         meta.lines[member] = Member {
             valid: true,
@@ -363,10 +339,8 @@ impl<E: EventSink> DccLlc<E> {
         self.payloads
             .put(set, t * SUPER_BLOCK_LINES + member, &data);
         self.occupancy[set].add(needed);
-
-        self.resident_samples += 1;
-        self.resident_total += u64::from(self.occupancy[set].lines);
-        effects
+        self.capacity.sample(self.occupancy[set]);
+        fetch.finish(&mut self.engine, effects)
     }
 
     /// Evictions that removed more than one valid line at once.
@@ -377,18 +351,14 @@ impl<E: EventSink> DccLlc<E> {
 
     /// Clears the capacity accumulators (for steady-state measurement).
     pub fn reset_capacity_samples(&mut self) {
-        self.resident_samples = 0;
-        self.resident_total = 0;
+        self.capacity = CapacitySampler::default();
     }
 
     /// Average resident lines per set over the physical way count (1.0 =
     /// no benefit; DCC approaches ~1.8x on compressible spatial data).
     #[must_use]
     pub fn effective_capacity_ratio(&self) -> f64 {
-        if self.resident_samples == 0 {
-            return 1.0;
-        }
-        self.resident_total as f64 / self.resident_samples as f64 / self.geom.ways() as f64
+        self.capacity.ratio(self.geom.ways())
     }
 }
 
@@ -432,55 +402,32 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
+        let Some((set, t, m)) = self
+            .find(addr)
+            .filter(|&(set, t, m)| self.engine.slot(set, t).meta.lines[m].valid)
+        else {
+            return writeback_miss(&mut self.engine, addr);
+        };
         let mut effects = Effects::default();
-        if let Some((set, t, m)) = self.find(addr) {
-            if self.engine.slot(set, t).meta.lines[m].valid {
-                // Unchanged data (clean writeback) reuses the size cached in
-                // the tag slot; only a real data write pays recompression.
-                let slot = t * SUPER_BLOCK_LINES + m;
-                let old = self.engine.slot(set, t).meta.lines[m].size;
-                let new_size = if self.payloads.holds(set, slot, &data) {
-                    old
-                } else {
-                    self.encoders.record(&self.bdi, &data)
-                };
-                self.compression.record(new_size);
-                if new_size > old {
-                    let delta = sub_blocks(new_size) - sub_blocks(old);
-                    if self.free_sub_blocks(set) < delta {
-                        self.make_room(set, delta, Some(t), Some(m), inner, &mut effects);
-                    }
-                }
-                if E::ENABLED {
-                    let (_, sb_tag, _) = self.locate_super(addr);
-                    self.engine.emit(CacheEvent::new(
-                        set,
-                        t,
-                        EventKind::Writeback {
-                            tag: sb_tag,
-                            size: new_size.get(),
-                        },
-                    ));
-                }
-                self.payloads.put(set, slot, &data);
-                let line = &mut self.engine.slot_mut(set, t).meta.lines[m];
-                line.dirty = true;
-                line.size = new_size;
-                self.occupancy[set].resize(sub_blocks(old), sub_blocks(new_size));
-                self.engine.stats_mut().writeback_hits += 1;
-                self.engine.absorb(effects);
-                return OpOutcome { effects };
+        let slot = t * SUPER_BLOCK_LINES + m;
+        let old = self.engine.slot(set, t).meta.lines[m].size;
+        let unchanged = self.payloads.holds(set, slot, &data);
+        let new_size = self.sizer.resize(unchanged, old, &data);
+        if new_size > old {
+            let delta = sub_blocks(new_size) - sub_blocks(old);
+            if self.free_sub_blocks(set) < delta {
+                self.make_room(set, delta, Some(t), Some(m), inner, &mut effects);
             }
         }
-        debug_assert!(false, "L2 writeback to non-resident DCC line {addr:?}");
-        self.engine.stats_mut().writeback_misses += 1;
-        self.engine.stats_mut().memory_writes += 1;
-        OpOutcome {
-            effects: Effects {
-                memory_writes: 1,
-                ..Effects::default()
-            },
-        }
+        let (_, sb_tag, _) = self.locate_super(addr);
+        write_hit(&mut self.engine, set, t, sb_tag, new_size);
+        self.payloads.put(set, slot, &data);
+        let line = &mut self.engine.slot_mut(set, t).meta.lines[m];
+        line.dirty = true;
+        line.size = new_size;
+        self.occupancy[set].resize(sub_blocks(old), sub_blocks(new_size));
+        self.engine.absorb(effects);
+        OpOutcome { effects }
     }
 
     fn fill(
@@ -489,10 +436,7 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
-        let effects = self.install(addr, data, inner, false);
-        self.engine.stats_mut().demand_fills += 1;
-        self.engine.absorb(effects);
-        OpOutcome { effects }
+        self.install(addr, data, inner, Fetch::Demand)
     }
 
     fn prefetch_fill(
@@ -501,14 +445,9 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> Option<OpOutcome> {
-        if self.contains(addr) {
-            self.engine.stats_mut().prefetch_hits += 1;
-            return None;
-        }
-        let effects = self.install(addr, data, inner, true);
-        self.engine.stats_mut().prefetch_fills += 1;
-        self.engine.absorb(effects);
-        Some(OpOutcome { effects })
+        let resident = self.contains(addr);
+        prefetch_miss(&mut self.engine, resident)
+            .then(|| self.install(addr, data, inner, Fetch::Prefetch))
     }
 
     fn stats(&self) -> &LlcStats {
@@ -516,7 +455,7 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
     }
 
     fn compression_stats(&self) -> &CompressionStats {
-        &self.compression
+        self.sizer.stats()
     }
 
     fn tag_latency_penalty(&self) -> u32 {
@@ -526,7 +465,7 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
     }
 
     fn decompression_latency(&self, size: SegmentCount) -> u32 {
-        self.bdi.decompression_latency(size, 2)
+        self.sizer.compressor().decompression_latency(size, 2)
     }
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
@@ -562,7 +501,7 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-        self.encoders.counts(&self.bdi)
+        self.sizer.encoder_counts()
     }
 
     fn drain_events(&mut self) -> Vec<CacheEvent> {

@@ -1,10 +1,22 @@
-//! Per-line state shared by the LLC organizations: the hot tag-slot
-//! metadata the set scans read, the cold payload array they never touch,
-//! and the per-set occupancy counters that replace whole-set rescans.
+//! State and bookkeeping shared by the LLC organizations: the hot
+//! tag-slot metadata the set scans read, the cold payload array they
+//! never touch, the per-set occupancy counters that replace whole-set
+//! rescans, and the sizing and fill core.
+//!
+//! The core is what every organization does around its own decisions:
+//! a [`Sizer`] compresses each line once and keeps both tallies, and
+//! [`Fetch`], [`prefetch_miss`], [`write_hit`] and [`writeback_miss`]
+//! emit the install and writeback events and count fills, prefetch hits
+//! and writebacks. Slot choice, eviction, pairing, victim insertion and
+//! re-compaction stay in the organization files.
 
-use bv_cache::engine::SlotMeta;
+use crate::{Effects, OpOutcome};
+use bv_cache::engine::{SetEngine, SlotMeta};
 use bv_cache::{CacheGeometry, LineAddr};
-use bv_compress::{CacheLine, SegmentCount, CACHE_LINE_BYTES};
+use bv_compress::{
+    Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, CACHE_LINE_BYTES,
+};
+use bv_events::{CacheEvent, EventKind, EventSink};
 
 /// Per-line metadata stored in a [`SetEngine`](bv_cache::engine::SetEngine)
 /// slot: dirty bit and compressed size. The engine owns validity and the
@@ -101,6 +113,213 @@ impl Occupancy {
     pub fn resize(&mut self, old: usize, new: usize) {
         self.units = self.units + new as u32 - old as u32;
     }
+}
+
+/// Samples a set's resident lines at every fill: the effective-capacity
+/// ratio of the decoupled organizations (VSC, DCC).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CapacitySampler {
+    samples: u64,
+    total: u64,
+}
+
+impl CapacitySampler {
+    /// Records the occupancy of the set a line was just installed in.
+    pub fn sample(&mut self, set: Occupancy) {
+        self.samples += 1;
+        self.total += u64::from(set.lines);
+    }
+
+    /// Average resident lines per set over `ways` physical ways; 1.0
+    /// before any sample.
+    pub fn ratio(&self, ways: usize) -> f64 {
+        if self.samples == 0 {
+            return 1.0;
+        }
+        self.total as f64 / self.samples as f64 / ways as f64
+    }
+}
+
+/// A line's compressed size and the encoder class that produced it
+/// (`u8::MAX` when the algorithm exposes no classes), from one pass.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sizing {
+    pub size: SegmentCount,
+    pub encoder: u8,
+}
+
+/// One organization's compressor with the two tallies its sized lines
+/// feed: the encoder classes selected and the compressed-size
+/// distribution. The four BDI organizations call BDI statically;
+/// Base-Victim's `Sizer<dyn Compressor>` takes any algorithm for the
+/// compressor ablation.
+#[derive(Debug)]
+pub(crate) struct Sizer<C: Compressor + ?Sized = Bdi> {
+    compressor: Box<C>,
+    encoders: EncoderStats,
+    compression: CompressionStats,
+}
+
+impl Sizer {
+    /// A BDI sizer with empty tallies.
+    pub fn bdi() -> Sizer {
+        Sizer::new(Box::new(Bdi::new()))
+    }
+}
+
+impl<C: Compressor + ?Sized> Sizer<C> {
+    /// A sizer over `compressor` with empty tallies.
+    pub fn new(compressor: Box<C>) -> Sizer<C> {
+        Sizer {
+            compressor,
+            encoders: EncoderStats::new(),
+            compression: CompressionStats::default(),
+        }
+    }
+
+    /// The compressor, for its name and decompression latency.
+    pub fn compressor(&self) -> &C {
+        &self.compressor
+    }
+
+    /// The distribution of sizes recorded at fill and writeback time.
+    pub fn stats(&self) -> &CompressionStats {
+        &self.compression
+    }
+
+    /// Per-encoding selection counts.
+    pub fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
+        self.encoders.counts(self.compressor())
+    }
+
+    /// Sizes an incoming line in one compressor pass and records both
+    /// tallies; the encoder class is there for the compression event.
+    pub fn size(&mut self, data: &CacheLine) -> Sizing {
+        let (size, class) = self.encoders.record(&*self.compressor, data);
+        self.compression.record(size);
+        Sizing {
+            size,
+            encoder: class.map_or(u8::MAX, |c| c as u8),
+        }
+    }
+
+    /// Sizes data written over a resident line whose size is `cached`.
+    /// Unchanged data (a clean writeback) keeps `cached` without calling
+    /// the compressor: the size is a pure function of the data. Records
+    /// the size distribution either way.
+    pub fn resize(
+        &mut self,
+        unchanged: bool,
+        cached: SegmentCount,
+        data: &CacheLine,
+    ) -> SegmentCount {
+        let size = if unchanged { cached } else { self.encode(data) };
+        self.compression.record(size);
+        size
+    }
+
+    /// Sizes a line, recording only its encoder class (a displaced line
+    /// that picked up fresher inner data).
+    pub fn encode(&mut self, data: &CacheLine) -> SegmentCount {
+        self.encoders.record(&*self.compressor, data).0
+    }
+}
+
+/// Why a line is installed from memory: a demand miss or a prefetch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Fetch {
+    Demand,
+    Prefetch,
+}
+
+impl Fetch {
+    /// Emits an install's two events at `(set, way)`: the compression
+    /// outcome, then the fill of `tag` holding `stored` segments (the
+    /// uncompressed organization stores every line full).
+    pub fn emit<S, E: EventSink>(
+        self,
+        engine: &mut SetEngine<S, E>,
+        set: usize,
+        way: usize,
+        tag: u64,
+        sizing: Sizing,
+        stored: SegmentCount,
+    ) {
+        if E::ENABLED {
+            let compression = EventKind::Compression {
+                encoder: sizing.encoder,
+                size: sizing.size.get(),
+            };
+            engine.emit(CacheEvent::new(set, way, compression));
+            let size = stored.get();
+            let fill = match self {
+                Fetch::Demand => EventKind::Fill { tag, size },
+                Fetch::Prefetch => EventKind::PrefetchFill { tag, size },
+            };
+            engine.emit(CacheEvent::new(set, way, fill));
+        }
+    }
+
+    /// Counts a finished install and folds its side effects into the
+    /// engine's counters.
+    pub fn finish<S, E: EventSink>(
+        self,
+        engine: &mut SetEngine<S, E>,
+        effects: Effects,
+    ) -> OpOutcome {
+        let stats = engine.stats_mut();
+        match self {
+            Fetch::Demand => stats.demand_fills += 1,
+            Fetch::Prefetch => stats.prefetch_fills += 1,
+        }
+        engine.absorb(effects);
+        OpOutcome { effects }
+    }
+}
+
+/// Whether a prefetch must install its line: a `resident` line counts a
+/// prefetch hit instead.
+pub(crate) fn prefetch_miss<S, E: EventSink>(engine: &mut SetEngine<S, E>, resident: bool) -> bool {
+    if resident {
+        engine.stats_mut().prefetch_hits += 1;
+    }
+    !resident
+}
+
+/// Counts a writeback that hit `(set, way)` and emits its event: `tag`
+/// now holds dirty data of `size`.
+pub(crate) fn write_hit<S, E: EventSink>(
+    engine: &mut SetEngine<S, E>,
+    set: usize,
+    way: usize,
+    tag: u64,
+    size: SegmentCount,
+) {
+    engine.stats_mut().writeback_hits += 1;
+    if E::ENABLED {
+        let size = size.get();
+        engine.emit(CacheEvent::new(
+            set,
+            way,
+            EventKind::Writeback { tag, size },
+        ));
+    }
+}
+
+/// A writeback to a line the LLC does not hold, impossible under strict
+/// inclusion: the data goes straight to memory.
+pub(crate) fn writeback_miss<S, E: EventSink>(
+    engine: &mut SetEngine<S, E>,
+    addr: LineAddr,
+) -> OpOutcome {
+    debug_assert!(false, "L2 writeback to non-resident LLC line {addr:?}");
+    let effects = Effects {
+        memory_writes: 1,
+        ..Effects::default()
+    };
+    engine.stats_mut().writeback_misses += 1;
+    engine.absorb(effects);
+    OpOutcome { effects }
 }
 
 #[cfg(test)]

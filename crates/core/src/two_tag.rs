@@ -18,14 +18,14 @@
 //!   fallback. This helps compressible workloads but still breaks the
 //!   replacement order, leaving large negative outliers.
 
-use crate::slot::{line_addr, LineMeta, LinePayloads};
+use crate::slot::{
+    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
+};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
-use bv_compress::{
-    Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
-};
-use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
+use bv_compress::{CacheLine, CompressionStats, Compressor, SegmentCount, SEGMENTS_PER_LINE};
+use bv_events::{CacheEvent, EventSink, EvictCause, NoEventSink};
 
 /// How a two-tag organization picks its eviction when no free slot fits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -67,9 +67,7 @@ pub struct TwoTagLlc<E: EventSink = NoEventSink> {
     /// Line data, indexed like the engine's logical slots.
     payloads: LinePayloads,
     flavor: TwoTagFlavor,
-    compression: CompressionStats,
-    bdi: Bdi,
-    encoders: EncoderStats,
+    sizer: Sizer,
 }
 
 impl TwoTagLlc {
@@ -101,9 +99,7 @@ impl<E: EventSink> TwoTagLlc<E> {
             engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
             payloads: LinePayloads::new(geom.sets(), slots),
             flavor,
-            compression: CompressionStats::default(),
-            bdi: Bdi::new(),
-            encoders: EncoderStats::new(),
+            sizer: Sizer::bdi(),
         }
     }
 
@@ -174,14 +170,14 @@ impl<E: EventSink> TwoTagLlc<E> {
         addr: LineAddr,
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
-        prefetch: bool,
-    ) -> Effects {
+        fetch: Fetch,
+    ) -> OpOutcome {
         debug_assert!(self.find(addr).is_none(), "fill of resident line");
         let mut effects = Effects::default();
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        let size = self.encoders.record(&self.bdi, &data);
-        self.compression.record(size);
+        let sizing = self.sizer.size(&data);
+        let size = sizing.size;
 
         // Warmup path: an invalid logical slot whose partner leaves room.
         let target = (0..self.engine.ways())
@@ -205,84 +201,11 @@ impl<E: EventSink> TwoTagLlc<E> {
             v
         };
 
-        if E::ENABLED {
-            let (_, class) = self.bdi.classified_size(&data);
-            self.engine.emit(CacheEvent::new(
-                set,
-                l,
-                EventKind::Compression {
-                    encoder: class.map_or(u8::MAX, |c| c as u8),
-                    size: size.get(),
-                },
-            ));
-            let kind = if prefetch {
-                EventKind::PrefetchFill {
-                    tag,
-                    size: size.get(),
-                }
-            } else {
-                EventKind::Fill {
-                    tag,
-                    size: size.get(),
-                }
-            };
-            self.engine.emit(CacheEvent::new(set, l, kind));
-        }
-
+        fetch.emit(&mut self.engine, set, l, tag, sizing, size);
         let meta = LineMeta { dirty: false, size };
         self.engine.install(set, l, tag, meta, size);
         self.payloads.put(set, l, &data);
-        effects
-    }
-
-    fn do_writeback(
-        &mut self,
-        addr: LineAddr,
-        data: CacheLine,
-        inner: &mut dyn InclusionAgent,
-    ) -> Effects {
-        let mut effects = Effects::default();
-        match self.find(addr) {
-            Some((set, l)) => {
-                // Unchanged data (clean writeback) reuses the size cached in
-                // the tag slot; only a real data write pays recompression.
-                let new_size = if self.payloads.holds(set, l, &data) {
-                    self.engine.slot(set, l).meta.size
-                } else {
-                    self.encoders.record(&self.bdi, &data)
-                };
-                self.compression.record(new_size);
-                self.payloads.put(set, l, &data);
-                let meta = &mut self.engine.slot_mut(set, l).meta;
-                meta.dirty = true;
-                meta.size = new_size;
-                if E::ENABLED {
-                    let tag = self.geom.tag(addr.get());
-                    self.engine.emit(CacheEvent::new(
-                        set,
-                        l,
-                        EventKind::Writeback {
-                            tag,
-                            size: new_size.get(),
-                        },
-                    ));
-                }
-                // If the line grew past its partner's space, the partner
-                // must be evicted (with a writeback if dirty).
-                let partner = self.engine.slot(set, l ^ 1);
-                if partner.valid && !new_size.fits_with(partner.meta.size) {
-                    self.evict_slot(set, l ^ 1, inner, &mut effects, EvictCause::SizePressure);
-                    effects.partner_evictions += 1;
-                }
-                self.engine.stats_mut().writeback_hits += 1;
-            }
-            None => {
-                debug_assert!(false, "L2 writeback to non-resident LLC line {addr:?}");
-                self.engine.stats_mut().writeback_misses += 1;
-                effects.memory_writes += 1;
-            }
-        }
-        effects
+        fetch.finish(&mut self.engine, effects)
     }
 }
 
@@ -329,7 +252,27 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
-        let effects = self.do_writeback(addr, data, inner);
+        let Some((set, l)) = self.find(addr) else {
+            return writeback_miss(&mut self.engine, addr);
+        };
+        let unchanged = self.payloads.holds(set, l, &data);
+        let new_size = self
+            .sizer
+            .resize(unchanged, self.engine.slot(set, l).meta.size, &data);
+        self.payloads.put(set, l, &data);
+        let meta = &mut self.engine.slot_mut(set, l).meta;
+        meta.dirty = true;
+        meta.size = new_size;
+        let tag = self.geom.tag(addr.get());
+        write_hit(&mut self.engine, set, l, tag, new_size);
+        // If the line grew past its partner's space, the partner must be
+        // evicted (with a writeback if dirty).
+        let mut effects = Effects::default();
+        let partner = self.engine.slot(set, l ^ 1);
+        if partner.valid && !new_size.fits_with(partner.meta.size) {
+            self.evict_slot(set, l ^ 1, inner, &mut effects, EvictCause::SizePressure);
+            effects.partner_evictions += 1;
+        }
         self.engine.absorb(effects);
         OpOutcome { effects }
     }
@@ -340,10 +283,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
-        let effects = self.install(addr, data, inner, false);
-        self.engine.stats_mut().demand_fills += 1;
-        self.engine.absorb(effects);
-        OpOutcome { effects }
+        self.install(addr, data, inner, Fetch::Demand)
     }
 
     fn prefetch_fill(
@@ -352,14 +292,9 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> Option<OpOutcome> {
-        if self.contains(addr) {
-            self.engine.stats_mut().prefetch_hits += 1;
-            return None;
-        }
-        let effects = self.install(addr, data, inner, true);
-        self.engine.stats_mut().prefetch_fills += 1;
-        self.engine.absorb(effects);
-        Some(OpOutcome { effects })
+        let resident = self.contains(addr);
+        prefetch_miss(&mut self.engine, resident)
+            .then(|| self.install(addr, data, inner, Fetch::Prefetch))
     }
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
@@ -378,7 +313,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
     }
 
     fn compression_stats(&self) -> &CompressionStats {
-        &self.compression
+        self.sizer.stats()
     }
 
     fn tag_latency_penalty(&self) -> u32 {
@@ -386,7 +321,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
     }
 
     fn decompression_latency(&self, size: SegmentCount) -> u32 {
-        self.bdi.decompression_latency(size, 2)
+        self.sizer.compressor().decompression_latency(size, 2)
     }
 
     fn resident_lines(&self) -> Vec<LineAddr> {
@@ -415,7 +350,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-        self.encoders.counts(&self.bdi)
+        self.sizer.encoder_counts()
     }
 
     fn drain_events(&mut self) -> Vec<CacheEvent> {

@@ -1,10 +1,12 @@
 //! The uncompressed baseline LLC every experiment normalizes against.
 
-use crate::slot::{line_addr, LineMeta, LinePayloads};
+use crate::slot::{
+    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
+};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
-use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
+use bv_compress::{CacheLine, CompressionStats, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 
 /// An ordinary inclusive LLC: one tag per physical way, no compression.
@@ -32,9 +34,7 @@ pub struct UncompressedLlc<E: EventSink = NoEventSink> {
     engine: SetEngine<LineMeta, E>,
     /// Line data, indexed like the engine's slots.
     payloads: LinePayloads,
-    compression: CompressionStats,
-    bdi: Bdi,
-    encoders: EncoderStats,
+    sizer: Sizer,
 }
 
 impl UncompressedLlc {
@@ -59,9 +59,7 @@ impl<E: EventSink> UncompressedLlc<E> {
             geom,
             engine: SetEngine::with_sink(geom.sets(), slots, policy, sink),
             payloads: LinePayloads::new(geom.sets(), slots),
-            compression: CompressionStats::default(),
-            bdi: Bdi::new(),
-            encoders: EncoderStats::new(),
+            sizer: Sizer::bdi(),
         }
     }
 
@@ -77,8 +75,8 @@ impl<E: EventSink> UncompressedLlc<E> {
         addr: LineAddr,
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
-        prefetch: bool,
-    ) -> Effects {
+        fetch: Fetch,
+    ) -> OpOutcome {
         debug_assert!(!self.contains(addr), "fill of resident line");
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
@@ -109,41 +107,16 @@ impl<E: EventSink> UncompressedLlc<E> {
         // Track compressibility of the access stream even though this
         // organization stores lines uncompressed (used to classify traces,
         // and fed to size-aware policies like CAMP as their predictor).
-        let compressed_size = self.encoders.record(&self.bdi, &data);
-        self.compression.record(compressed_size);
-
-        if E::ENABLED {
-            let (_, class) = self.bdi.classified_size(&data);
-            self.engine.emit(CacheEvent::new(
-                set,
-                way,
-                EventKind::Compression {
-                    encoder: class.map_or(u8::MAX, |c| c as u8),
-                    size: compressed_size.get(),
-                },
-            ));
-            let kind = if prefetch {
-                EventKind::PrefetchFill {
-                    tag,
-                    size: SegmentCount::FULL.get(),
-                }
-            } else {
-                EventKind::Fill {
-                    tag,
-                    size: SegmentCount::FULL.get(),
-                }
-            };
-            self.engine.emit(CacheEvent::new(set, way, kind));
-        }
-
+        let sizing = self.sizer.size(&data);
+        let stored = SegmentCount::FULL; // stored uncompressed
+        fetch.emit(&mut self.engine, set, way, tag, sizing, stored);
         let meta = LineMeta {
             dirty: false,
-            size: SegmentCount::FULL, // stored uncompressed
+            size: stored,
         };
-        self.engine.install(set, way, tag, meta, compressed_size);
+        self.engine.install(set, way, tag, meta, sizing.size);
         self.payloads.put(set, way, &data);
-        self.engine.absorb(effects);
-        effects
+        fetch.finish(&mut self.engine, effects)
     }
 }
 
@@ -189,32 +162,11 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
             Some((set, way)) => {
                 self.engine.slot_mut(set, way).meta.dirty = true;
                 self.payloads.put(set, way, &data);
-                self.engine.stats_mut().writeback_hits += 1;
-                if E::ENABLED {
-                    let tag = self.geom.tag(addr.get());
-                    self.engine.emit(CacheEvent::new(
-                        set,
-                        way,
-                        EventKind::Writeback {
-                            tag,
-                            size: SegmentCount::FULL.get(),
-                        },
-                    ));
-                }
+                let tag = self.geom.tag(addr.get());
+                write_hit(&mut self.engine, set, way, tag, SegmentCount::FULL);
                 OpOutcome::default()
             }
-            None => {
-                // Impossible under strict inclusion; forward to memory.
-                debug_assert!(false, "L2 writeback to non-resident LLC line {addr:?}");
-                self.engine.stats_mut().writeback_misses += 1;
-                self.engine.stats_mut().memory_writes += 1;
-                OpOutcome {
-                    effects: Effects {
-                        memory_writes: 1,
-                        ..Effects::default()
-                    },
-                }
-            }
+            None => writeback_miss(&mut self.engine, addr),
         }
     }
 
@@ -224,10 +176,7 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
-        self.engine.stats_mut().demand_fills += 1;
-        OpOutcome {
-            effects: self.install(addr, data, inner, false),
-        }
+        self.install(addr, data, inner, Fetch::Demand)
     }
 
     fn prefetch_fill(
@@ -236,14 +185,9 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> Option<OpOutcome> {
-        if self.contains(addr) {
-            self.engine.stats_mut().prefetch_hits += 1;
-            return None;
-        }
-        self.engine.stats_mut().prefetch_fills += 1;
-        Some(OpOutcome {
-            effects: self.install(addr, data, inner, true),
-        })
+        let resident = self.contains(addr);
+        prefetch_miss(&mut self.engine, resident)
+            .then(|| self.install(addr, data, inner, Fetch::Prefetch))
     }
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
@@ -262,7 +206,7 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
     }
 
     fn compression_stats(&self) -> &CompressionStats {
-        &self.compression
+        self.sizer.stats()
     }
 
     fn tag_latency_penalty(&self) -> u32 {
@@ -281,7 +225,7 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-        self.encoders.counts(&self.bdi)
+        self.sizer.encoder_counts()
     }
 
     fn drain_events(&mut self) -> Vec<CacheEvent> {

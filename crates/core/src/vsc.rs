@@ -10,14 +10,15 @@
 //! comparison: hit/miss behavior, capacity utilization, and the
 //! re-compaction overhead (VSC's first drawback).
 
-use crate::slot::{line_addr, LineMeta, LinePayloads, Occupancy};
+use crate::slot::{
+    line_addr, prefetch_miss, write_hit, writeback_miss, CapacitySampler, Fetch, LineMeta,
+    LinePayloads, Occupancy, Sizer,
+};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
-use bv_compress::{
-    Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, SEGMENTS_PER_LINE,
-};
-use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
+use bv_compress::{CacheLine, CompressionStats, Compressor, SegmentCount, SEGMENTS_PER_LINE};
+use bv_events::{CacheEvent, EventSink, EvictCause, NoEventSink};
 
 /// Functional VSC-2X: twice the tags, compacted variable-size data.
 ///
@@ -47,15 +48,12 @@ pub struct VscLlc<E: EventSink = NoEventSink> {
     occupancy: Vec<Occupancy>,
     /// Line data, indexed like the engine's logical slots.
     payloads: LinePayloads,
-    compression: CompressionStats,
-    bdi: Bdi,
-    encoders: EncoderStats,
+    sizer: Sizer,
     /// Set compaction events (any fill/growth that had to evict and
     /// repack).
     recompactions: u64,
-    /// Capacity sampling: sum of resident logical lines over all fills.
-    resident_samples: u64,
-    resident_total: u64,
+    /// Resident logical lines of the filled set, sampled at every fill.
+    capacity: CapacitySampler,
 }
 
 impl VscLlc {
@@ -81,12 +79,9 @@ impl<E: EventSink> VscLlc<E> {
             engine: SetEngine::with_sink(geom.sets(), logical, policy, sink),
             occupancy: vec![Occupancy::default(); geom.sets()],
             payloads: LinePayloads::new(geom.sets(), logical),
-            compression: CompressionStats::default(),
-            bdi: Bdi::new(),
-            encoders: EncoderStats::new(),
+            sizer: Sizer::bdi(),
             recompactions: 0,
-            resident_samples: 0,
-            resident_total: 0,
+            capacity: CapacitySampler::default(),
         }
     }
 
@@ -166,14 +161,14 @@ impl<E: EventSink> VscLlc<E> {
         addr: LineAddr,
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
-        prefetch: bool,
-    ) -> Effects {
+        fetch: Fetch,
+    ) -> OpOutcome {
         debug_assert!(self.find(addr).is_none(), "fill of resident line");
         let mut effects = Effects::default();
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        let size = self.encoders.record(&self.bdi, &data);
-        self.compression.record(size);
+        let sizing = self.sizer.size(&data);
+        let size = sizing.size;
 
         self.make_room(set, size.get() as usize, None, inner, &mut effects);
 
@@ -181,37 +176,13 @@ impl<E: EventSink> VscLlc<E> {
             .engine
             .first_invalid(set)
             .expect("make_room guarantees a free tag");
-        if E::ENABLED {
-            let (_, class) = self.bdi.classified_size(&data);
-            self.engine.emit(CacheEvent::new(
-                set,
-                l,
-                EventKind::Compression {
-                    encoder: class.map_or(u8::MAX, |c| c as u8),
-                    size: size.get(),
-                },
-            ));
-            let kind = if prefetch {
-                EventKind::PrefetchFill {
-                    tag,
-                    size: size.get(),
-                }
-            } else {
-                EventKind::Fill {
-                    tag,
-                    size: size.get(),
-                }
-            };
-            self.engine.emit(CacheEvent::new(set, l, kind));
-        }
+        fetch.emit(&mut self.engine, set, l, tag, sizing, size);
         let meta = LineMeta { dirty: false, size };
         self.engine.install(set, l, tag, meta, size);
         self.payloads.put(set, l, &data);
         self.occupancy[set].add(size.get() as usize);
-
-        self.resident_samples += 1;
-        self.resident_total += u64::from(self.occupancy[set].lines);
-        effects
+        self.capacity.sample(self.occupancy[set]);
+        fetch.finish(&mut self.engine, effects)
     }
 
     /// Total set-compaction events so far (VSC's read-modify-write
@@ -225,8 +196,7 @@ impl<E: EventSink> VscLlc<E> {
     /// so [`effective_capacity_ratio`](VscLlc::effective_capacity_ratio)
     /// measures steady state after a warmup drive.
     pub fn reset_capacity_samples(&mut self) {
-        self.resident_samples = 0;
-        self.resident_total = 0;
+        self.capacity = CapacitySampler::default();
     }
 
     /// Average resident logical lines per set, normalized to the physical
@@ -234,10 +204,7 @@ impl<E: EventSink> VscLlc<E> {
     /// "comes close to" 1.8 on compressible workloads.
     #[must_use]
     pub fn effective_capacity_ratio(&self) -> f64 {
-        if self.resident_samples == 0 {
-            return 1.0;
-        }
-        self.resident_total as f64 / self.resident_samples as f64 / self.geom.ways() as f64
+        self.capacity.ratio(self.geom.ways())
     }
 }
 
@@ -280,54 +247,32 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
+        let Some((set, l)) = self.find(addr) else {
+            return writeback_miss(&mut self.engine, addr);
+        };
         let mut effects = Effects::default();
-        match self.find(addr) {
-            Some((set, l)) => {
-                // Unchanged data (clean writeback) reuses the size cached in
-                // the tag slot; only a real data write pays recompression.
-                let old_size = self.engine.slot(set, l).meta.size;
-                let new_size = if self.payloads.holds(set, l, &data) {
-                    old_size
-                } else {
-                    self.encoders.record(&self.bdi, &data)
-                };
-                self.compression.record(new_size);
-                if new_size > old_size {
-                    // Growth: free the delta, evicting LRU lines if needed
-                    // (and re-compacting). The set's count still charges
-                    // the line its old size, so only the delta is missing.
-                    let delta = (new_size.get() - old_size.get()) as usize;
-                    if self.free_segments(set) < delta {
-                        self.make_room(set, delta, Some(l), inner, &mut effects);
-                    } else {
-                        // In-place growth still moves neighboring lines.
-                        self.recompactions += 1;
-                    }
-                }
-                self.payloads.put(set, l, &data);
-                let meta = &mut self.engine.slot_mut(set, l).meta;
-                meta.dirty = true;
-                meta.size = new_size;
-                self.occupancy[set].resize(old_size.get() as usize, new_size.get() as usize);
-                if E::ENABLED {
-                    let tag = self.geom.tag(addr.get());
-                    self.engine.emit(CacheEvent::new(
-                        set,
-                        l,
-                        EventKind::Writeback {
-                            tag,
-                            size: new_size.get(),
-                        },
-                    ));
-                }
-                self.engine.stats_mut().writeback_hits += 1;
-            }
-            None => {
-                debug_assert!(false, "L2 writeback to non-resident LLC line {addr:?}");
-                self.engine.stats_mut().writeback_misses += 1;
-                effects.memory_writes += 1;
+        let old_size = self.engine.slot(set, l).meta.size;
+        let unchanged = self.payloads.holds(set, l, &data);
+        let new_size = self.sizer.resize(unchanged, old_size, &data);
+        if new_size > old_size {
+            // Growth: free the delta, evicting LRU lines if needed (and
+            // re-compacting). The set's count still charges the line its
+            // old size, so only the delta is missing.
+            let delta = (new_size.get() - old_size.get()) as usize;
+            if self.free_segments(set) < delta {
+                self.make_room(set, delta, Some(l), inner, &mut effects);
+            } else {
+                // In-place growth still moves neighboring lines.
+                self.recompactions += 1;
             }
         }
+        self.payloads.put(set, l, &data);
+        let meta = &mut self.engine.slot_mut(set, l).meta;
+        meta.dirty = true;
+        meta.size = new_size;
+        self.occupancy[set].resize(old_size.get() as usize, new_size.get() as usize);
+        let tag = self.geom.tag(addr.get());
+        write_hit(&mut self.engine, set, l, tag, new_size);
         self.engine.absorb(effects);
         OpOutcome { effects }
     }
@@ -338,10 +283,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> OpOutcome {
-        let effects = self.install(addr, data, inner, false);
-        self.engine.stats_mut().demand_fills += 1;
-        self.engine.absorb(effects);
-        OpOutcome { effects }
+        self.install(addr, data, inner, Fetch::Demand)
     }
 
     fn prefetch_fill(
@@ -350,14 +292,9 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
         data: CacheLine,
         inner: &mut dyn InclusionAgent,
     ) -> Option<OpOutcome> {
-        if self.contains(addr) {
-            self.engine.stats_mut().prefetch_hits += 1;
-            return None;
-        }
-        let effects = self.install(addr, data, inner, true);
-        self.engine.stats_mut().prefetch_fills += 1;
-        self.engine.absorb(effects);
-        Some(OpOutcome { effects })
+        let resident = self.contains(addr);
+        prefetch_miss(&mut self.engine, resident)
+            .then(|| self.install(addr, data, inner, Fetch::Prefetch))
     }
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
@@ -376,7 +313,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
     }
 
     fn compression_stats(&self) -> &CompressionStats {
-        &self.compression
+        self.sizer.stats()
     }
 
     fn tag_latency_penalty(&self) -> u32 {
@@ -384,7 +321,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
     }
 
     fn decompression_latency(&self, size: SegmentCount) -> u32 {
-        self.bdi.decompression_latency(size, 2)
+        self.sizer.compressor().decompression_latency(size, 2)
     }
 
     fn resident_lines(&self) -> Vec<LineAddr> {
@@ -411,7 +348,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
     }
 
     fn encoder_counts(&self) -> Vec<(&'static str, u64)> {
-        self.encoders.counts(&self.bdi)
+        self.sizer.encoder_counts()
     }
 
     fn drain_events(&mut self) -> Vec<CacheEvent> {

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use bv_cache::LineAddr;
 use bv_compress::{Bdi, CacheLine, Compressed, Compressor, SegmentCount};
 use bv_core::{BaseVictimLlc, InclusionMode, LlcOrganization, NoInner, VictimPolicyKind};
-use bv_events::NoEventSink;
+use bv_events::{EventSink, NoEventSink, RingSink};
 use bv_testkit::fixtures;
 
 /// Wraps BDI and counts how many times the cache asks for a compression
@@ -58,6 +58,13 @@ impl Compressor for CountingCompressor {
 }
 
 fn counting_llc(mode: InclusionMode) -> (BaseVictimLlc, Rc<Cell<u64>>) {
+    counting_llc_with(mode, NoEventSink)
+}
+
+fn counting_llc_with<E: EventSink>(
+    mode: InclusionMode,
+    sink: E,
+) -> (BaseVictimLlc<E>, Rc<Cell<u64>>) {
     let (compressor, size_calls, _) = CountingCompressor::new();
     let llc = BaseVictimLlc::with_sink(
         fixtures::toy_geometry(), // 4 sets x 4 ways toy cache
@@ -65,7 +72,7 @@ fn counting_llc(mode: InclusionMode) -> (BaseVictimLlc, Rc<Cell<u64>>) {
         VictimPolicyKind::EcmLargestBase,
         mode,
         Box::new(compressor),
-        NoEventSink,
+        sink,
     );
     (llc, size_calls)
 }
@@ -205,4 +212,27 @@ fn shrunken_writeback_updates_cached_size() {
         1,
         "the shrunken size must have been recorded"
     );
+}
+
+#[test]
+fn traced_installs_compress_once() {
+    // A traced install reports the encoder class in its compression
+    // event; that class must come from the same pass that sized the line.
+    let (mut llc, size_calls) = counting_llc_with(InclusionMode::Inclusive, RingSink::new(64));
+    let mut inner = NoInner;
+    llc.fill(addr(0, 0), small_line(), &mut inner);
+    assert_eq!(size_calls.get(), 1, "a traced demand fill compresses once");
+    llc.prefetch_fill(addr(0, 1), small_line(), &mut inner);
+    assert_eq!(
+        size_calls.get(),
+        2,
+        "a traced prefetch fill compresses once"
+    );
+    llc.writeback(addr(0, 0), full_line(), &mut inner);
+    assert_eq!(
+        size_calls.get(),
+        3,
+        "a changed-data writeback compresses once"
+    );
+    assert!(!llc.drain_events().is_empty(), "the run was traced");
 }

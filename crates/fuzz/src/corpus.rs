@@ -114,20 +114,8 @@ pub fn to_json(case: &FuzzCase) -> String {
     w.finish()
 }
 
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
 fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
-    usize::try_from(req_u64(v, key)?).map_err(|_| format!("field `{key}` is out of range"))
-}
-
-fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
+    usize::try_from(v.req_u64(key)?).map_err(|_| format!("field '{key}' out of range"))
 }
 
 /// Parses a reproducer back into a case.
@@ -138,12 +126,12 @@ fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
 /// mismatch, unknown name, or malformed token.
 pub fn from_json(text: &str) -> Result<FuzzCase, String> {
     let v = parse(text)?;
-    let schema = req_str(&v, "schema")?;
+    let schema = v.req_str("schema")?;
     if schema != SCHEMA {
         return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
     }
-    let seed = req_u64(&v, "seed")?;
-    let domain = Domain::from_name(req_str(&v, "domain")?)
+    let seed = v.req_u64("seed")?;
+    let domain = Domain::from_name(v.req_str("domain")?)
         .ok_or_else(|| "field `domain` must be `llc` or `kv`".to_string())?;
     let inject_at = match v.get("inject_at") {
         None => None,
@@ -157,24 +145,26 @@ pub fn from_json(text: &str) -> Result<FuzzCase, String> {
             let c = v
                 .get("llc")
                 .ok_or_else(|| "missing object `llc`".to_string())?;
-            let policy_name = req_str(c, "policy")?;
+            let policy_name = c.req_str("policy")?;
             let policy = PolicyKind::ALL
                 .into_iter()
                 .find(|p| p.name() == policy_name)
                 .ok_or_else(|| format!("unknown policy `{policy_name}`"))?;
-            let victim_name = req_str(c, "victim")?;
+            let victim_name = c.req_str("victim")?;
             let victim = VictimPolicyKind::ALL
                 .into_iter()
                 .find(|p| p.name() == victim_name)
                 .ok_or_else(|| format!("unknown victim policy `{victim_name}`"))?;
-            let palette = req_str(c, "palette")?
+            let palette = c
+                .req_str("palette")?
                 .split_whitespace()
                 .map(|s| profile_from_name(s).ok_or_else(|| format!("unknown profile `{s}`")))
                 .collect::<Result<Vec<_>, _>>()?;
             if palette.is_empty() {
                 return Err("field `palette` must name at least one profile".to_string());
             }
-            let ops = req_str(c, "ops")?
+            let ops = c
+                .req_str("ops")?
                 .split_whitespace()
                 .map(|tok| {
                     // `get`, not indexing: a multi-byte first char has no
@@ -214,7 +204,8 @@ pub fn from_json(text: &str) -> Result<FuzzCase, String> {
             let c = v
                 .get("kv")
                 .ok_or_else(|| "missing object `kv`".to_string())?;
-            let size_buckets = req_str(c, "size_buckets")?
+            let size_buckets = c
+                .req_str("size_buckets")?
                 .split_whitespace()
                 .map(|tok| {
                     tok.split_once('x')
@@ -222,7 +213,8 @@ pub fn from_json(text: &str) -> Result<FuzzCase, String> {
                         .ok_or_else(|| format!("malformed size bucket `{tok}`"))
                 })
                 .collect::<Result<Vec<(u32, u32)>, String>>()?;
-            let value_mix = req_str(c, "value_mix")?
+            let value_mix = c
+                .req_str("value_mix")?
                 .split_whitespace()
                 .map(|tok| {
                     tok.split_once(':')
@@ -236,17 +228,17 @@ pub fn from_json(text: &str) -> Result<FuzzCase, String> {
             CaseBody::Kv(KvCase {
                 profile: RequestProfile {
                     name: "fuzz",
-                    keys: req_u64(c, "keys")?.max(1),
-                    skew: req_u64(c, "skew_milli")? as f64 / 1000.0,
-                    get_ratio: req_u64(c, "get_ratio_milli")? as f64 / 1000.0,
-                    clients: req_u64(c, "clients")? as u32,
-                    phase_requests: req_u64(c, "phase_requests")?,
+                    keys: c.req_u64("keys")?.max(1),
+                    skew: c.req_u64("skew_milli")? as f64 / 1000.0,
+                    get_ratio: c.req_u64("get_ratio_milli")? as f64 / 1000.0,
+                    clients: c.req_u64("clients")? as u32,
+                    phase_requests: c.req_u64("phase_requests")?,
                     size_buckets,
                     value_mix,
                 },
-                budget: req_u64(c, "budget")?,
-                requests: req_u64(c, "requests")?,
-                stream_seed: req_u64(c, "stream_seed")?,
+                budget: c.req_u64("budget")?,
+                requests: c.req_u64("requests")?,
+                stream_seed: c.req_u64("stream_seed")?,
             })
         }
     };

@@ -256,21 +256,20 @@ impl Request {
     /// problem.
     pub fn parse_line(line: &str) -> Result<Request, String> {
         let v = parse_versioned(line)?;
-        let kind = field_str(&v, "kind")?;
-        match kind.as_str() {
+        match v.req_str("kind")? {
             "submit-sweep" => Ok(Request::Submit {
                 grid: SweepGrid::decode(v.get("grid").ok_or("submit-sweep missing 'grid'")?)?,
                 wait: matches!(v.get("wait"), Some(Value::Bool(true))),
             }),
             "status" => Ok(Request::Status),
             "stream-results" => Ok(Request::Stream {
-                ticket: field_u64(&v, "ticket")?,
+                ticket: v.req_u64("ticket")?,
             }),
             "cancel" => Ok(Request::Cancel {
-                ticket: field_u64(&v, "ticket")?,
+                ticket: v.req_u64("ticket")?,
             }),
             "kill-worker" => Ok(Request::KillWorker {
-                worker: field_u64(&v, "worker")?,
+                worker: v.req_u64("worker")?,
             }),
             "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
@@ -282,21 +281,21 @@ impl Request {
 /// Decodes the fields of a `result` line into a row.
 fn decode_row(v: &Value) -> Result<ResultRow, String> {
     Ok(ResultRow {
-        ticket: field_u64(v, "ticket")?,
-        seq: field_u64(v, "seq")?,
-        trace: field_str(v, "trace")?,
-        llc: field_str(v, "llc")?,
-        policy: field_str(v, "policy")?,
-        hash: field_str(v, "hash")?,
-        ipc: field_f64(v, "ipc")?,
-        llc_hit_rate: field_f64(v, "llc_hit_rate")?,
-        comp_ratio: field_f64(v, "comp_ratio")?,
-        instructions: field_u64(v, "instructions")?,
-        wall_secs: field_f64(v, "wall_secs")?,
-        worker: field_u64(v, "worker")?,
-        attempt: field_u64(v, "attempt")?,
-        source: field_str(v, "source")?,
-        trace_id: field_str(v, "trace_id")?,
+        ticket: v.req_u64("ticket")?,
+        seq: v.req_u64("seq")?,
+        trace: v.req_str("trace")?.to_string(),
+        llc: v.req_str("llc")?.to_string(),
+        policy: v.req_str("policy")?.to_string(),
+        hash: v.req_str("hash")?.to_string(),
+        ipc: v.req_f64("ipc")?,
+        llc_hit_rate: v.req_f64("llc_hit_rate")?,
+        comp_ratio: v.req_f64("comp_ratio")?,
+        instructions: v.req_u64("instructions")?,
+        wall_secs: v.req_f64("wall_secs")?,
+        worker: v.req_u64("worker")?,
+        attempt: v.req_u64("attempt")?,
+        source: v.req_str("source")?.to_string(),
+        trace_id: v.req_str("trace_id")?.to_string(),
     })
 }
 
@@ -409,35 +408,34 @@ impl Response {
     /// problem.
     pub fn parse_line(line: &str) -> Result<Response, String> {
         let v = parse_versioned(line)?;
-        let kind = field_str(&v, "kind")?;
-        match kind.as_str() {
+        match v.req_str("kind")? {
             "submitted" => Ok(Response::Submitted {
-                ticket: field_u64(&v, "ticket")?,
-                jobs: field_u64(&v, "jobs")?,
-                fresh: field_u64(&v, "fresh")?,
-                journaled: field_u64(&v, "journaled")?,
-                merged: field_u64(&v, "merged")?,
+                ticket: v.req_u64("ticket")?,
+                jobs: v.req_u64("jobs")?,
+                fresh: v.req_u64("fresh")?,
+                journaled: v.req_u64("journaled")?,
+                merged: v.req_u64("merged")?,
             }),
             "result" => Ok(Response::Result(decode_row(&v)?)),
             "done" => Ok(Response::Done(DoneSummary {
-                ticket: field_u64(&v, "ticket")?,
-                jobs: field_u64(&v, "jobs")?,
-                simulated: field_u64(&v, "simulated")?,
-                journaled: field_u64(&v, "journaled")?,
-                merged: field_u64(&v, "merged")?,
-                failed: field_u64(&v, "failed")?,
+                ticket: v.req_u64("ticket")?,
+                jobs: v.req_u64("jobs")?,
+                simulated: v.req_u64("simulated")?,
+                journaled: v.req_u64("journaled")?,
+                merged: v.req_u64("merged")?,
+                failed: v.req_u64("failed")?,
                 canceled: matches!(v.get("canceled"), Some(Value::Bool(true))),
             })),
             "status" => Ok(Response::Status(StatusInfo {
-                workers: field_u64(&v, "workers")?,
-                alive: field_u64(&v, "alive")?,
-                pending: field_u64(&v, "pending")?,
-                running: field_u64(&v, "running")?,
-                done: field_u64(&v, "done")?,
-                failed: field_u64(&v, "failed")?,
-                tickets: field_u64(&v, "tickets")?,
-                crashes: field_u64(&v, "crashes")?,
-                retries: field_u64(&v, "retries")?,
+                workers: v.req_u64("workers")?,
+                alive: v.req_u64("alive")?,
+                pending: v.req_u64("pending")?,
+                running: v.req_u64("running")?,
+                done: v.req_u64("done")?,
+                failed: v.req_u64("failed")?,
+                tickets: v.req_u64("tickets")?,
+                crashes: v.req_u64("crashes")?,
+                retries: v.req_u64("retries")?,
                 per_worker_done: v
                     .get("per_worker_done")
                     .and_then(Value::as_arr)
@@ -445,16 +443,16 @@ impl Response {
                     .iter()
                     .map(|x| x.as_u64().ok_or_else(|| "bad worker count".to_string()))
                     .collect::<Result<_, _>>()?,
-                p50_ms: field_u64(&v, "p50_ms")?,
-                p95_ms: field_u64(&v, "p95_ms")?,
-                p99_ms: field_u64(&v, "p99_ms")?,
+                p50_ms: v.req_u64("p50_ms")?,
+                p95_ms: v.req_u64("p95_ms")?,
+                p99_ms: v.req_u64("p99_ms")?,
             })),
             "metrics" => Ok(Response::Metrics(decode_snapshot(&v)?)),
             "ok" => Ok(Response::Ok {
-                info: field_str(&v, "info")?,
+                info: v.req_str("info")?.to_string(),
             }),
             "error" => Ok(Response::Error {
-                error: field_str(&v, "error")?,
+                error: v.req_str("error")?.to_string(),
             }),
             other => Err(format!("unknown response kind '{other}'")),
         }
@@ -502,7 +500,7 @@ fn render_snapshot(w: &mut ObjWriter, snap: &Snapshot) {
 }
 
 fn decode_key(v: &Value) -> Result<MetricKey, String> {
-    let name = field_str(v, "name")?;
+    let name = v.req_str("name")?.to_string();
     let arr = v
         .get("labels")
         .and_then(Value::as_arr)
@@ -524,7 +522,7 @@ fn decode_series(v: &Value, key: &str) -> Result<Vec<(MetricKey, u64)>, String> 
         .and_then(Value::as_arr)
         .ok_or_else(|| format!("metrics snapshot missing '{key}'"))?
         .iter()
-        .map(|s| Ok((decode_key(s)?, field_u64(s, "value")?)))
+        .map(|s| Ok((decode_key(s)?, s.req_u64("value")?)))
         .collect()
 }
 
@@ -548,7 +546,7 @@ fn decode_snapshot(v: &Value) -> Result<Snapshot, String> {
             decode_key(s)?,
             HistogramSnapshot {
                 hist,
-                sum: field_u64(s, "sum")?,
+                sum: s.req_u64("sum")?,
             },
         ));
     }
@@ -566,25 +564,6 @@ fn parse_versioned(line: &str) -> Result<Value, String> {
         Some(other) => Err(format!("unsupported protocol version '{other}'")),
         None => Err("message missing protocol version 'v'".to_string()),
     }
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("message missing string '{key}'"))
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("message missing number '{key}'"))
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("message missing number '{key}'"))
 }
 
 #[cfg(test)]

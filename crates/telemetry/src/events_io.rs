@@ -108,69 +108,57 @@ pub fn write_events(
     out
 }
 
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
-}
-
 fn req_u8(v: &Value, key: &str) -> Result<u8, String> {
-    u8::try_from(req_u64(v, key)?).map_err(|_| format!("'{key}' out of u8 range"))
-}
-
-fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string '{key}'"))
+    u8::try_from(v.req_u64(key)?).map_err(|_| format!("field '{key}' out of u8 range"))
 }
 
 fn parse_event(line: &str) -> Result<CacheEvent, String> {
     let v = json::parse(line)?;
-    let seq = req_u64(&v, "seq")?;
-    let set = u32::try_from(req_u64(&v, "set")?).map_err(|_| "'set' out of u32 range")?;
+    let seq = v.req_u64("seq")?;
+    let set = u32::try_from(v.req_u64("set")?).map_err(|_| "field 'set' out of u32 range")?;
     let way = match v.get("way") {
         Some(w) => u8::try_from(w.as_u64().ok_or("non-integer 'way'")?)
             .map_err(|_| "'way' out of u8 range")?,
         None => CacheEvent::NO_WAY,
     };
-    let kind = match req_str(&v, "kind")? {
+    let kind = match v.req_str("kind")? {
         "fill" => EventKind::Fill {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "prefetch-fill" => EventKind::PrefetchFill {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "hit" => EventKind::DemandHit {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
         },
         "miss" => EventKind::DemandMiss,
         "victim-hit" => EventKind::VictimHit {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "victim-insert" => EventKind::VictimInsert {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "victim-insert-fail" => EventKind::VictimInsertFail {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "silent-drop" => EventKind::SilentDrop {
-            tag: req_u64(&v, "tag")?,
-            cause: DropCause::from_name(req_str(&v, "cause")?)
-                .ok_or_else(|| format!("unknown drop cause '{}'", req_str(&v, "cause").unwrap()))?,
+            tag: v.req_u64("tag")?,
+            cause: DropCause::from_name(v.req_str("cause")?)
+                .ok_or_else(|| format!("unknown drop cause '{}'", v.req_str("cause").unwrap()))?,
         },
         "writeback" => EventKind::Writeback {
-            tag: req_u64(&v, "tag")?,
+            tag: v.req_u64("tag")?,
             size: req_u8(&v, "size")?,
         },
         "eviction" => EventKind::Eviction {
-            tag: req_u64(&v, "tag")?,
-            cause: EvictCause::from_name(req_str(&v, "cause")?).ok_or_else(|| {
-                format!("unknown eviction cause '{}'", req_str(&v, "cause").unwrap())
+            tag: v.req_u64("tag")?,
+            cause: EvictCause::from_name(v.req_str("cause")?).ok_or_else(|| {
+                format!("unknown eviction cause '{}'", v.req_str("cause").unwrap())
             })?,
         },
         "compression" => EventKind::Compression {

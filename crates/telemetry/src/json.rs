@@ -74,6 +74,40 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The required integer field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming `key` if it is missing or not a
+    /// non-negative integer.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+    }
+
+    /// The required numeric field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming `key` if it is missing or not a number.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
+    }
+
+    /// The required string field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming `key` if it is missing or not a string.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    }
 }
 
 /// Escapes and quotes a string for embedding in JSON output.
