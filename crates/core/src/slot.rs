@@ -150,9 +150,10 @@ pub(crate) struct Sizing {
 
 /// One organization's compressor with the two tallies its sized lines
 /// feed: the encoder classes selected and the compressed-size
-/// distribution. The four BDI organizations call BDI statically;
-/// Base-Victim's `Sizer<dyn Compressor>` takes any algorithm for the
-/// compressor ablation.
+/// distribution. The four BDI organizations call BDI statically (boxing
+/// the zero-sized `Bdi` allocates nothing); Base-Victim's
+/// `Sizer<dyn Compressor>` takes any algorithm for the compressor
+/// ablation.
 #[derive(Debug)]
 pub(crate) struct Sizer<C: Compressor + ?Sized = Bdi> {
     compressor: Box<C>,

@@ -3,7 +3,7 @@
 //! Two guarantees, checked through the facade crate:
 //!
 //! * **Disabled is invisible.** The default build monomorphizes every
-//!   organization over `NoEventSink`, so the 49 committed goldens (see
+//!   organization over `NoEventSink`, so the 85 committed goldens (see
 //!   `tests/golden_snapshot.rs`) double as the bit-identity proof for
 //!   the untraced build — they were recorded before the event layer
 //!   existed and must never need regeneration because of it.
