@@ -75,6 +75,11 @@ cargo test --release --test golden_snapshot -q -- --test-threads=1
 echo "== LLC event digests (release) =="
 cargo test --release --test llc_event_digests -q
 
+# Construction cost in release too: whether `vec![x; n]` takes the
+# zeroed-allocation path must not depend on the optimization level.
+echo "== LLC construction pages (release) =="
+cargo test --release --test construction_pages -q
+
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 

@@ -13,9 +13,7 @@
 use crate::{Effects, OpOutcome};
 use bv_cache::engine::{SetEngine, SlotMeta};
 use bv_cache::{CacheGeometry, LineAddr};
-use bv_compress::{
-    Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount, CACHE_LINE_BYTES,
-};
+use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink};
 
 /// Per-line metadata stored in a [`SetEngine`](bv_cache::engine::SetEngine)
@@ -46,13 +44,18 @@ pub(crate) fn line_addr(geom: &CacheGeometry, set: usize, tag: u64) -> LineAddr 
 /// scans stride over dense tags and sizes only.
 ///
 /// Only `peek_data`, the unchanged-data writeback shortcut and
-/// Base-Victim's promote/displace paths read it. The array is allocated
-/// zeroed (`vec![[0; 64]; n]` takes the calloc path), so slots that
-/// never hold a line cost no resident memory.
+/// Base-Victim's promote/displace paths read it. Each row holds a line
+/// as its eight little-endian words, so the array is allocated zeroed:
+/// `vec![x; n]` asks the allocator for zeroed memory only when std can
+/// see that `x` is zero, which it checks for primitive integers and
+/// for arrays of at most 16 of them. A `[u8; 64]` row has 64 elements,
+/// so std would write every row of a byte-row array. Slots that never
+/// hold a line cost no resident memory, and building an organization
+/// touches none of their pages.
 #[derive(Clone, Debug)]
 pub(crate) struct LinePayloads {
     slots_per_set: usize,
-    lines: Vec<[u8; CACHE_LINE_BYTES]>,
+    lines: Vec<[u64; 8]>,
 }
 
 impl LinePayloads {
@@ -60,7 +63,7 @@ impl LinePayloads {
     pub fn new(sets: usize, slots_per_set: usize) -> LinePayloads {
         LinePayloads {
             slots_per_set,
-            lines: vec![[0; CACHE_LINE_BYTES]; sets * slots_per_set],
+            lines: vec![[0; 8]; sets * slots_per_set],
         }
     }
 
@@ -71,18 +74,18 @@ impl LinePayloads {
 
     /// The data stored in `(set, slot)`.
     pub fn get(&self, set: usize, slot: usize) -> CacheLine {
-        CacheLine::from_bytes(self.lines[self.index(set, slot)])
+        CacheLine::from_u64_words(&self.lines[self.index(set, slot)])
     }
 
     /// Whether `(set, slot)` already holds `data`.
     pub fn holds(&self, set: usize, slot: usize, data: &CacheLine) -> bool {
-        self.lines[self.index(set, slot)] == *data.as_bytes()
+        self.lines[self.index(set, slot)] == data.u64_array()
     }
 
     /// Stores `data` in `(set, slot)`.
     pub fn put(&mut self, set: usize, slot: usize, data: &CacheLine) {
         let i = self.index(set, slot);
-        self.lines[i] = *data.as_bytes();
+        self.lines[i] = data.u64_array();
     }
 }
 

@@ -31,8 +31,8 @@ pub(crate) const BLOCK_EVENTS: usize = 256;
 const BLOCKS: usize = 4;
 
 /// The shortest run, warmup included, in instructions, that takes a
-/// helper. A helper costs a run a fixed 1.5-2 ms on a 2-vCPU VM, which
-/// the overlap repays from about this length on (DESIGN.md §13).
+/// helper: the length from which the overlap repaid a helper's fixed
+/// cost on a 2-vCPU VM when it was measured (DESIGN.md §13).
 const HELPER_MIN_INSTS: u64 = 100_000;
 
 /// Counts the threads that run a drive loop or a feed helper, against
