@@ -75,6 +75,12 @@ cargo test --release --test golden_snapshot -q -- --test-threads=1
 echo "== LLC event digests (release) =="
 cargo test --release --test llc_event_digests -q
 
+# The tag-store differential in release too: the L1/L2 caches, the LLC
+# set engine and Base-Victim's Victim tags share one tag match, which
+# is vectorized only with optimizations on.
+echo "== tag-store probe differential (release) =="
+cargo test --release -p bv-cache --test probe_differential -q
+
 # Construction cost in release too: whether `vec![x; n]` takes the
 # zeroed-allocation path must not depend on the optimization level.
 echo "== LLC construction pages (release) =="

@@ -16,10 +16,9 @@
 //! The report serializes through `bv_runner::json` (the workspace has no
 //! serde) so the same reader that parses run journals parses `BENCH.json`.
 
-use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::PolicyKind;
+use bv_cache::TagArray;
 use bv_compress::reference::{RefBdi, RefCPack, RefFpc};
-use bv_compress::{Bdi, CPack, CacheLine, Compressor, Fpc, SegmentCount};
+use bv_compress::{Bdi, CPack, CacheLine, Compressor, Fpc};
 use bv_kvcache::{run_kv as run_kv_tier, KvConfig, KvOrgKind};
 use bv_metrics::Registry;
 use bv_runner::json::{self, ObjWriter, Value};
@@ -230,7 +229,7 @@ pub fn run_kernel_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     rows
 }
 
-/// Kernel-row label for the set-probe microbench: `SetEngine::find`
+/// Kernel-row label for the set-probe microbench: `TagArray::find`
 /// (optimized bitmask scan) vs `find_reference` (scalar walk) over a fixed
 /// probe stream. `lines_per_sec` carries probes/s; the checksum sums the
 /// returned ways so a divergence between the two probe paths fails the
@@ -251,17 +250,7 @@ pub const DECODE_ROW: &str = "decode-only";
 const PROBE_SETS: usize = 2048;
 const PROBE_WAYS: usize = 16;
 
-/// Payload-free slot metadata for the probe microbench engine.
-#[derive(Clone, Copy, Debug)]
-struct NoMeta;
-
-impl SlotMeta for NoMeta {
-    fn empty() -> NoMeta {
-        NoMeta
-    }
-}
-
-/// Runs the [`PROBE_ROW`] pair: a populated LLC-shaped engine probed with
+/// Runs the [`PROBE_ROW`] pair: a populated LLC-shaped tag array probed with
 /// a fixed ~3:1 hit:miss stream, timed through the optimized bitmask
 /// `find` and the retained scalar `find_reference`.
 ///
@@ -278,18 +267,18 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         out
     };
-    let mut engine: SetEngine<NoMeta> = SetEngine::new(PROBE_SETS, PROBE_WAYS, PolicyKind::Lru);
+    let mut tags = TagArray::new(PROBE_SETS, PROBE_WAYS);
     let mut resident = vec![0u64; PROBE_SETS * PROBE_WAYS];
     for set in 0..PROBE_SETS {
         for way in 0..PROBE_WAYS {
             let tag = rng() | 1;
             resident[set * PROBE_WAYS + way] = tag;
-            engine.install(set, way, tag, NoMeta, SegmentCount::FULL);
+            tags.insert(set, way, tag);
         }
     }
     // Leave some holes so probes also exercise the validity mask.
     for set in (0..PROBE_SETS).step_by(5) {
-        engine.invalidate(set, set % PROBE_WAYS);
+        tags.clear(set, set % PROBE_WAYS);
     }
     let probes: Vec<(usize, u64)> = (0..cfg.corpus_lines * 64)
         .map(|_| {
@@ -308,7 +297,7 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     let opt_secs = bv_testkit::bench::fastest(cfg.kernel_samples, || {
         opt_checksum = probes
             .iter()
-            .map(|&(set, tag)| engine.find(set, tag).map_or(0, |w| w as u64 + 1))
+            .map(|&(set, tag)| tags.find(set, tag).map_or(0, |w| w as u64 + 1))
             .sum();
         opt_checksum
     });
@@ -316,7 +305,7 @@ pub fn run_probe_suite(cfg: &BenchConfig) -> Vec<KernelBench> {
     let ref_secs = bv_testkit::bench::fastest(cfg.kernel_samples, || {
         ref_checksum = probes
             .iter()
-            .map(|&(set, tag)| engine.find_reference(set, tag).map_or(0, |w| w as u64 + 1))
+            .map(|&(set, tag)| tags.find_reference(set, tag).map_or(0, |w| w as u64 + 1))
             .sum();
         ref_checksum
     });

@@ -1,10 +1,10 @@
 //! A concrete tag-only cache, used for the L1 and L2 levels.
 
 use crate::addr::LineAddr;
-use crate::engine::find_tag;
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Policy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
+use crate::tags::TagArray;
 
 /// A line evicted from a cache: its address and whether it needs a
 /// writeback.
@@ -22,12 +22,8 @@ pub struct Eviction {
 /// Nothing ever inspects the data of an L1 or L2 line, so none is
 /// stored: a dirty line's contents are read from the memory image when
 /// it leaves the core (the caller's job), and a clean line's contents are
-/// never observed.
-///
-/// Tags are stored in a structure-of-arrays layout: one contiguous `u64` tag
-/// array (sets x ways, row-major) with per-set valid and dirty bitmasks. A
-/// set probe is [`find_tag`](crate::engine::find_tag) over the set's
-/// `ways` adjacent tag words, the same match the LLC set engine runs.
+/// never observed. Tags and dirty bits live in a [`TagArray`], the same
+/// store the LLC set engine uses.
 ///
 /// This type deliberately separates *lookup* ([`probe`](BasicCache::probe),
 /// which does not touch replacement state) from *access*
@@ -50,14 +46,7 @@ pub struct Eviction {
 #[derive(Debug)]
 pub struct BasicCache {
     geom: CacheGeometry,
-    /// Tag words, sets x ways row-major. Only meaningful where the set's
-    /// valid bit is set; invalid slots keep a zeroed tag so probes may read
-    /// every word unconditionally.
-    tags: Vec<u64>,
-    /// One validity bitmask per set (bit `w` = way `w` holds a line).
-    valid: Vec<u64>,
-    /// One dirty bitmask per set, parallel to `valid`.
-    dirty: Vec<u64>,
+    tags: TagArray,
     policy: Policy,
     stats: CacheStats,
 }
@@ -72,9 +61,7 @@ impl BasicCache {
         let ways = geom.ways();
         BasicCache {
             geom,
-            tags: vec![0; sets * ways],
-            valid: vec![0; sets],
-            dirty: vec![0; sets],
+            tags: TagArray::new(sets, ways),
             policy: policy.instantiate(sets, ways),
             stats: CacheStats::default(),
         }
@@ -98,34 +85,19 @@ impl BasicCache {
         (set, tag)
     }
 
-    #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.geom.ways() + way
-    }
-
-    #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let ways = self.geom.ways();
-        find_tag(
-            &self.tags[set * ways..set * ways + ways],
-            self.valid[set],
-            tag,
-        )
-    }
-
     /// Looks up a line without modifying replacement state or statistics.
     /// Returns the way index on presence.
     #[must_use]
     pub fn probe(&self, addr: LineAddr) -> Option<usize> {
         let (set, tag) = self.set_range(addr);
-        self.find(set, tag)
+        self.tags.find(set, tag)
     }
 
     /// Performs a demand read. Returns `true` on hit (updating recency) and
     /// `false` on miss (the caller is responsible for the fill).
     pub fn read(&mut self, addr: LineAddr) -> bool {
         let (set, tag) = self.set_range(addr);
-        match self.find(set, tag) {
+        match self.tags.find(set, tag) {
             Some(way) => {
                 self.policy.on_hit(set, way);
                 self.stats.read_hits += 1;
@@ -143,10 +115,10 @@ impl BasicCache {
     /// returns `false` (write-allocate is the caller's job).
     pub fn write(&mut self, addr: LineAddr) -> bool {
         let (set, tag) = self.set_range(addr);
-        match self.find(set, tag) {
+        match self.tags.find(set, tag) {
             Some(way) => {
                 self.policy.on_hit(set, way);
-                self.dirty[set] |= 1 << way;
+                self.tags.set_dirty(set, way);
                 self.stats.write_hits += 1;
                 true
             }
@@ -175,28 +147,15 @@ impl BasicCache {
         let (set, tag) = self.set_range(addr);
         self.stats.fills += 1;
 
-        let ways = self.geom.ways();
-        let ways_mask = if ways == 64 {
-            u64::MAX
-        } else {
-            (1 << ways) - 1
-        };
-        let free = !self.valid[set] & ways_mask;
-        let way = if free != 0 {
-            free.trailing_zeros() as usize
-        } else {
-            self.policy.victim(set)
+        let way = match self.tags.first_free(set) {
+            Some(way) => way,
+            None => self.policy.victim(set),
         };
 
-        let idx = self.idx(set, way);
-        let evicted = if self.valid[set] & (1 << way) != 0 {
-            Some(Eviction {
-                addr: self.line_addr(set, self.tags[idx]),
-                dirty: self.dirty[set] & (1 << way) != 0,
-            })
-        } else {
-            None
-        };
+        let evicted = self.tags.is_valid(set, way).then(|| Eviction {
+            addr: self.geom.line_addr(set, self.tags.tag(set, way)),
+            dirty: self.tags.is_dirty(set, way),
+        });
         if let Some(ev) = evicted {
             self.stats.evictions += 1;
             if ev.dirty {
@@ -204,9 +163,7 @@ impl BasicCache {
             }
         }
 
-        self.valid[set] |= 1 << way;
-        self.dirty[set] &= !(1 << way);
-        self.tags[idx] = tag;
+        self.tags.insert(set, way, tag);
         self.policy.on_fill(set, way);
         evicted
     }
@@ -216,15 +173,12 @@ impl BasicCache {
     /// copy can be written back.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<Eviction> {
         let (set, tag) = self.set_range(addr);
-        let way = self.find(set, tag)?;
+        let way = self.tags.find(set, tag)?;
         let ev = Eviction {
             addr,
-            dirty: self.dirty[set] & (1 << way) != 0,
+            dirty: self.tags.is_dirty(set, way),
         };
-        self.valid[set] &= !(1 << way);
-        self.dirty[set] &= !(1 << way);
-        let idx = self.idx(set, way);
-        self.tags[idx] = 0;
+        self.tags.clear(set, way);
         self.policy.on_invalidate(set, way);
         self.stats.back_invalidations += 1;
         Some(ev)
@@ -234,23 +188,15 @@ impl BasicCache {
     #[must_use]
     pub fn is_dirty(&self, addr: LineAddr) -> Option<bool> {
         let (set, tag) = self.set_range(addr);
-        let way = self.find(set, tag)?;
-        Some(self.dirty[set] & (1 << way) != 0)
+        let way = self.tags.find(set, tag)?;
+        Some(self.tags.is_dirty(set, way))
     }
 
     /// Iterates over all resident line addresses (for inclusion checks).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let ways = self.geom.ways();
-        (0..self.geom.sets()).flat_map(move |set| {
-            let mask = self.valid[set];
-            (0..ways)
-                .filter(move |w| mask & (1 << w) != 0)
-                .map(move |w| self.line_addr(set, self.tags[set * ways + w]))
-        })
-    }
-
-    fn line_addr(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr::new((tag << self.geom.index_bits()) | set as u64)
+        self.tags
+            .iter_valid()
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
     }
 }
 

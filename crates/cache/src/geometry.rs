@@ -1,5 +1,6 @@
 //! Cache geometry: size, associativity, and index arithmetic.
 
+use crate::addr::LineAddr;
 use core::fmt;
 
 /// The shape of one cache: capacity, associativity, and line size.
@@ -32,9 +33,8 @@ pub struct CacheGeometry {
     index_bits: u32,
 }
 
-/// The most ways one set may hold: [`SetEngine`](crate::engine::SetEngine)
-/// and [`BasicCache`](crate::BasicCache) keep each set's validity in one
-/// `u64` mask.
+/// The most ways one set may hold: a [`TagArray`](crate::TagArray) keeps
+/// each set's validity in one `u64` mask.
 pub const MAX_WAYS: usize = 64;
 
 impl CacheGeometry {
@@ -142,6 +142,14 @@ impl CacheGeometry {
     pub fn tag(&self, line: u64) -> u64 {
         line >> self.index_bits
     }
+
+    /// The line address a `(set, tag)` pair names: the inverse of
+    /// [`set_index`](CacheGeometry::set_index) and
+    /// [`tag`](CacheGeometry::tag).
+    #[must_use]
+    pub fn line_addr(&self, set: usize, tag: u64) -> LineAddr {
+        LineAddr::new((tag << self.index_bits) | set as u64)
+    }
 }
 
 impl fmt::Debug for CacheGeometry {
@@ -194,8 +202,8 @@ mod tests {
     fn set_index_and_tag_partition_the_address() {
         let g = CacheGeometry::new(2 * 1024 * 1024, 16, 64);
         let line: u64 = 0xabcd_1234;
-        let rebuilt = (g.tag(line) << g.index_bits()) | g.set_index(line) as u64;
-        assert_eq!(rebuilt, line);
+        let rebuilt = g.line_addr(g.set_index(line), g.tag(line));
+        assert_eq!(rebuilt, LineAddr::new(line));
     }
 
     #[test]
@@ -218,10 +226,9 @@ mod tests {
                     assert_eq!(g.sets(), sets, "{g:?}");
                     assert_eq!(g.index_bits(), sets.trailing_zeros(), "{g:?}");
                     for i in 0..64 {
-                        let line_addr = bv_testkit::mix(i) >> 6;
-                        let rebuilt =
-                            (g.tag(line_addr) << g.index_bits()) | g.set_index(line_addr) as u64;
-                        assert_eq!(rebuilt, line_addr, "{g:?}");
+                        let line = bv_testkit::mix(i) >> 6;
+                        let rebuilt = g.line_addr(g.set_index(line), g.tag(line));
+                        assert_eq!(rebuilt, LineAddr::new(line), "{g:?}");
                     }
                     let twin = CacheGeometry::new(size, ways, line);
                     assert_eq!(g, twin);

@@ -3,9 +3,9 @@
 //! This crate provides the building blocks shared by every cache level in
 //! the Base-Victim reproduction: address/geometry arithmetic, pluggable
 //! replacement policies (LRU, 1-bit NRU, SRRIP, a CHAR-style set-dueling
-//! policy, and deterministic pseudo-random), a concrete tag-only
-//! [`BasicCache`] used for the L1/L2 levels, and the statistics counters
-//! every experiment reads.
+//! policy, and deterministic pseudo-random), the [`TagArray`] every
+//! cache's tags live in, a concrete tag-only [`BasicCache`] used for the
+//! L1/L2 levels, and the statistics counters every experiment reads.
 //!
 //! The last-level-cache *organizations* (uncompressed, two-tag,
 //! Base-Victim, VSC) live in the `bv-core` crate and are built from these
@@ -34,9 +34,11 @@ pub mod engine;
 mod geometry;
 pub mod replacement;
 mod stats;
+mod tags;
 
 pub use addr::LineAddr;
 pub use basic::{BasicCache, Eviction};
 pub use geometry::{CacheGeometry, MAX_WAYS};
 pub use replacement::{Policy, PolicyKind, ReplacementPolicy};
 pub use stats::{CacheStats, Effects, LlcStats};
+pub use tags::TagArray;

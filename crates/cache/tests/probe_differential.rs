@@ -1,13 +1,12 @@
-//! Differential property tests for the structure-of-arrays probe: over
-//! thousands of fuzzed set states, `SetEngine::find` and the L1/L2
-//! `BasicCache::probe` (both `bv_cache::engine::find_tag` over the SoA
-//! tag rows) must return the
-//! identical `(way, hit/miss)` answer as an independent shadow model that
-//! never touches the cache's layout, and the engine's as the retained
-//! scalar `find_reference` walk.
+//! Differential property tests for the structure-of-arrays tag store:
+//! over thousands of fuzzed set states, `TagArray` itself, the LLC
+//! `SetEngine` built on it and the L1/L2 `BasicCache::probe` must return
+//! the identical `(way, hit/miss)` answer as an independent shadow model
+//! that never touches the array's layout, and `TagArray::find` the same
+//! as the retained scalar `find_reference` walk.
 
 use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::{BasicCache, CacheGeometry, LineAddr, PolicyKind};
+use bv_cache::{BasicCache, CacheGeometry, LineAddr, PolicyKind, TagArray};
 use bv_compress::SegmentCount;
 use bv_testkit::{cases, Rng};
 
@@ -20,11 +19,13 @@ impl SlotMeta for Meta {
     }
 }
 
-/// The shadow model: per-set slots as plain `Option<u64>` tags, updated
-/// alongside the engine with the same install/invalidate stream.
+/// The shadow model: per-set slots as plain `Option<u64>` tags and
+/// dirty flags, updated alongside the cache with the same
+/// install/invalidate stream.
 struct Shadow {
     ways: usize,
     slots: Vec<Option<u64>>,
+    dirty: Vec<bool>,
 }
 
 impl Shadow {
@@ -32,6 +33,7 @@ impl Shadow {
         Shadow {
             ways,
             slots: vec![None; sets * ways],
+            dirty: vec![false; sets * ways],
         }
     }
 
@@ -58,7 +60,7 @@ fn churn(rng: &mut Rng, sets: usize, ways: usize) -> (SetEngine<Meta>, Shadow) {
         let set = rng.below(sets as u64) as usize;
         let way = rng.below(ways as u64) as usize;
         if rng.below(4) == 0 {
-            if engine.slot(set, way).valid {
+            if engine.tags().is_valid(set, way) {
                 engine.invalidate(set, way);
             }
             shadow.slots[set * ways + way] = None;
@@ -68,7 +70,7 @@ fn churn(rng: &mut Rng, sets: usize, ways: usize) -> (SetEngine<Meta>, Shadow) {
             if shadow.find(set, tag).is_some() {
                 continue;
             }
-            if engine.slot(set, way).valid {
+            if engine.tags().is_valid(set, way) {
                 engine.invalidate(set, way);
             }
             engine.install(
@@ -100,10 +102,10 @@ fn soa_probe_matches_reference_walk_and_shadow_model() {
         for _ in 0..32 {
             let set = rng.below(sets as u64) as usize;
             let tag = *rng.choose(&tag_pool);
-            let got = engine.find(set, tag);
+            let got = engine.tags().find(set, tag);
             assert_eq!(
                 got,
-                engine.find_reference(set, tag),
+                engine.tags().find_reference(set, tag),
                 "bitmask scan vs scalar walk, set {set} tag {tag:#x}"
             );
             assert_eq!(
@@ -114,12 +116,85 @@ fn soa_probe_matches_reference_walk_and_shadow_model() {
         }
         // The aggregate views must agree with the shadow too.
         assert_eq!(
-            engine.valid_count(),
+            engine.tags().valid_count(),
             shadow.slots.iter().filter(|s| s.is_some()).count()
         );
-        for (set, way, slot) in engine.iter_valid() {
-            assert_eq!(shadow.slots[set * ways + way], Some(slot.tag));
+        for (set, way, tag) in engine.tags().iter_valid() {
+            assert_eq!(shadow.slots[set * ways + way], Some(tag));
         }
+    });
+}
+
+/// 10_000 fuzzed `TagArray`s churned directly with inserts, clears and
+/// dirty marks: every answer the array gives — `find`, `find_reference`,
+/// `first_free`, `is_dirty`, `valid_count` and the `iter_valid` order —
+/// matches the shadow model.
+#[test]
+fn tag_array_matches_shadow_model_under_churn() {
+    cases(10_000, |rng| {
+        let sets = 1 << rng.below(4);
+        let ways = *rng.choose(&WAYS);
+        let mut tags = TagArray::new(sets, ways);
+        let mut shadow = Shadow::new(sets, ways);
+        // Tag 0 is in the pool: cleared slots keep a zeroed tag word.
+        let pool: Vec<u64> = (0..16)
+            .map(|i| if i == 0 { 0 } else { rng.next_u64() })
+            .collect();
+        let ops = rng.range_u64(1, (sets * ways * 3) as u64);
+        for _ in 0..ops {
+            let set = rng.below(sets as u64) as usize;
+            let way = rng.below(ways as u64) as usize;
+            let i = set * ways + way;
+            match rng.below(4) {
+                0 => {
+                    tags.clear(set, way);
+                    shadow.slots[i] = None;
+                    shadow.dirty[i] = false;
+                }
+                1 if shadow.slots[i].is_some() => {
+                    tags.set_dirty(set, way);
+                    shadow.dirty[i] = true;
+                }
+                _ => {
+                    let tag = *rng.choose(&pool);
+                    // A set never holds one tag twice; skip duplicates.
+                    if shadow.find(set, tag).is_some() {
+                        continue;
+                    }
+                    tags.insert(set, way, tag);
+                    shadow.slots[i] = Some(tag);
+                    shadow.dirty[i] = false;
+                }
+            }
+        }
+        for set in 0..sets {
+            let row = set * ways..(set + 1) * ways;
+            assert_eq!(
+                tags.first_free(set),
+                shadow.slots[row.clone()].iter().position(Option::is_none),
+                "first free way of set {set}"
+            );
+            for way in 0..ways {
+                assert_eq!(
+                    tags.is_valid(set, way),
+                    shadow.slots[set * ways + way].is_some()
+                );
+                assert_eq!(tags.is_dirty(set, way), shadow.dirty[set * ways + way]);
+            }
+            for &tag in &pool {
+                let got = tags.find(set, tag);
+                assert_eq!(got, tags.find_reference(set, tag), "set {set} tag {tag:#x}");
+                assert_eq!(got, shadow.find(set, tag), "set {set} tag {tag:#x}");
+            }
+        }
+        let expected: Vec<(usize, usize, u64)> = shadow
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|tag| (i / ways, i % ways, tag)))
+            .collect();
+        assert_eq!(tags.valid_count(), expected.len());
+        assert_eq!(tags.iter_valid().collect::<Vec<_>>(), expected);
     });
 }
 
@@ -135,14 +210,15 @@ fn invalidated_slots_never_hit() {
         let tag = rng.next_u64() | 1;
         let way = rng.below(ways as u64) as usize;
         engine.install(0, way, tag, Meta(7), SegmentCount::FULL);
-        assert_eq!(engine.find(0, tag), Some(way));
+        assert_eq!(engine.tags().find(0, tag), Some(way));
         engine.invalidate(0, way);
-        assert_eq!(engine.find(0, tag), None);
-        assert_eq!(engine.find_reference(0, tag), None);
+        let tags = engine.tags();
+        assert_eq!(tags.find(0, tag), None);
+        assert_eq!(tags.find_reference(0, tag), None);
         // The cleared tag word is 0; a zero-tag probe must still miss on
         // every invalid slot.
-        assert_eq!(engine.find(0, 0), None);
-        assert_eq!(engine.find_reference(0, 0), None);
+        assert_eq!(tags.find(0, 0), None);
+        assert_eq!(tags.find_reference(0, 0), None);
     });
 }
 

@@ -17,13 +17,11 @@
 //! this file is the paper-specific delta — the Victim cache partnering,
 //! clean-victim insertion policies, and promotion on victim hits.
 
-use crate::slot::{
-    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
-};
+use crate::slot::{prefetch_miss, write_hit, writeback_miss, Fetch, LinePayloads, Sizer};
 use crate::victim_policy::{VictimCandidate, VictimPolicyKind};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
-use bv_cache::engine::{find_tag, SetEngine};
-use bv_cache::{CacheGeometry, LineAddr, PolicyKind, ReplacementPolicy};
+use bv_cache::engine::SetEngine;
+use bv_cache::{CacheGeometry, LineAddr, PolicyKind, ReplacementPolicy, TagArray};
 use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, SegmentCount, SEGMENTS_PER_LINE};
 use bv_events::{CacheEvent, DropCause, EventKind, EventSink, EvictCause, NoEventSink};
 
@@ -58,17 +56,12 @@ struct MovingLine {
     dirty: bool,
 }
 
-/// The Victim cache's tag store, laid out like the Baseline engine's:
-/// a contiguous tag row, per-set valid and dirty bitmasks, and parallel
-/// size and insertion-stamp rows, all indexed `set * ways + way`. A
-/// probe is [`find_tag`], the engine's tag match, over one set's tag
-/// words.
+/// The Victim cache's tags: the second tag of every physical way, in
+/// a [`TagArray`] like the Baseline engine's, beside size and
+/// insertion-stamp rows indexed like it.
 #[derive(Clone, Debug)]
 struct VictimTags {
-    ways: usize,
-    tags: Vec<u64>,
-    valid: Vec<u64>,
-    dirty: Vec<u64>,
+    tags: TagArray,
     sizes: Vec<SegmentCount>,
     /// Insertion sequence numbers (LruFit variant).
     birth: Vec<u64>,
@@ -76,66 +69,31 @@ struct VictimTags {
 
 impl VictimTags {
     fn new(sets: usize, ways: usize) -> VictimTags {
-        assert!(ways <= 64, "victim masks cover at most 64 ways");
         VictimTags {
-            ways,
-            tags: vec![0; sets * ways],
-            valid: vec![0; sets],
-            dirty: vec![0; sets],
+            tags: TagArray::new(sets, ways),
             sizes: vec![SegmentCount::FULL; sets * ways],
             birth: vec![0; sets * ways],
         }
     }
 
-    /// The way of `set` whose valid victim line has `tag`.
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
-        find_tag(&self.tags[base..base + self.ways], self.valid[set], tag)
-    }
-
-    fn is_valid(&self, set: usize, way: usize) -> bool {
-        self.valid[set] >> way & 1 == 1
-    }
-
-    fn is_dirty(&self, set: usize, way: usize) -> bool {
-        self.dirty[set] >> way & 1 == 1
-    }
-
-    fn tag(&self, set: usize, way: usize) -> u64 {
-        self.tags[set * self.ways + way]
-    }
-
     fn size(&self, set: usize, way: usize) -> SegmentCount {
-        self.sizes[set * self.ways + way]
+        self.sizes[self.tags.index(set, way)]
     }
 
     fn birth(&self, set: usize, way: usize) -> u64 {
-        self.birth[set * self.ways + way]
+        self.birth[self.tags.index(set, way)]
     }
 
     /// Stores a line in `(set, way)`, stamped with insertion number
     /// `birth`.
     fn insert(&mut self, set: usize, way: usize, line: &MovingLine, birth: u64) {
-        let i = set * self.ways + way;
-        self.tags[i] = line.tag;
+        let i = self.tags.index(set, way);
+        self.tags.insert(set, way, line.tag);
+        if line.dirty {
+            self.tags.set_dirty(set, way);
+        }
         self.sizes[i] = line.size;
         self.birth[i] = birth;
-        self.valid[set] |= 1 << way;
-        self.dirty[set] = self.dirty[set] & !(1 << way) | u64::from(line.dirty) << way;
-    }
-
-    fn clear(&mut self, set: usize, way: usize) {
-        self.valid[set] &= !(1 << way);
-        self.dirty[set] &= !(1 << way);
-    }
-
-    /// Every valid `(set, way)`.
-    fn iter_valid(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.valid.iter().enumerate().flat_map(move |(set, &mask)| {
-            (0..self.ways)
-                .filter(move |w| mask >> w & 1 == 1)
-                .map(move |w| (set, w))
-        })
     }
 }
 
@@ -158,8 +116,9 @@ impl VictimTags {
 pub struct BaseVictimLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
     /// The Baseline cache: one engine slot per physical way, driven by the
-    /// unmodified baseline replacement policy.
-    engine: SetEngine<LineMeta, E>,
+    /// unmodified baseline replacement policy. A slot's payload is its
+    /// line's compressed size.
+    engine: SetEngine<SegmentCount, E>,
     /// The Victim cache: the second tag of every physical way.
     victim: VictimTags,
     /// Baseline and Victim line data, indexed like the tags. Read only
@@ -281,25 +240,25 @@ impl<E: EventSink> BaseVictimLlc<E> {
     fn find_base(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        self.engine.find(set, tag).map(|w| (set, w))
+        self.engine.tags().find(set, tag).map(|w| (set, w))
     }
 
     fn find_victim(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        self.victim.find(set, tag).map(|w| (set, w))
+        self.victim.tags.find(set, tag).map(|w| (set, w))
     }
 
     /// Removes the Victim-cache line of `(set, way)` for promotion,
     /// returning it with its data.
     fn take_victim(&mut self, set: usize, way: usize) -> MovingLine {
         let line = MovingLine {
-            tag: self.victim.tag(set, way),
+            tag: self.victim.tags.tag(set, way),
             data: self.victim_data.get(set, way),
             size: self.victim.size(set, way),
-            dirty: self.victim.is_dirty(set, way),
+            dirty: self.victim.tags.is_dirty(set, way),
         };
-        self.victim.clear(set, way);
+        self.victim.tags.clear(set, way);
         line
     }
 
@@ -330,10 +289,12 @@ impl<E: EventSink> BaseVictimLlc<E> {
         inner: &mut dyn InclusionAgent,
         effects: &mut Effects,
     ) -> Option<MovingLine> {
-        let slot = self.engine.slot(set, way).copied();
-        if !slot.valid {
+        let tags = self.engine.tags();
+        if !tags.is_valid(set, way) {
             return None;
         }
+        let (tag, dirty) = (tags.tag(set, way), tags.is_dirty(set, way));
+        let size = *self.engine.meta(set, way);
         if E::ENABLED {
             // "Eviction" = left the Baseline cache by replacement; a
             // following victim-insert event shows opportunistic retention.
@@ -341,27 +302,27 @@ impl<E: EventSink> BaseVictimLlc<E> {
                 set,
                 way,
                 EventKind::Eviction {
-                    tag: slot.tag,
+                    tag,
                     cause: EvictCause::Replacement,
                 },
             ));
         }
-        let addr = line_addr(&self.geom, set, slot.tag);
+        let addr = self.geom.line_addr(set, tag);
         let stored = self.base_data.get(set, way);
         if self.mode == InclusionMode::NonInclusive {
-            self.engine.slot_mut(set, way).clear();
+            self.engine.clear(set, way);
             return Some(MovingLine {
-                tag: slot.tag,
+                tag,
                 data: stored,
-                size: slot.meta.size,
-                dirty: slot.meta.dirty,
+                size,
+                dirty,
             });
         }
         effects.back_invalidations += 1;
         let inner_dirty = inner.back_invalidate(addr);
         let (data, dirty) = match inner_dirty {
             Some(fresh) => (fresh, true),
-            None => (stored, slot.meta.dirty),
+            None => (stored, dirty),
         };
         if dirty {
             effects.memory_writes += 1;
@@ -369,11 +330,11 @@ impl<E: EventSink> BaseVictimLlc<E> {
         let size = if inner_dirty.is_some() {
             self.sizer.encode(&data)
         } else {
-            slot.meta.size
+            size
         };
-        self.engine.slot_mut(set, way).clear();
+        self.engine.clear(set, way);
         Some(MovingLine {
-            tag: slot.tag,
+            tag,
             data,
             size,
             dirty: false,
@@ -386,19 +347,19 @@ impl<E: EventSink> BaseVictimLlc<E> {
     fn insert_victim(&mut self, set: usize, line: MovingLine, effects: &mut Effects) {
         self.candidates.clear();
         for w in 0..self.geom.ways() {
-            let base = self.engine.slot(set, w);
-            let base_size = if base.valid {
-                base.meta.size
+            let base_valid = self.engine.tags().is_valid(set, w);
+            let base_size = if base_valid {
+                *self.engine.meta(set, w)
             } else {
                 SegmentCount::MIN
             };
-            let used = if base.valid {
+            let used = if base_valid {
                 base_size.get() as usize
             } else {
                 0
             };
             if used + line.size.get() as usize <= SEGMENTS_PER_LINE {
-                let occupied = self.victim.is_valid(set, w);
+                let occupied = self.victim.tags.is_valid(set, w);
                 self.candidates.push(VictimCandidate {
                     way: w,
                     base_size,
@@ -414,10 +375,10 @@ impl<E: EventSink> BaseVictimLlc<E> {
         let draw = self.next_rng();
         match self.victim_kind.choose(&self.candidates, draw) {
             Some(c) => {
-                let occupied = self.victim.is_valid(set, c.way);
+                let occupied = self.victim.tags.is_valid(set, c.way);
                 // Inclusive: the previous occupant is clean — silent drop.
                 // Non-inclusive: a dirty occupant must be written back.
-                if occupied && self.victim.is_dirty(set, c.way) {
+                if occupied && self.victim.tags.is_dirty(set, c.way) {
                     debug_assert_eq!(self.mode, InclusionMode::NonInclusive);
                     effects.memory_writes += 1;
                 }
@@ -427,7 +388,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
                             set,
                             c.way,
                             EventKind::SilentDrop {
-                                tag: self.victim.tag(set, c.way),
+                                tag: self.victim.tags.tag(set, c.way),
                                 cause: DropCause::Displaced,
                             },
                         ));
@@ -478,15 +439,15 @@ impl<E: EventSink> BaseVictimLlc<E> {
         base_size: SegmentCount,
         effects: &mut Effects,
     ) {
-        if self.victim.is_valid(set, way) && !base_size.fits_with(self.victim.size(set, way)) {
+        if self.victim.tags.is_valid(set, way) && !base_size.fits_with(self.victim.size(set, way)) {
             // Inclusive: victim lines are clean, so this drop is silent.
             // Non-inclusive: a dirty victim pays a writeback here.
-            if self.victim.is_dirty(set, way) {
+            if self.victim.tags.is_dirty(set, way) {
                 debug_assert_eq!(self.mode, InclusionMode::NonInclusive);
                 effects.memory_writes += 1;
             }
             if E::ENABLED {
-                let tag = self.victim.tag(set, way);
+                let tag = self.victim.tags.tag(set, way);
                 self.engine.emit(CacheEvent::new(
                     set,
                     way,
@@ -496,7 +457,7 @@ impl<E: EventSink> BaseVictimLlc<E> {
                     },
                 ));
             }
-            self.victim.clear(set, way);
+            self.victim.tags.clear(set, way);
             effects.partner_evictions += 1;
         }
     }
@@ -522,11 +483,11 @@ impl<E: EventSink> BaseVictimLlc<E> {
         // Size-aware policies (CAMP) receive the compressed size; others
         // ignore it. The uncompressed mirror passes identical sizes, so
         // the mirror property is preserved.
-        let meta = LineMeta {
-            dirty: line.dirty,
-            size: line.size,
-        };
-        self.engine.install(set, way, line.tag, meta, line.size);
+        self.engine
+            .install(set, way, line.tag, line.size, line.size);
+        if line.dirty {
+            self.engine.set_dirty(set, way);
+        }
         self.base_data.put(set, way, &line.data);
 
         if let Some(line) = displaced {
@@ -567,8 +528,9 @@ impl<E: EventSink> BaseVictimLlc<E> {
     #[must_use]
     pub fn baseline_lines(&self) -> Vec<LineAddr> {
         self.engine
+            .tags()
             .iter_valid()
-            .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
             .collect()
     }
 
@@ -576,8 +538,9 @@ impl<E: EventSink> BaseVictimLlc<E> {
     #[must_use]
     pub fn victim_lines(&self) -> Vec<LineAddr> {
         self.victim
+            .tags
             .iter_valid()
-            .map(|(set, w)| line_addr(&self.geom, set, self.victim.tag(set, w)))
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
             .collect()
     }
 }
@@ -599,7 +562,7 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
         let mut effects = Effects::default();
 
         if let Some((set, way)) = self.find_base(addr) {
-            let size = self.engine.slot(set, way).meta.size;
+            let size = *self.engine.meta(set, way);
             self.engine.demand_hit(set, way);
             return ReadOutcome {
                 kind: HitKind::Base(size),
@@ -659,12 +622,11 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
             // if the line grew past its partner's space, silently evict the
             // partner, even if it was the victim set's MRU line.
             let unchanged = self.base_data.holds(set, way, &data);
-            let cached = self.engine.slot(set, way).meta.size;
+            let cached = *self.engine.meta(set, way);
             let new_size = self.sizer.resize(unchanged, cached, &data);
             self.base_data.put(set, way, &data);
-            let meta = &mut self.engine.slot_mut(set, way).meta;
-            meta.dirty = true;
-            meta.size = new_size;
+            self.engine.set_dirty(set, way);
+            *self.engine.meta_mut(set, way) = new_size;
             let tag = self.geom.tag(addr.get());
             write_hit(&mut self.engine, set, way, tag, new_size);
             self.enforce_pairing(set, way, new_size, &mut effects);
@@ -798,51 +760,39 @@ impl<E: EventSink> LlcOrganization for BaseVictimLlc<E> {
     }
 
     /// Panics if any invariant is violated: a dirty victim line in
-    /// inclusive mode, a dirty bit on an empty victim slot, a base/victim
-    /// pair exceeding the physical way capacity, or a line resident in
-    /// both caches of a set.
+    /// inclusive mode, a base/victim pair exceeding the physical way
+    /// capacity, or a line resident in both caches of a set. (The tag
+    /// arrays themselves keep dirty bits on valid slots only.)
     fn assert_invariants(&self) {
         let ways = self.geom.ways();
+        let (base, victim) = (self.engine.tags(), &self.victim.tags);
         for set in 0..self.geom.sets() {
-            assert_eq!(
-                self.victim.dirty[set] & !self.victim.valid[set],
-                0,
-                "dirty bit on an empty victim slot in set {set}"
-            );
             for w in 0..ways {
-                let b = self.engine.slot(set, w);
-                let v_valid = self.victim.is_valid(set, w);
+                let v_valid = victim.is_valid(set, w);
                 if self.mode == InclusionMode::Inclusive {
                     assert!(
-                        !v_valid || !self.victim.is_dirty(set, w),
+                        !v_valid || !victim.is_dirty(set, w),
                         "dirty victim line in set {set} way {w}"
                     );
                 }
-                if b.valid && v_valid {
+                if base.is_valid(set, w) && v_valid {
+                    let b_size = *self.engine.meta(set, w);
                     let v_size = self.victim.size(set, w);
                     assert!(
-                        b.meta.size.fits_with(v_size),
-                        "pair overflow in set {set} way {w}: {} + {v_size}",
-                        b.meta.size,
+                        b_size.fits_with(v_size),
+                        "pair overflow in set {set} way {w}: {b_size} + {v_size}",
                     );
                 }
             }
             // No address may be resident twice within a set.
             let mut tags: Vec<u64> = Vec::new();
             for w in 0..ways {
-                let b = self.engine.slot(set, w);
-                if b.valid {
-                    assert!(
-                        !tags.contains(&b.tag),
-                        "tag {:#x} duplicated in set {set}",
-                        b.tag
-                    );
-                    tags.push(b.tag);
-                }
-                if self.victim.is_valid(set, w) {
-                    let tag = self.victim.tag(set, w);
-                    assert!(!tags.contains(&tag), "tag {tag:#x} duplicated in set {set}");
-                    tags.push(tag);
+                for array in [base, victim] {
+                    if array.is_valid(set, w) {
+                        let tag = array.tag(set, w);
+                        assert!(!tags.contains(&tag), "tag {tag:#x} duplicated in set {set}");
+                        tags.push(tag);
+                    }
                 }
             }
         }
@@ -1119,7 +1069,7 @@ mod tests {
         // 11-seg line and the victim line must coexist.
         c.assert_invariants();
         assert!(
-            c.victim.is_valid(3, 2),
+            c.victim.tags.is_valid(3, 2),
             "victim parked in way 2 (largest base)"
         );
     }

@@ -59,7 +59,8 @@ fn sub_blocks(size: SegmentCount) -> usize {
 
 /// Metadata of one super-block tag: up to four co-resident neighbor
 /// lines (index = line address & 3). Validity and the super-block tag
-/// live in the engine slot.
+/// live in the engine's tag array; the tag's own dirty bit is unused,
+/// since each member keeps its own.
 #[derive(Clone, Copy, Debug)]
 struct SuperLines {
     lines: [Member; SUPER_BLOCK_LINES],
@@ -169,7 +170,7 @@ impl<E: EventSink> DccLlc<E> {
 
     fn find(&self, addr: LineAddr) -> Option<(usize, usize, usize)> {
         let (set, tag, member) = self.locate_super(addr);
-        self.engine.find(set, tag).map(|t| (set, t, member))
+        self.engine.tags().find(set, tag).map(|t| (set, t, member))
     }
 
     fn free_sub_blocks(&self, set: usize) -> usize {
@@ -181,10 +182,9 @@ impl<E: EventSink> DccLlc<E> {
     /// the maintained counters against.
     fn rescan(&self, set: usize) -> Occupancy {
         let mut occ = Occupancy::default();
-        for t in 0..self.engine.ways() {
-            let block = self.engine.slot(set, t);
-            if block.valid {
-                for (_, line) in block.meta.resident() {
+        for t in 0..self.engine.tags().ways() {
+            if self.engine.tags().is_valid(set, t) {
+                for (_, line) in self.engine.meta(set, t).resident() {
                     occ.add(sub_blocks(line.size));
                 }
             }
@@ -194,7 +194,7 @@ impl<E: EventSink> DccLlc<E> {
 
     /// Rebuilds a member line's address from its super-block coordinates.
     fn member_addr(&self, set: usize, sb_tag: u64, member: usize) -> LineAddr {
-        let sb_addr = (sb_tag << self.geom.index_bits()) | set as u64;
+        let sb_addr = self.geom.line_addr(set, sb_tag).get();
         LineAddr::new(sb_addr << MEMBER_BITS | member as u64)
     }
 
@@ -205,12 +205,12 @@ impl<E: EventSink> DccLlc<E> {
         inner: &mut dyn InclusionAgent,
         effects: &mut Effects,
     ) {
-        let block = self.engine.slot(set, t).copied();
-        if block.meta.resident().nth(1).is_some() {
+        let (sb_tag, block) = (self.engine.tags().tag(set, t), *self.engine.meta(set, t));
+        if block.resident().nth(1).is_some() {
             self.multi_line_evictions += 1;
         }
-        for (m, line) in block.meta.resident() {
-            let line_addr = self.member_addr(set, block.tag, m);
+        for (m, line) in block.resident() {
+            let line_addr = self.member_addr(set, sb_tag, m);
             effects.back_invalidations += 1;
             let inner_dirty = inner.back_invalidate(line_addr);
             if inner_dirty.is_some() || line.dirty {
@@ -235,16 +235,15 @@ impl<E: EventSink> DccLlc<E> {
         inner: &mut dyn InclusionAgent,
         effects: &mut Effects,
     ) -> bool {
-        let block = self.engine.slot(set, t).copied();
+        let (sb_tag, block) = (self.engine.tags().tag(set, t), *self.engine.meta(set, t));
         let Some((m, line)) = block
-            .meta
             .resident()
             .filter(|&(m, _)| Some(m) != protect)
             .max_by_key(|&(m, l)| (l.size.get(), m))
         else {
             return false;
         };
-        let line_addr = self.member_addr(set, block.tag, m);
+        let line_addr = self.member_addr(set, sb_tag, m);
         effects.back_invalidations += 1;
         let inner_dirty = inner.back_invalidate(line_addr);
         if inner_dirty.is_some() || line.dirty {
@@ -255,13 +254,13 @@ impl<E: EventSink> DccLlc<E> {
                 set,
                 t,
                 EventKind::Eviction {
-                    tag: block.tag,
+                    tag: sb_tag,
                     cause: EvictCause::SizePressure,
                 },
             ));
         }
         self.occupancy[set].remove(sub_blocks(line.size));
-        self.engine.slot_mut(set, t).meta.lines[m] = Member::EMPTY;
+        self.engine.meta_mut(set, t).lines[m] = Member::EMPTY;
         true
     }
 
@@ -282,12 +281,12 @@ impl<E: EventSink> DccLlc<E> {
         effects: &mut Effects,
     ) {
         loop {
-            let has_tag = home.is_some() || self.engine.first_invalid(set).is_some();
+            let has_tag = home.is_some() || self.engine.tags().first_free(set).is_some();
             if self.free_sub_blocks(set) >= needed && has_tag {
                 return;
             }
-            let victim = (0..self.engine.ways())
-                .filter(|&t| self.engine.slot(set, t).valid && Some(t) != home)
+            let victim = (0..self.engine.tags().ways())
+                .filter(|&t| self.engine.tags().is_valid(set, t) && Some(t) != home)
                 .max_by_key(|&t| self.engine.eviction_rank(set, t));
             match victim {
                 Some(t) => self.evict_super(set, t, inner, effects),
@@ -318,18 +317,19 @@ impl<E: EventSink> DccLlc<E> {
         let needed = sub_blocks(size);
 
         // An existing super-block for this neighbor group is "home".
-        let home = self.engine.find(set, tag);
+        let home = self.engine.tags().find(set, tag);
         self.make_room(set, needed, home, None, inner, &mut effects);
 
         // Home was exempted from whole-block eviction in make_room, so
         // it is still valid here; otherwise claim a free tag.
         let t = home.unwrap_or_else(|| {
             self.engine
-                .first_invalid(set)
+                .tags()
+                .first_free(set)
                 .expect("make_room guarantees a free tag")
         });
         fetch.emit(&mut self.engine, set, t, tag, sizing, size);
-        let mut meta = *self.engine.slot(set, t).meta;
+        let mut meta = *self.engine.meta(set, t);
         meta.lines[member] = Member {
             valid: true,
             dirty: false,
@@ -373,12 +373,12 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
 
     fn contains(&self, addr: LineAddr) -> bool {
         self.find(addr)
-            .is_some_and(|(set, t, m)| self.engine.slot(set, t).meta.lines[m].valid)
+            .is_some_and(|(set, t, m)| self.engine.meta(set, t).lines[m].valid)
     }
 
     fn read(&mut self, addr: LineAddr, _inner: &mut dyn InclusionAgent) -> ReadOutcome {
         if let Some((set, t, m)) = self.find(addr) {
-            let line = &self.engine.slot(set, t).meta.lines[m];
+            let line = &self.engine.meta(set, t).lines[m];
             if line.valid {
                 let size = line.size;
                 self.engine.demand_hit(set, t);
@@ -404,13 +404,13 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
     ) -> OpOutcome {
         let Some((set, t, m)) = self
             .find(addr)
-            .filter(|&(set, t, m)| self.engine.slot(set, t).meta.lines[m].valid)
+            .filter(|&(set, t, m)| self.engine.meta(set, t).lines[m].valid)
         else {
             return writeback_miss(&mut self.engine, addr);
         };
         let mut effects = Effects::default();
         let slot = t * SUPER_BLOCK_LINES + m;
-        let old = self.engine.slot(set, t).meta.lines[m].size;
+        let old = self.engine.meta(set, t).lines[m].size;
         let unchanged = self.payloads.holds(set, slot, &data);
         let new_size = self.sizer.resize(unchanged, old, &data);
         if new_size > old {
@@ -422,7 +422,7 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
         let (_, sb_tag, _) = self.locate_super(addr);
         write_hit(&mut self.engine, set, t, sb_tag, new_size);
         self.payloads.put(set, slot, &data);
-        let line = &mut self.engine.slot_mut(set, t).meta.lines[m];
+        let line = &mut self.engine.meta_mut(set, t).lines[m];
         line.dirty = true;
         line.size = new_size;
         self.occupancy[set].resize(sub_blocks(old), sub_blocks(new_size));
@@ -470,15 +470,15 @@ impl<E: EventSink> LlcOrganization for DccLlc<E> {
 
     fn peek_data(&self, addr: LineAddr) -> Option<CacheLine> {
         let (set, t, m) = self.find(addr)?;
-        let valid = self.engine.slot(set, t).meta.lines[m].valid;
+        let valid = self.engine.meta(set, t).lines[m].valid;
         valid.then(|| self.payloads.get(set, t * SUPER_BLOCK_LINES + m))
     }
 
     fn resident_lines(&self) -> Vec<LineAddr> {
         let mut out = Vec::new();
-        for (set, _, block) in self.engine.iter_valid() {
-            for (m, _) in block.meta.resident() {
-                out.push(self.member_addr(set, block.tag, m));
+        for (set, t, sb_tag) in self.engine.tags().iter_valid() {
+            for (m, _) in self.engine.meta(set, t).resident() {
+                out.push(self.member_addr(set, sb_tag, m));
             }
         }
         out

@@ -1,7 +1,8 @@
-//! State and bookkeeping shared by the LLC organizations: the hot
-//! tag-slot metadata the set scans read, the cold payload array they
-//! never touch, the per-set occupancy counters that replace whole-set
-//! rescans, and the sizing and fill core.
+//! State and bookkeeping shared by the LLC organizations: the cold
+//! payload array set scans never touch, the per-set occupancy counters
+//! that replace whole-set rescans, and the sizing and fill core. Tags,
+//! validity and dirty bits live in the engine's `bv_cache::TagArray`,
+//! and most organizations' slot payload is the line's `SegmentCount`.
 //!
 //! The core is what every organization does around its own decisions:
 //! a [`Sizer`] compresses each line once and keeps both tallies, and
@@ -11,33 +12,10 @@
 //! re-compaction stay in the organization files.
 
 use crate::{Effects, OpOutcome};
-use bv_cache::engine::{SetEngine, SlotMeta};
-use bv_cache::{CacheGeometry, LineAddr};
+use bv_cache::engine::SetEngine;
+use bv_cache::LineAddr;
 use bv_compress::{Bdi, CacheLine, CompressionStats, Compressor, EncoderStats, SegmentCount};
 use bv_events::{CacheEvent, EventKind, EventSink};
-
-/// Per-line metadata stored in a [`SetEngine`](bv_cache::engine::SetEngine)
-/// slot: dirty bit and compressed size. The engine owns validity and the
-/// tag; the line's data lives in the organization's [`LinePayloads`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LineMeta {
-    pub dirty: bool,
-    pub size: SegmentCount,
-}
-
-impl SlotMeta for LineMeta {
-    fn empty() -> LineMeta {
-        LineMeta {
-            dirty: false,
-            size: SegmentCount::FULL,
-        }
-    }
-}
-
-/// Reconstructs a line address from its geometry-extracted parts.
-pub(crate) fn line_addr(geom: &CacheGeometry, set: usize, tag: u64) -> LineAddr {
-    LineAddr::new((tag << geom.index_bits()) | set as u64)
-}
 
 /// The data of every line slot of one organization, addressed by
 /// `(set, slot)` like its tag slots and kept apart from them, so set
@@ -329,15 +307,6 @@ pub(crate) fn writeback_miss<S, E: EventSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_addr_roundtrips_through_tag() {
-        let geom = CacheGeometry::new(2 * 1024 * 1024, 16, 64);
-        let addr = LineAddr::new(0xdead_beef);
-        let set = geom.set_index(addr.get());
-        let tag = geom.tag(addr.get());
-        assert_eq!(line_addr(&geom, set, tag), addr);
-    }
 
     #[test]
     fn payloads_start_zeroed_and_keep_each_slot_apart() {

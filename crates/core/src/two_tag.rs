@@ -18,9 +18,7 @@
 //!   fallback. This helps compressible workloads but still breaks the
 //!   replacement order, leaving large negative outliers.
 
-use crate::slot::{
-    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
-};
+use crate::slot::{prefetch_miss, write_hit, writeback_miss, Fetch, LinePayloads, Sizer};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -63,7 +61,8 @@ pub enum TwoTagFlavor {
 #[derive(Debug)]
 pub struct TwoTagLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<LineMeta, E>,
+    /// Each logical slot's payload is its line's compressed size.
+    engine: SetEngine<SegmentCount, E>,
     /// Line data, indexed like the engine's logical slots.
     payloads: LinePayloads,
     flavor: TwoTagFlavor,
@@ -106,7 +105,7 @@ impl<E: EventSink> TwoTagLlc<E> {
     fn find(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        self.engine.find(set, tag).map(|l| (set, l))
+        self.engine.tags().find(set, tag).map(|l| (set, l))
     }
 
     /// Evicts the occupant of logical slot `l`, if valid, labeling the
@@ -119,14 +118,15 @@ impl<E: EventSink> TwoTagLlc<E> {
         effects: &mut Effects,
         cause: EvictCause,
     ) {
-        let slot = self.engine.slot(set, l).copied();
-        if !slot.valid {
+        let tags = self.engine.tags();
+        if !tags.is_valid(set, l) {
             return;
         }
-        let addr = line_addr(&self.geom, set, slot.tag);
+        let addr = self.geom.line_addr(set, tags.tag(set, l));
+        let dirty = tags.is_dirty(set, l);
         effects.back_invalidations += 1;
         let inner_dirty = inner.back_invalidate(addr);
-        if inner_dirty.is_some() || slot.meta.dirty {
+        if inner_dirty.is_some() || dirty {
             effects.memory_writes += 1;
         }
         self.engine.invalidate_as(set, l, cause);
@@ -135,9 +135,8 @@ impl<E: EventSink> TwoTagLlc<E> {
     /// Whether installing a line of `size` in logical slot `l` fits with
     /// the current partner occupant.
     fn fits_in(&self, set: usize, l: usize, size: SegmentCount) -> bool {
-        let partner = self.engine.slot(set, l ^ 1);
-        if partner.valid {
-            partner.meta.size.fits_with(size)
+        if self.engine.tags().is_valid(set, l ^ 1) {
+            self.engine.meta(set, l ^ 1).fits_with(size)
         } else {
             size.get() as usize <= SEGMENTS_PER_LINE
         }
@@ -154,12 +153,12 @@ impl<E: EventSink> TwoTagLlc<E> {
         if self.flavor != TwoTagFlavor::EcmSizeAware {
             return None;
         }
-        (0..self.engine.ways())
-            .filter(|&l| self.engine.slot(set, l).valid && self.fits_in(set, l, size))
+        (0..self.engine.tags().ways())
+            .filter(|&l| self.engine.tags().is_valid(set, l) && self.fits_in(set, l, size))
             .max_by_key(|&l| {
                 (
                     self.engine.is_eviction_candidate(set, l),
-                    self.engine.slot(set, l).meta.size.get(),
+                    self.engine.meta(set, l).get(),
                     usize::MAX - l,
                 )
             })
@@ -180,8 +179,8 @@ impl<E: EventSink> TwoTagLlc<E> {
         let size = sizing.size;
 
         // Warmup path: an invalid logical slot whose partner leaves room.
-        let target = (0..self.engine.ways())
-            .find(|&l| !self.engine.slot(set, l).valid && self.fits_in(set, l, size));
+        let target = (0..self.engine.tags().ways())
+            .find(|&l| !self.engine.tags().is_valid(set, l) && self.fits_in(set, l, size));
 
         let l = if let Some(l) = target {
             l
@@ -202,8 +201,7 @@ impl<E: EventSink> TwoTagLlc<E> {
         };
 
         fetch.emit(&mut self.engine, set, l, tag, sizing, size);
-        let meta = LineMeta { dirty: false, size };
-        self.engine.install(set, l, tag, meta, size);
+        self.engine.install(set, l, tag, size, size);
         self.payloads.put(set, l, &data);
         fetch.finish(&mut self.engine, effects)
     }
@@ -229,7 +227,7 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
         match self.find(addr) {
             Some((set, l)) => {
                 self.engine.demand_hit(set, l);
-                let size = self.engine.slot(set, l).meta.size;
+                let size = *self.engine.meta(set, l);
                 ReadOutcome {
                     kind: HitKind::Base(size),
                     effects: Effects::default(),
@@ -258,18 +256,16 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
         let unchanged = self.payloads.holds(set, l, &data);
         let new_size = self
             .sizer
-            .resize(unchanged, self.engine.slot(set, l).meta.size, &data);
+            .resize(unchanged, *self.engine.meta(set, l), &data);
         self.payloads.put(set, l, &data);
-        let meta = &mut self.engine.slot_mut(set, l).meta;
-        meta.dirty = true;
-        meta.size = new_size;
+        self.engine.set_dirty(set, l);
+        *self.engine.meta_mut(set, l) = new_size;
         let tag = self.geom.tag(addr.get());
         write_hit(&mut self.engine, set, l, tag, new_size);
         // If the line grew past its partner's space, the partner must be
         // evicted (with a writeback if dirty).
         let mut effects = Effects::default();
-        let partner = self.engine.slot(set, l ^ 1);
-        if partner.valid && !new_size.fits_with(partner.meta.size) {
+        if !self.fits_in(set, l, new_size) {
             self.evict_slot(set, l ^ 1, inner, &mut effects, EvictCause::SizePressure);
             effects.partner_evictions += 1;
         }
@@ -326,8 +322,9 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
 
     fn resident_lines(&self) -> Vec<LineAddr> {
         self.engine
+            .tags()
             .iter_valid()
-            .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
             .collect()
     }
 
@@ -335,14 +332,13 @@ impl<E: EventSink> LlcOrganization for TwoTagLlc<E> {
     fn assert_invariants(&self) {
         for set in 0..self.geom.sets() {
             for w in 0..self.geom.ways() {
-                let a = self.engine.slot(set, 2 * w);
-                let b = self.engine.slot(set, 2 * w + 1);
-                if a.valid && b.valid {
+                let (a, b) = (2 * w, 2 * w + 1);
+                let tags = self.engine.tags();
+                if tags.is_valid(set, a) && tags.is_valid(set, b) {
+                    let (a, b) = (self.engine.meta(set, a), self.engine.meta(set, b));
                     assert!(
-                        a.meta.size.fits_with(b.meta.size),
-                        "pair overflow set {set} way {w}: {} + {}",
-                        a.meta.size,
-                        b.meta.size
+                        a.fits_with(*b),
+                        "pair overflow set {set} way {w}: {a} + {b}"
                     );
                 }
             }

@@ -1,8 +1,6 @@
 //! The uncompressed baseline LLC every experiment normalizes against.
 
-use crate::slot::{
-    line_addr, prefetch_miss, write_hit, writeback_miss, Fetch, LineMeta, LinePayloads, Sizer,
-};
+use crate::slot::{prefetch_miss, write_hit, writeback_miss, Fetch, LinePayloads, Sizer};
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
 use bv_cache::{CacheGeometry, LineAddr, PolicyKind};
@@ -31,7 +29,8 @@ use bv_events::{CacheEvent, EventKind, EventSink, EvictCause, NoEventSink};
 #[derive(Debug)]
 pub struct UncompressedLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<LineMeta, E>,
+    /// Lines are stored full, so a slot carries nothing beyond its tag.
+    engine: SetEngine<(), E>,
     /// Line data, indexed like the engine's slots.
     payloads: LinePayloads,
     sizer: Sizer,
@@ -66,7 +65,7 @@ impl<E: EventSink> UncompressedLlc<E> {
     fn locate(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        self.engine.find(set, tag).map(|w| (set, w))
+        self.engine.tags().find(set, tag).map(|w| (set, w))
     }
 
     /// Installs a line (shared by demand and prefetch fills).
@@ -84,12 +83,12 @@ impl<E: EventSink> UncompressedLlc<E> {
         let way = self.engine.fill_way(set);
 
         let mut effects = Effects::default();
-        let evicted = self.engine.slot(set, way).copied();
-        if evicted.valid {
-            let evicted_addr = line_addr(&self.geom, set, evicted.tag);
+        let tags = self.engine.tags();
+        if tags.is_valid(set, way) {
+            let (evicted, dirty) = (tags.tag(set, way), tags.is_dirty(set, way));
             effects.back_invalidations += 1;
-            let inner_dirty = inner.back_invalidate(evicted_addr);
-            if inner_dirty.is_some() || evicted.meta.dirty {
+            let inner_dirty = inner.back_invalidate(self.geom.line_addr(set, evicted));
+            if inner_dirty.is_some() || dirty {
                 effects.memory_writes += 1;
             }
             if E::ENABLED {
@@ -97,7 +96,7 @@ impl<E: EventSink> UncompressedLlc<E> {
                     set,
                     way,
                     EventKind::Eviction {
-                        tag: evicted.tag,
+                        tag: evicted,
                         cause: EvictCause::Replacement,
                     },
                 ));
@@ -110,11 +109,7 @@ impl<E: EventSink> UncompressedLlc<E> {
         let sizing = self.sizer.size(&data);
         let stored = SegmentCount::FULL; // stored uncompressed
         fetch.emit(&mut self.engine, set, way, tag, sizing, stored);
-        let meta = LineMeta {
-            dirty: false,
-            size: stored,
-        };
-        self.engine.install(set, way, tag, meta, sizing.size);
+        self.engine.install(set, way, tag, (), sizing.size);
         self.payloads.put(set, way, &data);
         fetch.finish(&mut self.engine, effects)
     }
@@ -160,7 +155,7 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
     ) -> OpOutcome {
         match self.locate(addr) {
             Some((set, way)) => {
-                self.engine.slot_mut(set, way).meta.dirty = true;
+                self.engine.set_dirty(set, way);
                 self.payloads.put(set, way, &data);
                 let tag = self.geom.tag(addr.get());
                 write_hit(&mut self.engine, set, way, tag, SegmentCount::FULL);
@@ -219,8 +214,9 @@ impl<E: EventSink> LlcOrganization for UncompressedLlc<E> {
 
     fn resident_lines(&self) -> Vec<LineAddr> {
         self.engine
+            .tags()
             .iter_valid()
-            .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
             .collect()
     }
 

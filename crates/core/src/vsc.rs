@@ -11,8 +11,8 @@
 //! re-compaction overhead (VSC's first drawback).
 
 use crate::slot::{
-    line_addr, prefetch_miss, write_hit, writeback_miss, CapacitySampler, Fetch, LineMeta,
-    LinePayloads, Occupancy, Sizer,
+    prefetch_miss, write_hit, writeback_miss, CapacitySampler, Fetch, LinePayloads, Occupancy,
+    Sizer,
 };
 use crate::{Effects, HitKind, InclusionAgent, LlcOrganization, LlcStats, OpOutcome, ReadOutcome};
 use bv_cache::engine::SetEngine;
@@ -42,7 +42,9 @@ use bv_events::{CacheEvent, EventSink, EvictCause, NoEventSink};
 #[derive(Debug)]
 pub struct VscLlc<E: EventSink = NoEventSink> {
     geom: CacheGeometry,
-    engine: SetEngine<LineMeta, E>, // sets x 2*ways logical tags
+    /// `sets x 2*ways` logical tags, each slot's payload its line's
+    /// compressed size.
+    engine: SetEngine<SegmentCount, E>,
     /// Per-set segments in use and resident lines, maintained at every
     /// install, growth and eviction.
     occupancy: Vec<Occupancy>,
@@ -92,7 +94,7 @@ impl<E: EventSink> VscLlc<E> {
     fn find(&self, addr: LineAddr) -> Option<(usize, usize)> {
         let set = self.geom.set_index(addr.get());
         let tag = self.geom.tag(addr.get());
-        self.engine.find(set, tag).map(|l| (set, l))
+        self.engine.tags().find(set, tag).map(|l| (set, l))
     }
 
     fn free_segments(&self, set: usize) -> usize {
@@ -104,10 +106,9 @@ impl<E: EventSink> VscLlc<E> {
     /// the maintained counters against.
     fn rescan(&self, set: usize) -> Occupancy {
         let mut occ = Occupancy::default();
-        for l in 0..self.engine.ways() {
-            let s = self.engine.slot(set, l);
-            if s.valid {
-                occ.add(s.meta.size.get() as usize);
+        for l in 0..self.engine.tags().ways() {
+            if self.engine.tags().is_valid(set, l) {
+                occ.add(self.engine.meta(set, l).get() as usize);
             }
         }
         occ
@@ -127,23 +128,24 @@ impl<E: EventSink> VscLlc<E> {
         let mut evicted_any = false;
         loop {
             // `keep` is a resident line that already owns its tag.
-            let free_tags = keep.is_some() || self.engine.first_invalid(set).is_some();
+            let free_tags = keep.is_some() || self.engine.tags().first_free(set).is_some();
             if self.free_segments(set) >= needed && free_tags {
                 break;
             }
             // Oldest valid line (highest eviction rank), excluding `keep`.
-            let victim = (0..self.engine.ways())
-                .filter(|&l| self.engine.slot(set, l).valid && Some(l) != keep)
+            let tags = self.engine.tags();
+            let victim = (0..tags.ways())
+                .filter(|&l| tags.is_valid(set, l) && Some(l) != keep)
                 .max_by_key(|&l| self.engine.eviction_rank(set, l))
                 .expect("a victim must exist while the set is over capacity");
-            let slot = self.engine.slot(set, victim).copied();
-            let addr = line_addr(&self.geom, set, slot.tag);
+            let addr = self.geom.line_addr(set, tags.tag(set, victim));
+            let dirty = tags.is_dirty(set, victim);
             effects.back_invalidations += 1;
             let inner_dirty = inner.back_invalidate(addr);
-            if inner_dirty.is_some() || slot.meta.dirty {
+            if inner_dirty.is_some() || dirty {
                 effects.memory_writes += 1;
             }
-            self.occupancy[set].remove(slot.meta.size.get() as usize);
+            self.occupancy[set].remove(self.engine.meta(set, victim).get() as usize);
             // VSC's multi-eviction drawback: lines leave under segment
             // pressure, not replacement order alone.
             self.engine
@@ -174,11 +176,11 @@ impl<E: EventSink> VscLlc<E> {
 
         let l = self
             .engine
-            .first_invalid(set)
+            .tags()
+            .first_free(set)
             .expect("make_room guarantees a free tag");
         fetch.emit(&mut self.engine, set, l, tag, sizing, size);
-        let meta = LineMeta { dirty: false, size };
-        self.engine.install(set, l, tag, meta, size);
+        self.engine.install(set, l, tag, size, size);
         self.payloads.put(set, l, &data);
         self.occupancy[set].add(size.get() as usize);
         self.capacity.sample(self.occupancy[set]);
@@ -225,7 +227,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
         match self.find(addr) {
             Some((set, l)) => {
                 self.engine.demand_hit(set, l);
-                let size = self.engine.slot(set, l).meta.size;
+                let size = *self.engine.meta(set, l);
                 ReadOutcome {
                     kind: HitKind::Base(size),
                     effects: Effects::default(),
@@ -251,7 +253,7 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
             return writeback_miss(&mut self.engine, addr);
         };
         let mut effects = Effects::default();
-        let old_size = self.engine.slot(set, l).meta.size;
+        let old_size = *self.engine.meta(set, l);
         let unchanged = self.payloads.holds(set, l, &data);
         let new_size = self.sizer.resize(unchanged, old_size, &data);
         if new_size > old_size {
@@ -267,9 +269,8 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
             }
         }
         self.payloads.put(set, l, &data);
-        let meta = &mut self.engine.slot_mut(set, l).meta;
-        meta.dirty = true;
-        meta.size = new_size;
+        self.engine.set_dirty(set, l);
+        *self.engine.meta_mut(set, l) = new_size;
         self.occupancy[set].resize(old_size.get() as usize, new_size.get() as usize);
         let tag = self.geom.tag(addr.get());
         write_hit(&mut self.engine, set, l, tag, new_size);
@@ -326,8 +327,9 @@ impl<E: EventSink> LlcOrganization for VscLlc<E> {
 
     fn resident_lines(&self) -> Vec<LineAddr> {
         self.engine
+            .tags()
             .iter_valid()
-            .map(|(set, _, s)| line_addr(&self.geom, set, s.tag))
+            .map(|(set, _, tag)| self.geom.line_addr(set, tag))
             .collect()
     }
 

@@ -15,8 +15,6 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Restrict to one domain (`None` = alternate over both).
     pub domain: Option<Domain>,
-    /// Minimize the first failure before reporting it.
-    pub shrink: bool,
 }
 
 impl Default for FuzzConfig {
@@ -25,7 +23,6 @@ impl Default for FuzzConfig {
             cases: 100,
             seed: 1,
             domain: None,
-            shrink: true,
         }
     }
 }
@@ -41,7 +38,8 @@ pub struct CampaignFailure {
     pub failure: FuzzFailure,
     /// The case exactly as generated.
     pub original: FuzzCase,
-    /// The shrunk reproducer, when shrinking was enabled and applicable.
+    /// The shrunk reproducer, when the failure has an observation to
+    /// minimize against.
     pub shrunk: Option<ShrinkOutcome>,
 }
 
@@ -109,7 +107,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(u64, u64)) -> FuzzRep
             // Shrinking minimizes against the observation; an
             // `inject-undetected` failure has nothing to observe, so it
             // is reported as-is.
-            let shrunk = if cfg.shrink && observe(&case).is_some() {
+            let shrunk = if observe(&case).is_some() {
                 let out = shrink(&case);
                 report.shrink_attempts += out.attempts;
                 report.shrink_accepted += out.accepted;
@@ -218,7 +216,6 @@ mod tests {
             cases: 8,
             seed: 1,
             domain: None,
-            shrink: true,
         };
         let mut ticks = 0;
         let report = run_fuzz(&cfg, |done, total| {

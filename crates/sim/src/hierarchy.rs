@@ -201,12 +201,6 @@ impl Uncore {
         self.llc.as_ref()
     }
 
-    /// Mutable access to the LLC organization, for draining its event
-    /// sink between phases of a traced run.
-    pub fn llc_mut(&mut self) -> &mut dyn LlcOrganization {
-        self.llc.as_mut()
-    }
-
     /// The DRAM model.
     #[must_use]
     pub fn dram(&self) -> &Dram {
@@ -266,11 +260,6 @@ impl Hierarchy {
     #[must_use]
     pub fn uncore(&self) -> &Uncore {
         &self.uncore
-    }
-
-    /// Mutable access to the shared uncore.
-    pub fn uncore_mut(&mut self) -> &mut Uncore {
-        &mut self.uncore
     }
 
     /// Consumes the hierarchy and returns the LLC organization, so a

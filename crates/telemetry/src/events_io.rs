@@ -1,4 +1,4 @@
-//! The `bvsim-events-v1` JSONL reader/writer and the streaming sink.
+//! The `bvsim-events-v1` JSONL reader and writer.
 //!
 //! One header line, then one line per [`CacheEvent`]:
 //!
@@ -10,17 +10,15 @@
 //! ```
 //!
 //! Set-wide events (demand misses, failed victim inserts) omit `"way"`.
-//! A file captured through [`StreamSink`] omits `"count"` in the header —
-//! the stream's length is not known up front — and [`read_events`] then
-//! takes the event-line count as authoritative; files written from a
-//! drained ring via [`write_events`] declare `count` so truncation is
-//! detectable. All reader errors name the offending 1-based line.
+//! [`write_events`] renders a drained ring and declares `count`, so
+//! truncation is detectable. A capture written by another tool may
+//! omit `"count"`; [`read_events`] then takes the event-line count as
+//! authoritative. All reader errors name the offending 1-based line.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
 
 use crate::json::{self, ObjWriter, Value};
-use bv_events::{CacheEvent, DropCause, EventKind, EventSink, EvictCause};
+use bv_events::{CacheEvent, DropCause, EventKind, EvictCause};
 
 /// The schema identifier for event captures.
 pub const EVENTS_SCHEMA: &str = "bvsim-events-v1";
@@ -32,24 +30,24 @@ pub struct EventsHeader {
     /// otherwise the counted event lines).
     pub count: u64,
     /// Events the capturing ring overwrote before the capture was
-    /// written (0 for streamed captures, which never drop).
+    /// written (0 when the header omits it).
     pub dropped: u64,
     /// Free-form run identity (trace name, LLC kind, ...).
     pub meta: BTreeMap<String, String>,
 }
 
-fn header_line(count: Option<u64>, dropped: u64, meta: &BTreeMap<String, String>) -> String {
+fn header_line(count: u64, dropped: u64, meta: &BTreeMap<String, String>) -> String {
     let mut m = ObjWriter::new();
     for (k, v) in meta {
         m.str(k, v);
     }
     let m = m.finish();
     let mut header = ObjWriter::new();
-    header.str("schema", EVENTS_SCHEMA);
-    if let Some(count) = count {
-        header.u64("count", count);
-    }
-    header.u64("dropped", dropped).raw("meta", &m);
+    header
+        .str("schema", EVENTS_SCHEMA)
+        .u64("count", count)
+        .u64("dropped", dropped)
+        .raw("meta", &m);
     header.finish()
 }
 
@@ -99,7 +97,7 @@ pub fn write_events(
     dropped: u64,
     meta: &BTreeMap<String, String>,
 ) -> String {
-    let mut out = header_line(Some(events.len() as u64), dropped, meta);
+    let mut out = header_line(events.len() as u64, dropped, meta);
     out.push('\n');
     for ev in events {
         out.push_str(&event_line(ev));
@@ -234,67 +232,6 @@ pub fn read_events(text: &str) -> Result<(EventsHeader, Vec<CacheEvent>), String
     ))
 }
 
-/// An [`EventSink`] that writes each event's JSONL line as it is
-/// emitted — unbounded capture for short runs, where a ring's retention
-/// bound would lose the beginning.
-///
-/// Wrap the writer in a `BufWriter`; the sink writes one small line per
-/// event. I/O errors are latched (the trait's `emit` cannot fail) and
-/// surfaced by [`StreamSink::finish`].
-#[derive(Debug)]
-pub struct StreamSink<W: Write> {
-    w: W,
-    next_seq: u64,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> StreamSink<W> {
-    /// Writes the (count-less) header and returns the sink.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the header cannot be written.
-    pub fn new(mut w: W, meta: &BTreeMap<String, String>) -> io::Result<StreamSink<W>> {
-        writeln!(w, "{}", header_line(None, 0, meta))?;
-        Ok(StreamSink {
-            w,
-            next_seq: 0,
-            error: None,
-        })
-    }
-
-    /// Events emitted so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Flushes and returns the writer, or the first latched I/O error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first emit-time write failure, or the flush error.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-impl<W: Write> EventSink for StreamSink<W> {
-    fn emit(&mut self, mut ev: CacheEvent) {
-        ev.seq = self.next_seq;
-        self.next_seq += 1;
-        if self.error.is_none() {
-            if let Err(e) = writeln!(self.w, "{}", event_line(&ev)) {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,21 +328,21 @@ mod tests {
     }
 
     #[test]
-    fn stream_sink_produces_a_parseable_capture() {
-        let mut meta = BTreeMap::new();
-        meta.insert("llc".to_string(), "base-victim".to_string());
-        let mut sink = StreamSink::new(Vec::new(), &meta).expect("header");
-        for ev in one_of_each() {
-            sink.emit(CacheEvent { seq: 0, ..ev }); // sink re-stamps seq
+    fn a_header_without_count_takes_the_line_count() {
+        let events = one_of_each();
+        let mut text =
+            format!("{{\"schema\":\"{EVENTS_SCHEMA}\",\"meta\":{{\"llc\":\"base-victim\"}}}}\n");
+        for ev in &events {
+            text.push_str(&event_line(ev));
+            text.push('\n');
         }
-        assert_eq!(sink.emitted(), 11);
-        let bytes = sink.finish().expect("no io error");
-        let text = String::from_utf8(bytes).unwrap();
         let (header, parsed) = read_events(&text).expect("parse");
-        // A streamed header has no count; the reader counts the lines.
         assert_eq!(header.count, 11);
-        assert_eq!(parsed.len(), 11);
-        let seqs: Vec<u64> = parsed.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..11).collect::<Vec<u64>>());
+        assert_eq!(header.dropped, 0);
+        assert_eq!(
+            header.meta.get("llc").map(String::as_str),
+            Some("base-victim")
+        );
+        assert_eq!(parsed, events);
     }
 }

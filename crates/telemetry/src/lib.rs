@@ -17,8 +17,9 @@
 //! * [`json`] — the registry-free JSON reader/writer everything round
 //!   trips through (also re-exported as `bv_runner::json` for the run
 //!   journal);
-//! * [`events_io`] — the `bvsim-events-v1` JSONL reader/writer and
-//!   [`StreamSink`] for `bv-events` captures (`bvsim trace`).
+//! * [`events_io`] — the `bvsim-events-v1` JSONL reader/writer for
+//!   `bv-events` captures (`bvsim trace` writes a drained ring with
+//!   [`write_events`]).
 //!
 //! Everything here is sampled on *committed instructions*, never wall
 //! clock, so an instrumented run is bit-reproducible: the same trace and
@@ -38,7 +39,7 @@ pub mod render;
 mod series;
 mod sink;
 
-pub use events_io::{read_events, write_events, EventsHeader, StreamSink, EVENTS_SCHEMA};
+pub use events_io::{read_events, write_events, EventsHeader, EVENTS_SCHEMA};
 pub use hist::{Log2Histogram, LOG2_BUCKETS};
 pub use render::{render, sparkline};
 pub use series::{Column, ColumnData, ColumnId, TimeSeries};

@@ -831,7 +831,6 @@ fn run_fuzz_campaign(args: &FuzzArgs) -> ExitCode {
         cases: args.cases,
         seed: args.seed,
         domain: args.domain,
-        shrink: true,
     };
     println!(
         "fuzz | {} case(s), seed {}, domains {}",
@@ -878,7 +877,6 @@ fn run_fuzz_inject(args: &FuzzArgs) -> ExitCode {
         cases: args.cases,
         seed: args.seed,
         domain: args.domain,
-        shrink: true,
     };
     println!(
         "fuzz inject self-test | seed {}, domains {}",
